@@ -12,16 +12,12 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import OrderBudgetExceeded
-from .fields import Field, ConstField, as_field
+from .fields import Field, as_field, is_zero
 from .graded import GradedElement, key_factors, wedge_keys
 
 # coordinate order: x1 x2 y1 y2 y3
 X_SLOTS = (0, 1)
 Y_SLOTS = (2, 3, 4)
-
-
-def _is_zero_const(f):
-    return isinstance(f, ConstField) and f.c == 0.0
 
 
 class FieldElement:
@@ -37,7 +33,7 @@ class FieldElement:
                 self._add(key, as_field(c))
 
     def _add(self, key, f):
-        if _is_zero_const(f):
+        if is_zero(f):
             if key not in self.coeffs:
                 return
         if key in self.coeffs:
@@ -111,33 +107,21 @@ class FieldElement:
 # exterior differential -----------------------------------------------------
 
 
-def hor_apply(conn, i, f: Field) -> Field:
-    """Horizontal derivative hor_i(f) = df/dx_i - gamma_i^a df/dy_a."""
-    out = f.partial(X_SLOTS[i - 1])
-    for a in (1, 2, 3):
-        g = conn.gamma[i - 1][a - 1]
-        if _is_zero_const(g):
-            continue
-        out = out - g * f.partial(Y_SLOTS[a - 1])
-    return out
+def hor_apply(conn, i, f: Field, derivative=None) -> Field:
+    """Horizontal derivative hor_i(f) = df/dx_i - gamma_i^a df/dy_a.
 
-
-def hor_apply_exact(conn, i, f) -> Field:
-    """hor_i(f) built with expression-level derivatives when available.
-
-    Expression-backed inputs keep their full jet budget, which derived
-    structures (gauge images) need for second-differential checks.
+    ``derivative`` defaults to ``Field.partial`` (jet extraction, one order
+    spent); ``Field.derivative`` is symbolic and keeps the full budget of
+    expression-backed input, which derived structures (gauge images) need.
     """
-    from .fields import exact, unwrap
-
-    fw = exact(f)
-    out = fw.partial(X_SLOTS[i - 1])
+    derivative = derivative or Field.partial
+    out = derivative(f, X_SLOTS[i - 1])
     for a in (1, 2, 3):
         g = conn.gamma[i - 1][a - 1]
-        if _is_zero_const(g):
+        if is_zero(g):
             continue
-        out = out - exact(g) * fw.partial(Y_SLOTS[a - 1])
-    return unwrap(out)
+        out = out - g * derivative(f, Y_SLOTS[a - 1])
+    return out
 
 
 def d_eta(conn, a) -> FieldElement:
@@ -149,7 +133,7 @@ def d_eta(conn, a) -> FieldElement:
     # (1,1) part: -(dgamma_i^a/dy^b) dx^i ^ eta^b
     for i in (1, 2):
         gi = conn.gamma[i - 1][a - 1]
-        if _is_zero_const(gi):
+        if is_zero(gi):
             continue
         for b in (1, 2, 3):
             out._add(((i,), (b,)), -1.0 * gi.partial(Y_SLOTS[b - 1]))
@@ -228,7 +212,7 @@ def coord_basis_in_moving(conn):
         coeffs = {((i,), ()): 1.0}
         for a in (1, 2, 3):
             g = conn.gamma[i - 1][a - 1]
-            if not _is_zero_const(g):
+            if not is_zero(g):
                 coeffs[((), (a,))] = g
         basis[i - 1] = FieldElement.multivector(coeffs)
     for a in (1, 2, 3):
@@ -243,7 +227,7 @@ def moving_basis_in_coord(conn):
         coeffs = {((i,), ()): 1.0}
         for a in (1, 2, 3):
             g = conn.gamma[i - 1][a - 1]
-            if not _is_zero_const(g):
+            if not is_zero(g):
                 coeffs[((), (a,))] = g * -1.0
         basis[("h", i)] = FieldElement.multivector(coeffs)
     for a in (1, 2, 3):

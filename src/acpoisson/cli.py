@@ -72,7 +72,7 @@ def run_check(model: md.ModelFile, n=None, tol=None) -> VerificationReport:
 
     # almost-coupling: the mixed component of the re-bigraded tensor
     mov = ca.coord_to_moving_bivector(triple.pi_coord(), triple.conn)
-    mixed = 0.0
+    mixed = np.zeros(pts.shape[1])
     for key, f in mov.coeffs.items():
         if (len(key[0]), len(key[1])) == (1, 1):
             mixed = np.maximum(mixed, np.abs(f.at(pts, 0).value))
@@ -397,11 +397,8 @@ def build_parser():
 
 def main(argv=None):
     parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as err:
-        # argparse exits 2 on usage errors, matching the input-error contract
-        raise err
+    # argparse exits 2 on usage errors, matching the input-error contract
+    args = parser.parse_args(argv)
     try:
         return args.func(args)
     except (ModelError, OrderBudgetExceeded) as err:

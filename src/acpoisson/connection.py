@@ -17,11 +17,9 @@ from __future__ import annotations
 import numpy as np
 
 from . import calculus as ca
-from .calculus import CoordVector, FieldElement
+from .calculus import Y_SLOTS, CoordVector, FieldElement
 from .fields import ConstField, Field, as_field
 from .graded import q_horizontal, q_vertical, interior
-
-Y_SLOTS = (2, 3, 4)
 
 
 class Connection:
@@ -35,11 +33,6 @@ class Connection:
     @classmethod
     def flat(cls):
         return cls([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-
-    def is_flat_zero(self):
-        from .calculus import _is_zero_const
-
-        return all(_is_zero_const(g) for row in self.gamma for g in row)
 
     def gamma_values(self, p):
         return np.stack([np.stack([g.at(p, 0).value for g in row]) for row in self.gamma])
@@ -66,23 +59,20 @@ class ConnectionShift:
 
         Component form: Xi_i^a = -epsilon * eps^{abc} (dmu_i/dy^b) beta_c.
         """
-        from .fields import exact, unwrap
-
-        mu = [exact(as_field(m)) for m in mu]
-        raw = beta.comps if hasattr(beta, "comps") else [as_field(b) for b in beta]
-        bc = [exact(b) for b in raw]
+        mu = [as_field(m) for m in mu]
+        bc = beta.comps if hasattr(beta, "comps") else [as_field(b) for b in beta]
         rows = []
         for i in (0, 1):
-            dm = [mu[i].partial(Y_SLOTS[b]) for b in range(3)]
+            dm = [mu[i].derivative(Y_SLOTS[b]) for b in range(3)]
             row = []
             for a in range(3):
-                acc = exact(ConstField(0.0))
+                acc = ConstField(0.0)
                 for b in range(3):
                     for c in range(3):
                         sign = _levi_civita(a, b, c)
                         if sign:
                             acc = acc + dm[b] * bc[c] * (sign * -epsilon)
-                row.append(unwrap(acc))
+                row.append(acc)
             rows.append(row)
         return cls(rows)
 
@@ -103,11 +93,7 @@ def _levi_civita(a, b, c):
 
 def shift(conn: Connection, xi: ConnectionShift) -> Connection:
     """New connection gamma - Xi; the horizontal bundle moves to (id+Xi)H."""
-    from .fields import exact, unwrap
-
-    return Connection(
-        [[unwrap(exact(conn.gamma[i][a]) - exact(xi.xi[i][a])) for a in range(3)] for i in range(2)]
-    )
+    return Connection([[conn.gamma[i][a] - xi.xi[i][a] for a in range(3)] for i in range(2)])
 
 
 def horizontal_lift(i: int, conn: Connection) -> CoordVector:

@@ -1,9 +1,16 @@
 """Scalar fields on the chart, evaluable to exact 2-jets.
 
 A field is anything with an ``eval_jet(points, order)`` method returning a
-:class:`~acpoisson.jets.Jet`.  Parsed expressions carry a full 2-jet budget;
-extracting a partial derivative consumes one order.  Fields are closed under
-pointwise arithmetic and composition with the expression builtins, and all
+:class:`~acpoisson.jets.Jet`.  There is one field algebra.  Parsed
+expressions, constants and coordinates are *expression-backed*: they carry an
+AST in ``ast``, and ``+ - * /`` and unary ``-`` between expression-backed
+operands fold into a new expression (``0*f`` is ``0``, ``1*f`` is ``f``, and
+so on), so every spelling of zero is the same zero (:func:`is_zero`).  Any
+other operand gives an evaluation node (:class:`BinField`).
+
+Parsed expressions carry a full 2-jet budget.  ``partial`` extracts a
+derivative from the parent's jet and so consumes one order; ``derivative`` is
+symbolic for expression-backed fields and keeps the full budget.  All
 evaluation is pure, so fields are safe to share between threads.
 """
 
@@ -36,6 +43,7 @@ class Field:
     """Base class; subclasses implement ``eval_jet``."""
 
     budget = 2
+    ast = None  # expression AST of an expression-backed field
 
     def eval_jet(self, points, order):
         raise NotImplementedError
@@ -65,39 +73,62 @@ class Field:
             k = VAR_INDEX[k]
         return PartialField(self, k)
 
+    def derivative(self, k) -> "Field":
+        """First partial derivative, symbolic (full budget) when expression-backed."""
+        if self.ast is None:
+            return self.partial(k)
+        return ExprField(ex.differentiate(self.ast, VAR_NAMES[k] if isinstance(k, int) else k))
+
     # arithmetic -----------------------------------------------------------
 
     def __add__(self, other):
-        return BinField("+", self, as_field(other))
+        return _combine("+", self, as_field(other))
 
     def __radd__(self, other):
-        return BinField("+", as_field(other), self)
+        return _combine("+", as_field(other), self)
 
     def __sub__(self, other):
-        return BinField("-", self, as_field(other))
+        return _combine("-", self, as_field(other))
 
     def __rsub__(self, other):
-        return BinField("-", as_field(other), self)
+        return _combine("-", as_field(other), self)
 
     def __mul__(self, other):
-        return BinField("*", self, as_field(other))
+        return _combine("*", self, as_field(other))
 
     def __rmul__(self, other):
-        return BinField("*", as_field(other), self)
+        return _combine("*", as_field(other), self)
 
     def __truediv__(self, other):
-        return BinField("/", self, as_field(other))
+        return _combine("/", self, as_field(other))
 
     def __rtruediv__(self, other):
-        return BinField("/", as_field(other), self)
+        return _combine("/", as_field(other), self)
 
     def __neg__(self):
+        if self.ast is not None:
+            return ExprField(ex.neg(self.ast))
         return BinField("*", ConstField(-1.0), self)
+
+
+_FOLD = {"+": ex.add, "-": ex.sub, "*": ex.mul, "/": ex.div}
+
+
+def _combine(op, a, b):
+    if a.ast is not None and b.ast is not None:
+        return ExprField(_FOLD[op](a.ast, b.ast))
+    return BinField(op, a, b)
+
+
+def is_zero(f) -> bool:
+    """True when ``f`` is expression-backed and its AST is the number 0."""
+    return isinstance(f.ast, ex.Num) and f.ast.value == 0.0
 
 
 class ConstField(Field):
     def __init__(self, c):
         self.c = float(c)
+        self.ast = ex.Num(self.c)
 
     def eval_jet(self, points, order):
         return Jet.constant(self.c, points.shape[1:], order)
@@ -109,6 +140,7 @@ class ConstField(Field):
 class CoordField(Field):
     def __init__(self, k):
         self.k = VAR_INDEX[k] if isinstance(k, str) else k
+        self.ast = ex.Var(VAR_NAMES[self.k])
 
     def eval_jet(self, points, order):
         return Jet.coordinate(self.k, points[self.k], order)
@@ -118,15 +150,23 @@ class CoordField(Field):
 
 
 class ExprField(Field):
-    """Field backed by a parsed expression AST."""
+    """Field backed by a parsed expression AST (or the AST itself)."""
 
     def __init__(self, source):
         if isinstance(source, str):
             self.ast = ex.parse(source)
-            self.source = source
+            self._source = source
         else:
             self.ast = source
-            self.source = ex.to_source(source)
+            # rendered on demand: rendering every arithmetic result would make
+            # building a graph quadratic in its size
+            self._source = None
+
+    @property
+    def source(self) -> str:
+        if self._source is None:
+            self._source = ex.to_source(self.ast)
+        return self._source
 
     def eval_jet(self, points, order):
         return _eval_ast(self.ast, points, order)
@@ -232,17 +272,11 @@ class PartialField(Field):
 def as_field(obj) -> Field:
     if isinstance(obj, Field):
         return obj
-    if isinstance(obj, ExactField):
-        return obj.unwrap()
     if isinstance(obj, str):
         return ExprField(obj)
     if isinstance(obj, (int, float)):
         return ConstField(obj)
     raise TypeError(f"cannot interpret {obj!r} as a field")
-
-
-ZERO = ConstField(0.0)
-ONE = ConstField(1.0)
 
 
 def finite_difference_check(f: Field, p) -> float:
@@ -261,95 +295,3 @@ def finite_difference_check(f: Field, p) -> float:
         gap = np.abs(grad[k] - fd) / (1.0 + np.abs(grad[k]))
         worst = max(worst, float(np.max(gap)))
     return worst
-
-
-# exact (expression-level) arithmetic for fields that carry an AST -------------
-
-
-def ast_of(f):
-    """AST view of a field when it has one, else None."""
-    if isinstance(f, ExprField):
-        return f.ast
-    if isinstance(f, ConstField):
-        return ex.Num(f.c)
-    if isinstance(f, CoordField):
-        return ex.Var(VAR_NAMES[f.k])
-    return None
-
-
-class ExactField:
-    """Arithmetic wrapper keeping results expression-backed (full jet budget).
-
-    Falls back to ordinary field arithmetic as soon as an operand has no AST;
-    ``unwrap`` yields the underlying field either way.
-    """
-
-    __slots__ = ("ast",)
-
-    def __init__(self, ast):
-        self.ast = ast
-
-    def unwrap(self) -> Field:
-        return ExprField(self.ast)
-
-    def partial(self, k):
-        name = VAR_NAMES[k] if isinstance(k, int) else k
-        return ExactField(ex.differentiate(self.ast, name))
-
-    def _coerce(self, other):
-        if isinstance(other, ExactField):
-            return other.ast
-        if isinstance(other, (int, float)):
-            return ex.Num(float(other))
-        a = ast_of(other) if isinstance(other, Field) else None
-        return a
-
-    def _binary(self, other, astop, fieldop):
-        rhs = self._coerce(other)
-        if rhs is not None:
-            return ExactField(astop(self.ast, rhs))
-        return fieldop(self.unwrap(), other)
-
-    def __add__(self, other):
-        return self._binary(other, ex.add, lambda a, b: a + b)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._binary(other, ex.sub, lambda a, b: a - b)
-
-    def __rsub__(self, other):
-        rhs = self._coerce(other)
-        if rhs is not None:
-            return ExactField(ex.sub(rhs, self.ast))
-        return other - self.unwrap()
-
-    def __mul__(self, other):
-        return self._binary(other, ex.mul, lambda a, b: a * b)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return self._binary(other, ex.div, lambda a, b: a / b)
-
-    def __rtruediv__(self, other):
-        rhs = self._coerce(other)
-        if rhs is not None:
-            return ExactField(ex.div(rhs, self.ast))
-        return other / self.unwrap()
-
-    def __neg__(self):
-        return ExactField(ex.neg(self.ast))
-
-
-def exact(f):
-    """Wrap a field for expression-level arithmetic; plain field if no AST."""
-    if isinstance(f, ExactField):
-        return f
-    f = as_field(f)
-    a = ast_of(f)
-    return ExactField(a) if a is not None else f
-
-
-def unwrap(f) -> Field:
-    return f.unwrap() if isinstance(f, ExactField) else as_field(f)

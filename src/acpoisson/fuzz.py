@@ -13,7 +13,7 @@ from __future__ import annotations
 from . import connection as cn
 from . import gauge as ga
 from . import triple as tr
-from .fields import ExprField, exact, unwrap
+from .fields import ExprField
 
 ALL_VARS = ("x1", "x2", "y1", "y2", "y3")
 Y_VARS = ("y1", "y2", "y3")
@@ -55,7 +55,7 @@ def random_flat_casimir_triple(rng, closed=None, nonvanishing=False) -> tr.Poiss
     g_src = "1" if closed else random_poly_expr(rng, Y_VARS, degree=1, terms=2, scale=1.0)
     C = ExprField(c_src)
     g = ExprField(g_src)
-    beta = tr.VerticalOneForm([unwrap(exact(g) * exact(C).partial(2 + a)) for a in range(3)])
+    beta = tr.VerticalOneForm([g * C.derivative(2 + a) for a in range(3)])
     if nonvanishing:
         c0, c1, c2, c3 = rng.uniform(0.3, 1.0, size=4)
         kappa_src = f"{c0:.6f} + {c1:.6f}*x1^2 + {c2:.6f}*x2^2 + {c3:.6f}*({c_src})^2"
@@ -77,7 +77,7 @@ def curvature_perturbed(rng, triple: tr.PoissonTriple) -> tr.PoissonTriple:
     """
     s = float(rng.uniform(0.5, 1.0) * rng.choice([-1.0, 1.0]))
     gamma = [[f for f in row] for row in triple.conn.gamma]
-    gamma[0][0] = unwrap(exact(gamma[0][0]) + exact(ExprField(f"{s:.6f}*x2")))
+    gamma[0][0] = gamma[0][0] + ExprField(f"{s:.6f}*x2")
     return tr.PoissonTriple(cn.Connection(gamma), triple.kappa, triple.beta)
 
 

@@ -17,11 +17,9 @@ from . import calculus as ca
 from . import connection as cn
 from . import strata as st
 from . import triple as tr
-from .calculus import FieldElement
+from .calculus import Y_SLOTS, FieldElement
 from .errors import EmptyDomain, OutsideDomain
 from .fields import ConstField, Field, as_field
-
-Y_SLOTS = (2, 3, 4)
 
 
 @dataclass
@@ -44,10 +42,7 @@ class GaugeData:
 
 def _vertical_bracket_field(triple: tr.PoissonTriple, f: Field, g: Field) -> Field:
     """{f, g} of the vertical structure: eps^{abc} (df/dy^a)(dg/dy^b) beta_c."""
-    from .fields import exact, unwrap
-
-    fw, gw = exact(f), exact(g)
-    out = exact(ConstField(0.0))
+    out = ConstField(0.0)
     for a, b, c, sign in (
         (0, 1, 2, 1.0),
         (1, 2, 0, 1.0),
@@ -56,19 +51,17 @@ def _vertical_bracket_field(triple: tr.PoissonTriple, f: Field, g: Field) -> Fie
         (2, 1, 0, -1.0),
         (0, 2, 1, -1.0),
     ):
-        out = out + fw.partial(Y_SLOTS[a]) * gw.partial(Y_SLOTS[b]) * exact(triple.beta.comps[c]) * sign
-    return unwrap(out)
+        out = out + f.derivative(Y_SLOTS[a]) * g.derivative(Y_SLOTS[b]) * triple.beta.comps[c] * sign
+    return out
 
 
 def varkappa_field(triple: tr.PoissonTriple, gauge: GaugeData, epsilon) -> Field:
     """vk_{mu,eps} as a field: [d_(1,0)mu + (eps/2){mu^mu}]/Omega_H."""
-    from .fields import exact, unwrap
-
     mu1, mu2 = gauge.mu
-    d10 = exact(ca.hor_apply_exact(triple.conn, 1, mu2)) - exact(
-        ca.hor_apply_exact(triple.conn, 2, mu1)
+    d10 = ca.hor_apply(triple.conn, 1, mu2, Field.derivative) - ca.hor_apply(
+        triple.conn, 2, mu1, Field.derivative
     )
-    return unwrap(d10 + exact(_vertical_bracket_field(triple, mu1, mu2)) * epsilon)
+    return d10 + _vertical_bracket_field(triple, mu1, mu2) * epsilon
 
 
 def varkappa(triple: tr.PoissonTriple, gauge: GaugeData, p, epsilon=None):
@@ -98,19 +91,15 @@ def family(triple: tr.PoissonTriple, gauge: GaugeData, epsilon, probe=None, tol=
     """The eps-member of the deformation family; eps = 0 returns the input."""
     if epsilon == 0.0:
         return triple
-    from .fields import exact, unwrap
-
     xi = cn.ConnectionShift.gauge(gauge.mu, triple.beta, epsilon)
     new_conn = cn.shift(triple.conn, xi)
     vk = varkappa_field(triple, gauge, epsilon)
-    denom = unwrap(
-        1.0 - exact(triple.kappa) * (exact(vk) - exact(gauge.c)) * epsilon
-    )
+    denom = 1.0 - triple.kappa * (vk - gauge.c) * epsilon
     if probe is not None:
         vals = denom.at(probe, 0).value
         if np.all(np.abs(vals) <= tol):
             raise EmptyDomain("transformation denominator vanishes on every probe point")
-    kappa_new = unwrap(exact(triple.kappa) / exact(denom))
+    kappa_new = triple.kappa / denom
     return tr.PoissonTriple(new_conn, kappa_new, triple.beta, domain=denom)
 
 

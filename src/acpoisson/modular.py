@@ -20,12 +20,10 @@ import numpy as np
 from . import calculus as ca
 from . import connection as cn
 from . import triple as tr
-from .calculus import CoordVector
+from .calculus import Y_SLOTS, CoordVector
 from .errors import MissingCertificate, ZeroVolumeFactor
 from .fields import ConstField, Field, FuncField, as_field
 from .reports import VerificationReport, residual_block
-
-Y_SLOTS = (2, 3, 4)
 
 
 @dataclass
@@ -102,13 +100,8 @@ def modular_bigraded(triple: tr.PoissonTriple, p):
 
 
 def _theta_fields(conn):
-    out = []
-    for i in (1, 2):
-        acc = ConstField(0.0)
-        for a in range(3):
-            acc = acc - conn.gamma[i - 1][a].partial(Y_SLOTS[a])
-        out.append(acc)
-    return out
+    coeffs = cn.theta(conn).coeffs
+    return [coeffs[((i,), ())] for i in (1, 2)]
 
 
 def bigraded_to_coordinates(triple: tr.PoissonTriple, hor_part, vert, p):

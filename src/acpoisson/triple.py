@@ -13,7 +13,7 @@ import numpy as np
 
 from . import calculus as ca
 from . import connection as cn
-from .calculus import CoordVector, FieldElement
+from .calculus import Y_SLOTS, CoordVector, FieldElement
 from .errors import (
     NotAlmostCoupling,
     NotCasimir,
@@ -21,11 +21,9 @@ from .errors import (
     NotPoissonConnection,
     OutsideCouplingDomain,
 )
-from .fields import ConstField, as_field
+from .fields import ConstField, as_field, is_zero
 from .graded import GradedElement
 from .reports import CheckBlock, VerificationReport, residual_block
-
-Y_SLOTS = (2, 3, 4)
 
 
 class VerticalOneForm:
@@ -73,15 +71,13 @@ class Section:
 
 def vertical_poisson(beta: VerticalOneForm) -> FieldElement:
     """Vertical bivector with {y1,y2} = beta_3, {y2,y3} = beta_1, {y3,y1} = beta_2."""
-    from .calculus import _is_zero_const
-
     coeffs = {}
     for key, comp, sign in (
         (((), (2, 3)), beta.comps[0], 1.0),
         (((), (1, 3)), beta.comps[1], -1.0),
         (((), (1, 2)), beta.comps[2], 1.0),
     ):
-        if _is_zero_const(comp):
+        if is_zero(comp):
             continue
         coeffs[key] = comp if sign > 0 else comp * -1.0
     return FieldElement.multivector(coeffs)

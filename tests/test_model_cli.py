@@ -237,3 +237,14 @@ def test_user_written_nonpolynomial_model(tmp_path):
     assert np.max(np.abs(eff.conn.gamma_values(pts))) > 1e-3
     # and sweeping epsilon through the CLI reproduces passing members
     assert cli.main(["gauge", str(path), "--sweep", "0.02,0.08", "--outdir", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize("name", sorted(md.BUILTIN_MODELS))
+def test_almost_coupling_block_covers_every_sample(name):
+    model = md.resolve(name)
+    triple = model.effective_triple()
+    pts = model.samples().points
+    n = int(np.count_nonzero(triple.domain_mask(pts)))
+    block = cli.run_check(model).block("almost-coupling")
+    assert block.n_samples == n
+    assert block.worst_point is not None
