@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import OrderBudgetExceeded
-from .fields import Field, as_field, is_zero
+from .errors import DomainError, OrderBudgetExceeded
+from .fields import Field, as_field, as_points, is_zero
 from .graded import GradedElement, key_factors, wedge_keys
+from .lowering import lower
 
 # coordinate order: x1 x2 y1 y2 y3
 X_SLOTS = (0, 1)
@@ -292,14 +293,30 @@ def bivector_matrix_fields(P: FieldElement):
 
 
 class CoordVector:
-    """Vector field in the coordinate frame: five scalar-field components."""
+    """Vector field in the coordinate frame: five scalar-field components.
 
-    __slots__ = ("comps",)
+    ``values`` runs the components as one straight-line function, compiled on
+    first use (:mod:`~acpoisson.lowering`) and bit-identical to evaluating each
+    component's jet.  Jets stay the oracle: ``jets``, graphs the lowering
+    cannot express and every domain error go through ``Field.at``, so an error
+    names its failing subexpression.
+    """
+
+    __slots__ = ("comps", "_lowered")
 
     def __init__(self, comps):
         self.comps = [as_field(c) for c in comps]
+        self._lowered = None  # the compiled function; False when the graph cannot be lowered
 
     def values(self, p):
+        p = as_points(p)
+        if self._lowered is None:
+            self._lowered = lower(self.comps) or False
+        if self._lowered:
+            try:
+                return np.array(self._lowered(p))
+            except DomainError:
+                pass  # the jet path raises it again, tagged
         return np.stack([c.at(p, order=0).value for c in self.comps])
 
     def jets(self, p):

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -24,6 +25,7 @@ from . import triple as tr
 from .calculus import FieldElement
 from .errors import (
     AcPoissonError,
+    BadInput,
     DomainError,
     ModelError,
     OrderBudgetExceeded,
@@ -126,6 +128,8 @@ def run_check(model: md.ModelFile, n=None, tol=None) -> VerificationReport:
 
 
 def cmd_check(args):
+    if args.tol is not None and not (math.isfinite(args.tol) and args.tol >= 0):
+        raise BadInput(f"--tol must be a non-negative number, got {args.tol}")
     model = md.resolve(args.model)
     report = run_check(model, n=args.samples, tol=args.tol)
     doc = _document(model, report)
@@ -240,12 +244,21 @@ def cmd_gauge(args):
 
 
 def cmd_flow(args):
-    model = md.resolve(args.model)
-    triple = model.effective_triple()
-    p0 = [float(tok) for tok in args.p0.split(",")]
+    try:
+        p0 = [float(tok) for tok in args.p0.split(",")]
+    except ValueError:
+        raise BadInput(f"--p0 needs numbers, got {args.p0!r}") from None
     if len(p0) != 5:
         print("--p0 needs five comma-separated coordinates", file=sys.stderr)
         return EXIT_INPUT
+    if not all(math.isfinite(v) for v in p0):
+        raise BadInput(f"--p0 coordinates must be finite, got {args.p0!r}")
+    if not (math.isfinite(args.dt) and args.dt > 0):
+        raise BadInput(f"--dt must be a positive number, got {args.dt}")
+    if args.steps < 0:
+        raise BadInput(f"--steps must be non-negative, got {args.steps}")
+    model = md.resolve(args.model)
+    triple = model.effective_triple()
     traj = fl.integrate(triple, ExprField(args.hamiltonian), p0, args.dt, args.steps)
     casimirs = [ExprField(c) for c in (args.casimir or [])]
     volume = ExprField(args.volume_factor) if args.volume_factor else None

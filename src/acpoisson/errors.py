@@ -126,3 +126,7 @@ class BadInterval(ModelError):
 
 class EmptyBox(AcPoissonError):
     """Sampling request over an invalid or empty box."""
+
+
+class BadInput(AcPoissonError):
+    """A size, step, coordinate or tolerance outside its valid range."""

@@ -34,7 +34,7 @@ def as_points(p) -> np.ndarray:
     a = np.asarray(p, dtype=float)
     if a.shape[0] != 5:
         raise ValueError(f"points must have leading dimension 5, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("point coordinates must be finite")
     return a
 

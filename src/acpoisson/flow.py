@@ -60,8 +60,10 @@ def _rk4_path(rhs, p0, dt, n):
 def integrate_batch(triple: tr.PoissonTriple, F, p0s, dt, n):
     """RK4 on a batch of starting points, shape (5, m); returns (5, m, n+1).
 
-    All trajectories share the step sequence; a domain error anywhere
-    truncates the batch.  Used for sweep-style diagnostics.
+    All trajectories share the step sequence.  A domain error at any point of
+    any stage raises :class:`~acpoisson.errors.DomainError`, naming the
+    failing subexpression; no partial batch is returned.  Used for
+    sweep-style diagnostics.
     """
     F = as_field(F)
     X = tr.hamiltonian_field(triple, F)

@@ -107,33 +107,23 @@ class Jet:
     def __truediv__(self, other):
         if not isinstance(other, Jet):
             return self * (1.0 / other)
-        if np.any(other.value == 0.0):
-            raise DomainError("division by zero")
         return self * other._reciprocal()
 
     def __rtruediv__(self, other):
-        if np.any(self.value == 0.0):
-            raise DomainError("division by zero")
         return self._reciprocal() * other
 
     def _reciprocal(self):
-        inv = 1.0 / self.value
-        return self._chain(inv, -inv * inv, 2.0 * inv * inv * inv)
+        return self._chain(*reciprocal_rule(self.value))
 
     def powi(self, n: int):
         """Integer power; 0**0 == 1 by the constant-exponent convention."""
-        v = self.value
         if n == 0:
-            return Jet.constant(1.0, v.shape, self.order)
+            return Jet.constant(1.0, self.value.shape, self.order)
         if n == 1:
             return self
-        if n < 0 and np.any(v == 0.0):
-            raise DomainError("zero raised to a negative power")
-        f = _safe_pow(v, n)
+        f, d1, d2 = powi_rule(self.value, n, self.order)
         if self.grad is None:
             return Jet(f)
-        d1 = n * _safe_pow(v, n - 1)
-        d2 = n * (n - 1) * _safe_pow(v, n - 2) if self.hess is not None else None
         return self._chain(f, d1, d2)
 
     def _chain(self, f, d1, d2):
@@ -158,67 +148,91 @@ def _safe_pow(v, n):
     return 1.0 / (v ** (-n))
 
 
-# builtin scalar functions ----------------------------------------------------
+# value-level rules -----------------------------------------------------------
+#
+# Each rule maps the value of its argument to (f, d1, d2): the function value
+# and its first two derivatives there.  Jet arithmetic applies them through
+# ``Jet._chain``; the straight-line code of ``lowering`` calls the very same
+# functions, so every derivative formula and domain check exists once.
 
 
-def _jet_sin(x):
-    s, c = np.sin(x.value), np.cos(x.value)
-    return x._chain(s, c, -s)
+def reciprocal_rule(v):
+    if (v == 0.0).any():
+        raise DomainError("division by zero")
+    inv = 1.0 / v
+    return inv, -inv * inv, 2.0 * inv * inv * inv
 
 
-def _jet_cos(x):
-    s, c = np.sin(x.value), np.cos(x.value)
-    return x._chain(c, -s, -c)
+def powi_rule(v, n, order):
+    """v**n for an integer n other than 0 and 1; derivatives beyond ``order`` are None."""
+    # a power of a numpy scalar and of a 0-d array can differ in the last bit
+    v = np.asarray(v)
+    if n < 0 and (v == 0.0).any():
+        raise DomainError("zero raised to a negative power")
+    f = _safe_pow(v, n)
+    d1 = n * _safe_pow(v, n - 1) if order >= 1 else None
+    d2 = n * (n - 1) * _safe_pow(v, n - 2) if order >= 2 else None
+    return f, d1, d2
 
 
-def _jet_tan(x):
-    c = np.cos(x.value)
-    if np.any(c == 0.0):
+def _sin(v):
+    s, c = np.sin(v), np.cos(v)
+    return s, c, -s
+
+
+def _cos(v):
+    s, c = np.sin(v), np.cos(v)
+    return c, -s, -c
+
+
+def _tan(v):
+    c = np.cos(v)
+    if (c == 0.0).any():
         raise DomainError("tan at a pole")
-    t = np.tan(x.value)
+    t = np.tan(v)
     sec2 = 1.0 + t * t
-    return x._chain(t, sec2, 2.0 * t * sec2)
+    return t, sec2, 2.0 * t * sec2
 
 
-def _jet_exp(x):
-    f = np.exp(x.value)
-    return x._chain(f, f, f)
+def _exp(v):
+    f = np.exp(v)
+    return f, f, f
 
 
-def _jet_ln(x):
-    if np.any(x.value <= 0.0):
+def _ln(v):
+    if (v <= 0.0).any():
         raise DomainError("ln of a non-positive value")
-    inv = 1.0 / x.value
-    return x._chain(np.log(x.value), inv, -inv * inv)
+    inv = 1.0 / v
+    return np.log(v), inv, -inv * inv
 
 
-def _jet_sqrt(x):
-    if np.any(x.value <= 0.0):
+def _sqrt(v):
+    if (v <= 0.0).any():
         raise DomainError("sqrt of a non-positive value")
-    r = np.sqrt(x.value)
-    return x._chain(r, 0.5 / r, -0.25 / (r * x.value))
+    r = np.sqrt(v)
+    return r, 0.5 / r, -0.25 / (r * v)
 
 
-def _jet_tanh(x):
-    t = np.tanh(x.value)
+def _tanh(v):
+    t = np.tanh(v)
     sech2 = 1.0 - t * t
-    return x._chain(t, sech2, -2.0 * t * sech2)
+    return t, sech2, -2.0 * t * sech2
 
 
-def _jet_cutoff(x):
+def _cutoff(v):
     """Smooth bump factor: exp(-t/(1-t)) for t < 1, identically 0 for t >= 1.
 
     cutoff(0) == 1 and every derivative tends to 0 from both sides at t = 1.
     Points inside the guard band around t = 1 are nudged off the branch point.
     """
-    t = np.array(x.value, dtype=float)
+    t = np.array(v, dtype=float)
     near = np.abs(t - 1.0) <= CUTOFF_GUARD
-    if np.any(near):
+    if near.any():
         warnings.warn(
             "cutoff evaluated within 1e-9 of the branch point t=1; "
             "argument perturbed by 1e-6",
             RuntimeWarning,
-            stacklevel=3,
+            stacklevel=4,
         )
         below = t < 1.0
         t = np.where(near & below, 1.0 - CUTOFF_NUDGE, t)
@@ -231,20 +245,27 @@ def _jet_cutoff(x):
     f = np.exp(s)
     d1 = f * (-1.0 / (u * u))
     d2 = f * (1.0 / u**4 - 2.0 / u**3)
-    f = np.where(inside, f, 0.0)
-    d1 = np.where(inside, d1, 0.0)
-    d2 = np.where(inside, d2, 0.0)
-    shifted = Jet(t, x.grad, x.hess)
-    return shifted._chain(f, d1, d2)
+    return np.where(inside, f, 0.0), np.where(inside, d1, 0.0), np.where(inside, d2, 0.0)
 
 
-BUILTIN_JET_RULES = {
-    "sin": _jet_sin,
-    "cos": _jet_cos,
-    "tan": _jet_tan,
-    "exp": _jet_exp,
-    "ln": _jet_ln,
-    "sqrt": _jet_sqrt,
-    "tanh": _jet_tanh,
-    "cutoff": _jet_cutoff,
+BUILTIN_RULES = {
+    "sin": _sin,
+    "cos": _cos,
+    "tan": _tan,
+    "exp": _exp,
+    "ln": _ln,
+    "sqrt": _sqrt,
+    "tanh": _tanh,
+    "cutoff": _cutoff,
 }
+
+
+def _jet_rule(rule):
+    def apply(x):
+        return x._chain(*rule(x.value))
+
+    return apply
+
+
+# the builtins applied to jets
+BUILTIN_JET_RULES = {name: _jet_rule(rule) for name, rule in BUILTIN_RULES.items()}

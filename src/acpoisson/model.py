@@ -99,7 +99,7 @@ class ModelFile:
         return st.sample_box(
             s["box"],
             generator=s["generator"],
-            n=n or s["n"],
+            n=s["n"] if n is None else n,
             resolution=s["resolution"],
             seed=s["seed"],
         )

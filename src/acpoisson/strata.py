@@ -12,9 +12,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import triple as tr
-from .errors import EmptyBox
+from .errors import BadInput, EmptyBox
 
 HALTON_BASES = (2, 3, 5, 7, 11)
+# largest tensor grid (points in all), checked before the grid is built
+MAX_GRID_POINTS = 10**5
 LABELS = ("rank0", "rank2_vertical", "rank2_horizontal", "rank4", "near_boundary")
 
 
@@ -43,10 +45,14 @@ def halton_points(n, box, seed=0):
 
 
 def grid_points(resolution, box):
-    """Tensor grid with `resolution` points per axis."""
+    """Tensor grid with `resolution` points per axis, at most MAX_GRID_POINTS in all."""
     _validate_box(box)
     if resolution <= 0:
         raise EmptyBox("grid resolution must be positive")
+    if resolution**5 > MAX_GRID_POINTS:
+        raise BadInput(
+            f"grid resolution {resolution} gives {resolution**5} points, more than {MAX_GRID_POINTS}"
+        )
     axes = [np.linspace(lo, hi, resolution) for lo, hi in box]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh])
@@ -75,11 +81,11 @@ class SampleSet:
 
 def sample_box(box, generator="halton", n=None, resolution=None, seed=0) -> SampleSet:
     if generator == "halton":
-        pts = halton_points(n or 200, box, seed)
+        pts = halton_points(200 if n is None else n, box, seed)
         return SampleSet(pts, "halton", list(box), seed=seed)
     if generator == "grid":
-        pts = grid_points(resolution or 3, box)
-        return SampleSet(pts, "grid", list(box), resolution=resolution or 3)
+        resolution = 3 if resolution is None else resolution
+        return SampleSet(grid_points(resolution, box), "grid", list(box), resolution=resolution)
     raise ValueError(f"unknown generator '{generator}'")
 
 

@@ -1,8 +1,10 @@
 import numpy as np
+import pytest
 
 from acpoisson import connection as cn
 from acpoisson import flow as fl
 from acpoisson import triple as tr
+from acpoisson.errors import DomainError
 from acpoisson.fields import ConstField, ExprField
 
 CASIMIR = "y1^2 + y2^2 + y3^2"
@@ -117,3 +119,18 @@ def test_divergence_accumulation_with_certificate_volume():
     report = fl.conservation_report(T, traj, volume_factor=ConstField(1.0), div_tol=1e-6)
     block = report.block("invariant-volume-divergence")
     assert block.passed and block.mean_residual <= 1e-6
+
+
+def test_batch_domain_error_raises_with_its_subexpression():
+    T = tr.PoissonTriple(
+        cn.Connection.flat(), ConstField(0.0), tr.VerticalOneForm(["0", "1", "0"])
+    )
+    F = ExprField("ln(y1) - y3")
+    # X_F moves y1 at unit speed towards 0 on the compiled path
+    X = tr.hamiltonian_field(T, F)
+    np.testing.assert_array_equal(X.values([0, 0, 0.5, 0, 0]), [0.0, 0.0, -1.0, 0.0, -2.0])
+    assert X._lowered
+    p0s = np.array([[0, 0, 0.5, 0, 0], [0, 0, 0.02, 0, 0]], dtype=float).T
+    with pytest.raises(DomainError, match=r"ln of a non-positive value in 'ln\(y1\)'"):
+        fl.integrate_batch(T, F, p0s, dt=0.01, n=5)
+    assert fl.integrate_batch(T, F, p0s[:, :1], dt=0.01, n=5).shape == (5, 1, 6)
