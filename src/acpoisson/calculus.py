@@ -14,7 +14,7 @@ import numpy as np
 from .errors import DomainError, OrderBudgetExceeded
 from .fields import Field, as_field, as_points, is_zero
 from .graded import GradedElement, key_factors, wedge_keys
-from .lowering import lower
+from .lowering import evaluate, lower
 
 # coordinate order: x1 x2 y1 y2 y3
 X_SLOTS = (0, 1)
@@ -93,9 +93,7 @@ class FieldElement:
 
     def at(self, p, order=0) -> GradedElement:
         """Evaluate coefficients at point(s) p; order>0 is rarely needed."""
-        return GradedElement(
-            self.kind, {k: f.at(p, order=order).value for k, f in self.coeffs.items()}
-        )
+        return evaluate_elements([self], p, order)[0]
 
     def min_budget(self):
         return min((f.budget for f in self.coeffs.values()), default=2)
@@ -103,6 +101,12 @@ class FieldElement:
     def __repr__(self):
         items = ", ".join(str(k) for k in sorted(self.coeffs))
         return f"FieldElement({self.kind}, keys=[{items}])"
+
+
+def evaluate_elements(elements, p, order=0):
+    """Evaluate the coefficients of several elements as one group, sharing their subexpressions."""
+    jets = iter(evaluate([f for e in elements for f in e.coeffs.values()], p, order))
+    return [GradedElement(e.kind, {k: next(jets).value for k in e.coeffs}) for e in elements]
 
 
 # exterior differential -----------------------------------------------------
@@ -141,11 +145,15 @@ def d_eta(conn, a) -> FieldElement:
     return out
 
 
-def exterior_d_field(xi: FieldElement, conn) -> FieldElement:
-    """Full exterior differential of a form with field coefficients."""
+def exterior_d_field(xi: FieldElement, conn, detas=None) -> FieldElement:
+    """Full exterior differential of a form with field coefficients.
+
+    ``detas`` maps each a to ``d_eta(conn, a)``; it is built here when not given.
+    """
     if xi.kind != "form":
         raise ValueError("d is defined on forms")
-    detas = {a: d_eta(conn, a) for a in (1, 2, 3)}
+    if detas is None:
+        detas = {a: d_eta(conn, a) for a in (1, 2, 3)}
     out = FieldElement.form()
     for key, c in xi.coeffs.items():
         h, v = key
@@ -174,15 +182,20 @@ def exterior_d_field(xi: FieldElement, conn) -> FieldElement:
 
 def d_component(xi: FieldElement, conn, shift) -> FieldElement:
     """Bigraded component of d: shift is (1,0), (0,1) or (2,-1)."""
-    sh, sv = shift
-    out = FieldElement.form()
+    return d_components(xi, conn, [shift])[0]
+
+
+def d_components(xi: FieldElement, conn, shifts) -> list[FieldElement]:
+    """Several bigraded components of d, from one differential of each monomial."""
+    detas = {a: d_eta(conn, a) for a in (1, 2, 3)}
+    outs = [FieldElement.form() for _ in shifts]
     for key, c in xi.coeffs.items():
         p, q = len(key[0]), len(key[1])
-        single = exterior_d_field(FieldElement.form({key: c}), conn)
-        part = single.project(p + sh, q + sv)
-        for nk, nf in part.coeffs.items():
-            out._add(nk, nf)
-    return out
+        single = exterior_d_field(FieldElement.form({key: c}), conn, detas)
+        for (sh, sv), out in zip(shifts, outs):
+            for nk, nf in single.project(p + sh, q + sv).coeffs.items():
+                out._add(nk, nf)
+    return outs
 
 
 def exterior_d(xi: FieldElement, conn, p, order=0) -> GradedElement:
@@ -194,13 +207,13 @@ def exterior_d(xi: FieldElement, conn, p, order=0) -> GradedElement:
 
 def cochain_residuals(conn, test: FieldElement, p):
     """Residual norms of the three coboundary identities of the split d."""
-    d10 = lambda e: d_component(e, conn, (1, 0))
-    d01 = lambda e: d_component(e, conn, (0, 1))
-    d2m1 = lambda e: d_component(e, conn, (2, -1))
-    r1 = (d10(d10(test)) + d2m1(d01(test)) + d01(d2m1(test))).at(p).norm()
-    r2 = (d10(d01(test)) + d01(d10(test))).at(p).norm()
-    r3 = d01(d01(test)).at(p).norm()
-    return r1, r2, r3
+    d10, d01, d2m1 = d_components(test, conn, [(1, 0), (0, 1), (2, -1)])
+    d10d10, d01d10 = d_components(d10, conn, [(1, 0), (0, 1)])
+    d10d01, d01d01, d2m1d01 = d_components(d01, conn, [(1, 0), (0, 1), (2, -1)])
+    (d01d2m1,) = d_components(d2m1, conn, [(0, 1)])
+    r1 = d10d10 + d2m1d01 + d01d2m1
+    r2 = d10d01 + d01d10
+    return tuple(r.norm() for r in evaluate_elements([r1, r2, d01d01], p))
 
 
 # frame conversions ----------------------------------------------------------
@@ -297,9 +310,10 @@ class CoordVector:
 
     ``values`` runs the components as one straight-line function, compiled on
     first use (:mod:`~acpoisson.lowering`) and bit-identical to evaluating each
-    component's jet.  Jets stay the oracle: ``jets``, graphs the lowering
-    cannot express and every domain error go through ``Field.at``, so an error
-    names its failing subexpression.
+    component's jet; ``jets`` runs them as one group on the tape
+    (``lowering.evaluate``).  Jets stay the oracle: graphs the lowering cannot
+    express and every domain error go through ``Field.at``, so an error names
+    its failing subexpression.
     """
 
     __slots__ = ("comps", "_lowered")
@@ -320,22 +334,18 @@ class CoordVector:
         return np.stack([c.at(p, order=0).value for c in self.comps])
 
     def jets(self, p):
-        vals, grads = [], []
-        for c in self.comps:
-            jet = c.at(p, order=1)
-            vals.append(jet.value)
-            grads.append(jet.grad)
-        return np.stack(vals), np.stack(grads)  # (5,...) and (5,5,...)
+        jets = evaluate(self.comps, p, 1)
+        # (5,...) and (5,5,...)
+        return np.stack([j.value for j in jets]), np.stack([j.grad for j in jets])
 
 
 def matrix_values(matrix_fields, p, order=1):
-    """Evaluate a bivector's component fields to a full antisymmetric array."""
-    probe = next(iter(matrix_fields.values())).at(p, order=0).value if matrix_fields else None
-    shape = np.shape(probe) if probe is not None else np.shape(np.asarray(p)[0])
+    """Evaluate a bivector's component fields, as one group, to a full antisymmetric array."""
+    jets = evaluate(matrix_fields.values(), p, order)
+    shape = np.shape(np.asarray(p)[0])
     vals = np.zeros((5, 5) + shape)
     grads = np.zeros((5, 5, 5) + shape) if order >= 1 else None
-    for (mu, nu), f in matrix_fields.items():
-        jet = f.at(p, order=order)
+    for (mu, nu), jet in zip(matrix_fields, jets):
         vals[mu, nu] = jet.value
         vals[nu, mu] = -jet.value
         if order >= 1:

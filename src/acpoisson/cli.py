@@ -119,7 +119,8 @@ def run_check(model: md.ModelFile, n=None, tol=None) -> VerificationReport:
         report.add(residual_block("horizontal-cocycle", tr.cocycle_residual(triple, cpts), cpts, identity_tol))
         report.add(residual_block("curvature-identity", tr.curvature_identity_residual(triple, cpts), cpts, identity_tol))
         report.add(residual_block("coupling-form-identity", tr.coupling_form_residual(triple, cpts), cpts, 1e-10))
-    band = np.abs(triple.kappa_values(pts)) <= 1e-6 * (1.0 + np.max(np.abs(triple.kappa_values(pts))))
+    kv = np.abs(triple.kappa_values(pts))
+    band = kv <= 1e-6 * (1.0 + np.max(kv))
     if np.any(band):
         report.add(
             residual_block("boundary-first-variation", tr.c5_residual(triple, pts[:, band]), pts[:, band], identity_tol)
@@ -189,14 +190,11 @@ def cmd_modular(args):
         if cert is None:
             print("model carries no [certificate] section", file=sys.stderr)
             return EXIT_INPUT
-        sub = mo.unimod_coupling_check(triple, cert, pts, tol=model.tolerance("identity"), div_tol=model.tolerance("conservation"))
+        # the global check runs the coupling check first and keeps its blocks
+        unimod = mo.unimod_coupling_check if cert.K is None else mo.unimod_global_check
+        sub = unimod(triple, cert, pts, tol=model.tolerance("identity"), div_tol=model.tolerance("conservation"))
         for b in sub.blocks:
             report.add(b)
-        if cert.K is not None:
-            glob = mo.unimod_global_check(triple, cert, pts, tol=model.tolerance("identity"), div_tol=model.tolerance("conservation"))
-            for b in glob.blocks:
-                if b.check_id not in [x.check_id for x in report.blocks]:
-                    report.add(b)
     if args.csv:
         zvals = mo.modular_direct(triple, None, pts)
         import csv

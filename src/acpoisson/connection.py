@@ -162,10 +162,8 @@ def f4_residuals(conn: Connection, p):
     """Residuals of d_{1,0}Omega_V = theta ^ Omega_V and d_{2,-1}Omega_V = Omega_H ^ rho."""
     omega_v = FieldElement.form({((), (1, 2, 3)): 1.0})
     omega_h = FieldElement.form({((1, 2), ()): 1.0})
-    lhs1 = ca.d_component(omega_v, conn, (1, 0))
+    lhs1, lhs2 = ca.d_components(omega_v, conn, [(1, 0), (2, -1)])
     rhs1 = theta(conn).wedge(omega_v)
-    r1 = (lhs1 - rhs1).at(p).norm()
-    lhs2 = ca.d_component(omega_v, conn, (2, -1))
     rhs2 = omega_h.wedge(rho(conn))
-    r2 = (lhs2 - rhs2).at(p).norm()
-    return r1, r2
+    r1, r2 = ca.evaluate_elements([lhs1 - rhs1, lhs2 - rhs2], p)
+    return r1.norm(), r2.norm()

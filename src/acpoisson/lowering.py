@@ -1,38 +1,59 @@
-"""Straight-line lowering of the components of a coordinate vector field.
+"""Straight-line evaluation of field groups: one emitter, two back ends.
 
-:func:`lower` turns a list of component fields into one generated Python
-function that evaluates all of them at order 0.  Every distinct subexpression
-runs once for all components: a constant, a coordinate, an AST node, a
-``BinField``, a ``FuncField``, and for ``PartialField(parent, k)`` only the
-parent's value and its forward-mode derivative slot ``k`` (slot ``(k, j)`` for
-a partial of a partial).  Subexpressions are shared by structure, so a term
-that two components spell alike is computed once.
+A group of fields is hash-consed into one graph.  Every distinct
+subexpression is a node, shared by structure across the whole group: a
+constant, a coordinate, an AST node, a ``BinField``, a ``FuncField``, and for
+``PartialField(parent, k)`` the parent's forward-mode derivative slot ``k``
+(slot ``(k, j)`` for a partial of a partial).  The emitter gives each node
+the highest derivative order any use needs and writes one line per needed
+(node, slot) pair, in dependency order, sharing lines that repeat.
 
-The generated code does what the jet path does, operation for operation:
-the same numpy operation on operands of the same shape, with the builtins,
-powers and reciprocals applied through the value-level rules of
-:mod:`~acpoisson.jets`.  It eliminates common subexpressions and nothing
-else: ``0*x`` and ``x + 0`` are computed as written, because skipping them
-could flip the sign of a zero or lose a NaN.  The results are therefore
-bit-identical to ``c.at(p, 0).value``, and the jet path remains the oracle.
+Both back ends read that one line list:
 
-A graph that holds a node of any other kind is not lowered (:func:`lower`
-returns ``None``) and stays on the jet path.
+* :func:`lower` renders it as the text of a Python function and compiles it.
+  ``CoordVector.values`` keeps the function on the instance, because the RK4
+  right-hand side calls it hundreds of times.
+* :func:`evaluate` runs it once as a tape, one numpy operation per line, and
+  frees each temporary after its last use.  It serves the batch evaluations
+  of a whole group at orders 0 and 1: ``FieldElement.at``,
+  ``calculus.matrix_values`` and ``CoordVector.jets``.
+
+Each line does what the jet path does, operation for operation: the same
+numpy operation on operands of the same shape, with the builtins, powers and
+reciprocals applied through the value-level rules of :mod:`~acpoisson.jets`.
+The emitter eliminates common subexpressions and nothing else: ``0*x`` and
+``x + 0`` are computed as written, because skipping them could flip the sign
+of a zero or lose a NaN.  The results are therefore bit-identical to
+``f.at(p, order)``, and the jet path remains the oracle: a graph that holds a
+node of any other kind, and every domain error, goes through the jets, so the
+error names its failing subexpression.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 
 import numpy as np
 
 from . import expr as ex
-from .fields import VAR_INDEX, BinField, ConstField, CoordField, ExprField, FuncField, PartialField
-from .jets import BUILTIN_RULES, powi_rule, reciprocal_rule
+from .errors import DomainError
+from .fields import (
+    VAR_INDEX,
+    BinField,
+    ConstField,
+    CoordField,
+    ExprField,
+    FuncField,
+    PartialField,
+    as_points,
+)
+from .jets import BUILTIN_RULES, Jet, powi_rule, reciprocal_rule
 
 # jets carry derivatives up to the Hessian
 MAX_ORDER = 2
+NVARS = 5
 
 _ARITH = {"+": "add", "-": "sub", "*": "mul"}
 
@@ -121,6 +142,36 @@ def _children(key):
     return key[1:2] if key[0] in ("pow", "call", "one") else key[1:]
 
 
+# line operations ---------------------------------------------------------------
+#
+# A line is ``(targets, op, operands)``: ``op`` is a tuple ``(kind, *params)``
+# and the operands are temps.  ``C`` and ``P`` read the run's constants and
+# points; rules return ``(f, d1, d2)`` and a one-target line keeps ``f``.  Every
+# other kind is a pure expression, written once as text for the compiled back
+# end and once as a function for the tape.
+
+_EXPRESSIONS = {
+    "neg": ("-{}", operator.neg),
+    "add": ("{} + {}", operator.add),
+    "sub": ("{} - {}", operator.sub),
+    "mul": ("{} * {}", operator.mul),
+    # first derivative slot of a product
+    "dmul": ("{} * {} + {} * {}", lambda a, b, c, d: a * b + c * d),
+    # Hessian slots of a product and of a chain rule: np.einsum builds each
+    # outer-product entry as 0.0 + x*y, so a -0.0 product enters as +0.0
+    "hmul": (
+        "{} * {} + {} * {} + ({} * {} + 0.0) + ({} * {} + 0.0)",
+        lambda a, b, c, d, e, f, g, h: a * b + c * d + (e * f + 0.0) + (g * h + 0.0),
+    ),
+    "hchain": ("{} * {} + {} * ({} * {} + 0.0)", lambda a, b, c, d, e: a * b + c * (d * e + 0.0)),
+}
+_RULES = {
+    "rec": lambda op, x: reciprocal_rule(x),
+    "powi": lambda op, x: powi_rule(x, op[1], op[2]),
+    "call": lambda op, x: BUILTIN_RULES[op[1]](x),
+}
+
+
 class _Emitter:
     """Derivative orders per node, then one line per needed (node, slot) in dependency order."""
 
@@ -131,8 +182,8 @@ class _Emitter:
         self.const_names = {}  # hex of the constant -> temp
         self.names = {}  # (node id, slot) -> temp
         self.rule_out = {}  # node id -> (f, d1, d2) temps
-        self.lines = []  # (targets, template, operands)
-        self.known = {}  # (template, *operands) -> targets
+        self.lines = []  # (targets, op, operands)
+        self.known = {}  # (op, *operands) -> targets
         self.ntemps = 0
 
     def need(self, ref, order=0):
@@ -154,21 +205,21 @@ class _Emitter:
         self.ntemps += 1
         return self.ntemps - 1
 
-    def line(self, template, operands, ntargets=1):
+    def line(self, op, operands, ntargets=1):
         # lines are pure, so one that repeats an earlier line reuses its
         # result: the derivative slots of a term in variables it does not
         # contain are all the same computation on zeros
-        key = (template, *operands)
+        key = (op, *operands)
         targets = self.known.get(key)
         if targets is None:
             targets = self.known[key] = [self.temp() for _ in range(ntargets)]
-            self.lines.append((targets, template, operands))
+            self.lines.append((targets, op, operands))
         return targets[0] if ntargets == 1 else targets
 
     def const(self, c):
         name = self.const_names.get(c)
         if name is None:
-            name = self.const_names[c] = self.line(f"C(K[{len(self.consts)}])", [])
+            name = self.const_names[c] = self.line(("C", len(self.consts)), ())
             self.consts.append(float.fromhex(c))
         return name
 
@@ -190,24 +241,22 @@ class _Emitter:
             return self.zero() if slot else self.const(key[1])
         if kind == "var":
             if not slot:
-                return self.line(f"P[{key[1]}]", [])
+                return self.line(("P", key[1]), ())
             return self.unit() if slot == (key[1],) else self.zero()
         if kind == "neg":
-            return self.line("-{}", [get(key[1], slot)])
+            return self.line(("neg",), (get(key[1], slot),))
         if kind in ("add", "sub"):
-            op = "+" if kind == "add" else "-"
-            return self.line(f"{{}} {op} {{}}", [get(key[1], slot), get(key[2], slot)])
+            return self.line((kind,), (get(key[1], slot), get(key[2], slot)))
         if kind == "mul":
             a, b = key[1], key[2]
             if not slot:
-                return self.line("{} * {}", [get(a), get(b)])
-            ops = [get(a, slot), get(b), get(b, slot), get(a)]
+                return self.line(("mul",), (get(a), get(b)))
+            ops = (get(a, slot), get(b), get(b, slot), get(a))
             if len(slot) == 1:
-                return self.line("{} * {} + {} * {}", ops)
+                return self.line(("dmul",), ops)
             k, j = slot
-            ops += [get(a, (k,)), get(b, (j,)), get(b, (k,)), get(a, (j,))]
-            # np.einsum builds each outer-product entry as 0.0 + a*b
-            return self.line("{} * {} + {} * {} + ({} * {} + 0.0) + ({} * {} + 0.0)", ops)
+            ops += (get(a, (k,)), get(b, (j,)), get(b, (k,)), get(a, (j,)))
+            return self.line(("hmul",), ops)
         if kind == "one":
             get(key[1])
             return self.zero() if slot else self.const((1.0).hex())
@@ -217,11 +266,9 @@ class _Emitter:
             return f
         x = key[1]
         if len(slot) == 1:
-            return self.line("{} * {}", [d1, get(x, slot)])
+            return self.line(("mul",), (d1, get(x, slot)))
         k, j = slot
-        return self.line(
-            "{} * {} + {} * ({} * {} + 0.0)", [d1, get(x, slot), d2, get(x, (k,)), get(x, (j,))]
-        )
+        return self.line(("hchain",), (d1, get(x, slot), d2, get(x, (k,)), get(x, (j,))))
 
     def zero(self):
         return self.const((0.0).hex())
@@ -234,38 +281,82 @@ class _Emitter:
         if out is None:
             kind, order = key[0], self.order[nid]
             if kind == "rec":
-                call = "reciprocal_rule({})"
+                op = ("rec",)
             elif kind == "pow":
-                call = f"powi_rule({{}}, {key[2]}, {order})"
+                op = ("powi", key[2], order)
             else:
-                call = f"RULES[{key[2]!r}]({{}})"
+                op = ("call", key[2])
             x = self.get(key[1])
             if order == 0:
-                out = (self.line(call + "[0]", [x]), None, None)
+                out = (self.line(op, (x,)), None, None)
             else:
-                out = tuple(self.line(call, [x], ntargets=3))
+                out = tuple(self.line(op, (x,), ntargets=3))
             self.rule_out[nid] = out
         return out
 
 
-def _source(lines, outputs):
-    """Function text; a temp's name is reused once its value is dead."""
+def _emit(fields, order):
+    """Lines, output temps and constants of every field's value and, at order 1, gradient slots."""
+    graph = _Graph()
+    emitter = _Emitter(graph)
+    refs = [graph.ref(f) for f in fields]
+    for ref in refs:
+        emitter.need(ref, order)
+    slots = [()] + [(k,) for k in range(NVARS)] * order
+    outputs = [emitter.get(ref, slot) for ref in refs for slot in slots]
+    return emitter.lines, outputs, emitter.consts
+
+
+def _dying(lines, outputs):
+    """Per line, the temps read or written there and never read after it."""
     last = {}
     for i, (targets, _, operands) in enumerate(lines):
-        for t in targets + operands:
+        for t in targets:
+            last[t] = i
+        for t in operands:
             last[t] = i
     for t in outputs:
         last[t] = len(lines)
+    dead = [[] for _ in lines]
+    for t, i in last.items():
+        if i < len(lines):
+            dead[i].append(t)
+    return dead
+
+
+# back end 1: compiled text ---------------------------------------------------------
+
+
+def _text(op, names, ntargets):
+    kind = op[0]
+    if kind == "C":
+        return f"C(K[{op[1]}])"
+    if kind == "P":
+        return f"P[{op[1]}]"
+    if kind in _EXPRESSIONS:
+        return _EXPRESSIONS[kind][0].format(*names)
+    if kind == "rec":
+        call = f"reciprocal_rule({names[0]})"
+    elif kind == "powi":
+        call = f"powi_rule({names[0]}, {op[1]}, {op[2]})"
+    else:
+        call = f"RULES[{op[1]!r}]({names[0]})"
+    return call if ntargets == 3 else call + "[0]"
+
+
+def _source(lines, outputs):
+    """Function text; a temp's name is reused once its value is dead."""
+    dying = _dying(lines, outputs)
     free, name, count = [], {}, 0
     body = []
-    for i, (targets, template, operands) in enumerate(lines):
-        text = template.format(*(name[t] for t in operands))
-        for t in set(operands):
-            if last[t] == i:
-                free.append(name[t])
+    for (targets, op, operands), dead in zip(lines, dying):
+        text = _text(op, [name[t] for t in operands], len(targets))
+        for t in operands:
+            if t in dead and t in name:
+                free.append(name.pop(t))
         names = []
         for t in targets:
-            if last[t] == i:
+            if t in dead:
                 names.append("_")  # never read
                 continue
             if free:
@@ -286,28 +377,98 @@ def lower(comps):
     raises :class:`~acpoisson.errors.DomainError` untagged where the jet path
     raises it tagged with the failing subexpression.
     """
-    graph = _Graph()
-    emitter = _Emitter(graph)
     try:
-        refs = [graph.ref(c) for c in comps]
-        for ref in refs:
-            emitter.need(ref)
-        outputs = [emitter.get(ref) for ref in refs]
+        lines, outputs, consts = _emit(comps, 0)
     except (NotLowerable, RecursionError):
         return None
-    text = _source(emitter.lines, outputs)
-    scope = {"K": tuple(emitter.consts), "RULES": BUILTIN_RULES,
+    text = _source(lines, outputs)
+    scope = {"K": tuple(consts), "RULES": BUILTIN_RULES,
              "powi_rule": powi_rule, "reciprocal_rule": reciprocal_rule}
     exec(compile(text, "<lowered vector field>", "exec"), scope)
     return functools.partial(_call, scope["lowered"])
 
 
-def _call(fn, points):
+def _inputs(points):
+    """The points and the constant maker of a run, shaped as the jets shape them."""
     shape = points.shape[1:]
     if shape:
         # constants take the batch shape, as Jet.constant gives them, and rows
         # are contiguous like the copies Jet.coordinate makes
-        return fn(np.ascontiguousarray(points), functools.partial(np.full, shape))
+        return np.ascontiguousarray(points), functools.partial(np.full, shape)
     # at one point the values are numpy scalars where jets hold 0-d arrays:
     # + - * / round alike on both, and powi_rule makes its own 0-d array
-    return fn(points, np.float64)
+    return points, np.float64
+
+
+def _call(fn, points):
+    return fn(*_inputs(points))
+
+
+# back end 2: tape ------------------------------------------------------------------
+
+
+def _run(lines, outputs, consts, points):
+    """Execute the lines in order into one array holding every output.
+
+    Each output is copied into its row as soon as it is computed, and a temp
+    is dropped after its last use, so no output outlives its last reader.
+    """
+    P, C = _inputs(points)
+    rows = {}  # temp -> its rows in the result
+    for i, t in enumerate(outputs):
+        rows.setdefault(t, []).append(i)
+    result = np.empty((len(outputs),) + points.shape[1:])
+    vals = {}
+    for (targets, op, operands), dead in zip(lines, _dying(lines, ())):
+        kind = op[0]
+        if kind == "C":
+            vals[targets[0]] = C(consts[op[1]])
+        elif kind == "P":
+            vals[targets[0]] = P[op[1]]
+        elif kind in _EXPRESSIONS:
+            vals[targets[0]] = _EXPRESSIONS[kind][1](*[vals[t] for t in operands])
+        else:
+            out = _RULES[kind](op, vals[operands[0]])
+            if len(targets) == 1:
+                vals[targets[0]] = out[0]
+            else:
+                vals.update(zip(targets, out))
+        for t in targets:
+            for i in rows.get(t, ()):
+                result[i] = vals[t]
+        for t in dead:
+            del vals[t]
+    return result
+
+
+def evaluate(fields, points, order=0):
+    """The jets of ``fields`` at ``points``, as ``[f.at(points, order) for f in fields]``.
+
+    The group runs as one tape at orders 0 and 1, bit-identical to the jets;
+    each field's value and gradient are rows of one array.  Higher orders,
+    graphs the lowering cannot express, exhausted budgets and domain errors
+    take the jet path, so errors and their messages are the jets' own.
+    """
+    fields = list(fields)
+    if not fields:
+        return []
+    points = as_points(points)
+    if order > 1 or any(order > f.budget for f in fields):
+        return _jets(fields, points, order)
+    try:
+        tape = _emit(fields, order)
+    except (NotLowerable, RecursionError):
+        return _jets(fields, points, order)
+    try:
+        result = _run(*tape, points)
+    except DomainError:
+        return _jets(fields, points, order)  # raises it again, tagged
+    width = 1 + NVARS * order
+    return [
+        Jet(result[i], result[i + 1 : i + width] if order else None)
+        for i in range(0, len(result), width)
+    ]
+
+
+def _jets(fields, points, order):
+    return [f.at(points, order) for f in fields]

@@ -17,6 +17,9 @@ from .errors import BadInput, EmptyBox
 HALTON_BASES = (2, 3, 5, 7, 11)
 # largest tensor grid (points in all), checked before the grid is built
 MAX_GRID_POINTS = 10**5
+# largest Halton sample, checked before it is built: `check` peaks at about
+# 30 MB plus 2 KB per point, so this many points need about 1 GB
+MAX_SAMPLE_POINTS = 5 * 10**5
 LABELS = ("rank0", "rank2_vertical", "rank2_horizontal", "rank4", "near_boundary")
 
 
@@ -32,10 +35,12 @@ def _radical_inverse(indices, base):
 
 
 def halton_points(n, box, seed=0):
-    """n Halton points in the box (list of 5 (lo, hi) pairs)."""
+    """n Halton points in the box (list of 5 (lo, hi) pairs), at most MAX_SAMPLE_POINTS."""
     _validate_box(box)
     if n <= 0:
         raise EmptyBox("sample count must be positive")
+    if n > MAX_SAMPLE_POINTS:
+        raise BadInput(f"sample count {n} is more than {MAX_SAMPLE_POINTS}")
     idx = np.arange(seed + 1, seed + n + 1)
     pts = np.zeros((5, n))
     for k, base in enumerate(HALTON_BASES):

@@ -123,18 +123,22 @@ class PoissonTriple:
 
     def kappa_tol(self, p, base=1e-9):
         """Coupling-domain tolerance scaled by the sampled magnitude of kappa."""
-        scale = float(np.max(np.abs(self.kappa_values(p)))) if np.size(p) else 0.0
-        return base * (1.0 + scale)
+        return _scaled_tol(self.kappa_values(p), base)
 
     def coupling_mask(self, p, kappa_tol=None):
         kv = self.kappa_values(p)
-        tol = self.kappa_tol(p) if kappa_tol is None else kappa_tol
+        tol = _scaled_tol(kv) if kappa_tol is None else kappa_tol
         return np.abs(kv) > tol
 
     def domain_mask(self, p, tol=1e-9):
         if self.domain is None:
             return np.ones(np.shape(np.asarray(p)[0]), dtype=bool)
         return np.abs(self.domain.at(p, 0).value) > tol
+
+
+def _scaled_tol(kappa_values, base=1e-9):
+    scale = float(np.max(np.abs(kappa_values))) if np.size(kappa_values) else 0.0
+    return base * (1.0 + scale)
 
 
 def assemble_pi(triple: PoissonTriple) -> FieldElement:

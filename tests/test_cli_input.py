@@ -10,7 +10,7 @@ import pytest
 from acpoisson import cli
 from acpoisson import strata as st
 from acpoisson.errors import BadInput
-from acpoisson.strata import MAX_GRID_POINTS
+from acpoisson.strata import MAX_GRID_POINTS, MAX_SAMPLE_POINTS
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 FLOW = ["flow", "flat_so3", "--hamiltonian", "y3", "--p0", "0,0,1,0,0", "--dt", "0.01", "--steps", "3"]
@@ -69,6 +69,16 @@ def test_grid_bound_is_checked_before_allocation():
     with pytest.raises(BadInput):
         st.grid_points(10**6, [(-1, 1)] * 5)
     assert st.grid_points(10, [(-1, 1)] * 5).shape == (5, MAX_GRID_POINTS)
+
+
+@pytest.mark.parametrize("command", ["check", "modular"])
+def test_sample_count_is_bounded_before_allocation(command, capsys):
+    # 10^9 Halton points would need 40 GB for the coordinates alone
+    code, lines = _exit_and_message([command, "flat_so3", "--samples", "1000000000"], capsys)
+    assert code == 2
+    assert len(lines) == 1 and f"more than {MAX_SAMPLE_POINTS}" in lines[0]
+    with pytest.raises(BadInput):
+        st.halton_points(MAX_SAMPLE_POINTS + 1, [(-1, 1)] * 5)
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):
