@@ -381,11 +381,6 @@ def schouten_bivectors(A, B, p):
     return out
 
 
-def schouten_norm(A, B, p):
-    comps = schouten_bivectors(A, B, p)
-    return max(float(np.max(np.abs(v))) for v in comps.values())
-
-
 def lie_derivative_bivector(X: CoordVector, P, p):
     """L_X P for a vector and a bivector, both in the coordinate frame."""
     if isinstance(P, FieldElement):

@@ -9,67 +9,26 @@ Grammar:
 
 Identifiers are the five chart variables x1, x2, y1, y2, y3, the constants
 pi and e, and the builtin functions sin, cos, tan, exp, ln, sqrt, tanh,
-cutoff.  Power exponents must be integer literals.  ASTs are immutable.
+cutoff.  Power exponents must be integer literals.
+
+The tree is made of the interned field nodes of :mod:`~acpoisson.fields`,
+re-exported here, so a parsed expression is already a field.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .errors import ExprSyntaxError, NonIntegerExponent, UnknownIdentifier
+from .fields import VAR_NAMES as VARIABLES
+from .fields import BinOp, Call, Const, Field, Neg, Num, Pow, Var
 
-VARIABLES = ("x1", "x2", "y1", "y2", "y3")
 CONSTANTS = ("pi", "e")
 FUNCTIONS = ("sin", "cos", "tan", "exp", "ln", "sqrt", "tanh", "cutoff")
 
 _NUMBER = re.compile(r"(\d+\.\d*|\.\d+|\d+)([eE][+-]?\d+)?")
 _WORD = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 _INT = re.compile(r"-?\d+")
-
-
-# AST nodes ------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Num:
-    value: float
-
-
-@dataclass(frozen=True)
-class Var:
-    name: str  # one of VARIABLES
-
-
-@dataclass(frozen=True)
-class Const:
-    name: str  # "pi" or "e"
-
-
-@dataclass(frozen=True)
-class Neg:
-    arg: object
-
-
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # "+", "-", "*", "/"
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Pow:
-    base: object
-    exponent: int
-
-
-@dataclass(frozen=True)
-class Call:
-    func: str  # one of FUNCTIONS
-    arg: object
-
-
-Expression = object  # any of the node classes above
 
 
 class _Token:
@@ -217,8 +176,8 @@ class _Parser:
         raise ExprSyntaxError(f"unexpected {kind}", tok.line, tok.col, expected="atom")
 
 
-def parse(source: str) -> Expression:
-    """Parse expression text into an immutable AST."""
+def parse(source: str) -> Field:
+    """Parse expression text into an interned expression node."""
     return _Parser(source).parse()
 
 
@@ -245,7 +204,7 @@ def _wrap(node, limit):
 
 
 def to_source(node) -> str:
-    """Render an AST back to text; parse(to_source(ast)) == ast."""
+    """Render a node back to text; parse(to_source(node)) is node."""
     if isinstance(node, Num):
         return repr(node.value)
     if isinstance(node, (Var, Const)):
@@ -267,23 +226,11 @@ def to_source(node) -> str:
 
 
 def variables_used(node) -> set:
-    """Set of chart-variable names appearing in the AST."""
-    if isinstance(node, Var):
-        return {node.name}
-    if isinstance(node, (Num, Const)):
-        return set()
-    if isinstance(node, Neg):
-        return variables_used(node.arg)
-    if isinstance(node, Call):
-        return variables_used(node.arg)
-    if isinstance(node, Pow):
-        return variables_used(node.base)
-    if isinstance(node, BinOp):
-        return variables_used(node.left) | variables_used(node.right)
-    raise TypeError(f"not an expression node: {node!r}")
+    """Set of chart-variable names the field depends on, from its variable mask."""
+    return {name for k, name in enumerate(VARIABLES) if node.mask >> k & 1}
 
 
-# AST construction helpers (light constant folding keeps derivatives small) ----
+# node construction with light constant folding (it keeps derivatives small) ----
 
 
 def _is_num(node, value=None):
@@ -345,16 +292,21 @@ def pow_(a, n):
 
 
 def differentiate(node, var: str):
-    """Exact derivative AST of ``node`` by the chart variable ``var``."""
+    """Exact derivative of the expression ``node`` by the chart variable ``var``.
+
+    The children's derivatives come from ``Field.derivative``, which each node
+    computes once and keeps, so a shared subexpression is differentiated once.
+    """
+    k = VARIABLES.index(var)
     if isinstance(node, (Num, Const)):
         return Num(0.0)
     if isinstance(node, Var):
         return Num(1.0) if node.name == var else Num(0.0)
     if isinstance(node, Neg):
-        return neg(differentiate(node.arg, var))
+        return neg(node.arg.derivative(k))
     if isinstance(node, BinOp):
-        da = differentiate(node.left, var)
-        db = differentiate(node.right, var)
+        da = node.left.derivative(k)
+        db = node.right.derivative(k)
         if node.op == "+":
             return add(da, db)
         if node.op == "-":
@@ -363,22 +315,24 @@ def differentiate(node, var: str):
             return add(mul(da, node.right), mul(node.left, db))
         return div(sub(mul(da, node.right), mul(node.left, db)), pow_(node.right, 2))
     if isinstance(node, Pow):
-        db = differentiate(node.base, var)
+        db = node.base.derivative(k)
         return mul(mul(Num(float(node.exponent)), pow_(node.base, node.exponent - 1)), db)
     if isinstance(node, Call):
-        du = differentiate(node.arg, var)
-        u = node.arg
-        table = {
-            "sin": lambda: Call("cos", u),
-            "cos": lambda: neg(Call("sin", u)),
-            "tan": lambda: add(Num(1.0), pow_(Call("tan", u), 2)),
-            "exp": lambda: Call("exp", u),
-            "ln": lambda: div(Num(1.0), u),
-            "sqrt": lambda: div(Num(0.5), Call("sqrt", u)),
-            "tanh": lambda: sub(Num(1.0), pow_(Call("tanh", u), 2)),
-            # d/du exp(-u/(1-u)) = cutoff(u) * (-1/(1-u)^2); the factor is
-            # annihilated by the zero branch except exactly at u = 1
-            "cutoff": lambda: mul(Call("cutoff", u), neg(div(Num(1.0), pow_(sub(Num(1.0), u), 2)))),
-        }
-        return mul(table[node.func](), du)
+        du = node.arg.derivative(k)
+        return mul(_BUILTIN_DERIVATIVES[node.func](node.arg), du)
     raise TypeError(f"not an expression node: {node!r}")
+
+
+# derivative of each builtin f at u, for the chain rule d f(u) = f'(u) du
+_BUILTIN_DERIVATIVES = {
+    "sin": lambda u: Call("cos", u),
+    "cos": lambda u: neg(Call("sin", u)),
+    "tan": lambda u: add(Num(1.0), pow_(Call("tan", u), 2)),
+    "exp": lambda u: Call("exp", u),
+    "ln": lambda u: div(Num(1.0), u),
+    "sqrt": lambda u: div(Num(0.5), Call("sqrt", u)),
+    "tanh": lambda u: sub(Num(1.0), pow_(Call("tanh", u), 2)),
+    # d/du exp(-u/(1-u)) = cutoff(u) * (-1/(1-u)^2); the factor is
+    # annihilated by the zero branch except exactly at u = 1
+    "cutoff": lambda u: mul(Call("cutoff", u), neg(div(Num(1.0), pow_(sub(Num(1.0), u), 2)))),
+}

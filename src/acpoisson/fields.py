@@ -1,32 +1,43 @@
-"""Scalar fields on the chart, evaluable to exact 2-jets.
+"""Scalar fields on the chart: interned expression nodes, evaluable to exact 2-jets.
 
 A field is anything with an ``eval_jet(points, order)`` method returning a
-:class:`~acpoisson.jets.Jet`.  There is one field algebra.  Parsed
-expressions, constants and coordinates are *expression-backed*: they carry an
-AST in ``ast``, and ``+ - * /`` and unary ``-`` between expression-backed
-operands fold into a new expression (``0*f`` is ``0``, ``1*f`` is ``f``, and
-so on), so every spelling of zero is the same zero (:func:`is_zero`).  Any
-other operand gives an evaluation node (:class:`BinField`).
+:class:`~acpoisson.jets.Jet`.  The fields this package builds, and the trees
+:mod:`~acpoisson.expr` parses, are immutable nodes: a number (``Num``, also
+``ConstField``), a named constant, a variable (``Var``, also ``CoordField``),
+a negation, a binary operation, an integer power, a builtin call, or a
+derivative slot (``PartialField``).  One weak intern table keys each node by
+its kind, its parameters (numbers by ``float.hex``) and the identity of its
+children, so structurally equal nodes are one object while they live.
 
-Parsed expressions carry a full 2-jet budget.  ``partial`` extracts a
-derivative from the parent's jet and so consumes one order; ``derivative`` is
-symbolic for expression-backed fields and keeps the full budget.  All
-evaluation is pure, so fields are safe to share between threads.
+Arithmetic on parsed expressions is *expression-backed* (``ExprField``): it
+folds (``0*f`` is ``0``, ``1*f`` is ``f``), so every spelling of zero is the same
+zero (:func:`is_zero`), ``derivative`` is symbolic with the full 2-jet budget,
+and a domain error names its subexpression.  Any other operand gives a
+``BinField`` or ``FuncField``; ``partial`` reads a slot of the parent's jet and
+spends one order.  A node computes its budget, expression flag and variable
+bitmask once, and keeps its derivatives and source text once asked.
+Evaluation walks the tree without a memo, and nodes are inserted into the table
+atomically, so fields are safe to share between threads.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+import weakref
+from _weakref import _remove_dead_weakref
 
 import numpy as np
 
-from . import expr as ex
-from .errors import OrderBudgetExceeded
+from .errors import DomainError, OrderBudgetExceeded
 from .jets import BUILTIN_JET_RULES, Jet
 
-VAR_INDEX = {name: k for k, name in enumerate(ex.VARIABLES)}
-VAR_NAMES = ex.VARIABLES
+VAR_NAMES = ("x1", "x2", "y1", "y2", "y3")
+VAR_INDEX = {name: k for k, name in enumerate(VAR_NAMES)}
+NVARS = len(VAR_NAMES)
 FD_STEP = 1e-4
+
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 
 def as_points(p) -> np.ndarray:
@@ -39,11 +50,23 @@ def as_points(p) -> np.ndarray:
     return a
 
 
+def _arithmetic(op, swap=False):
+    def method(self, other):
+        a, b = (as_field(other), self) if swap else (self, as_field(other))
+        if a.expression and b.expression:
+            return _FOLD[op](a, b)
+        return BinField(op, a, b)
+
+    return method
+
+
 class Field:
     """Base class; subclasses implement ``eval_jet``."""
 
+    __slots__ = ()
     budget = 2
-    ast = None  # expression AST of an expression-backed field
+    expression = False  # expression-backed: folds, differentiates symbolically
+    mask = (1 << NVARS) - 1  # bit k: the field may depend on variable k
 
     def eval_jet(self, points, order):
         raise NotImplementedError
@@ -75,189 +98,281 @@ class Field:
 
     def derivative(self, k) -> "Field":
         """First partial derivative, symbolic (full budget) when expression-backed."""
-        if self.ast is None:
+        if not self.expression:
             return self.partial(k)
-        return ExprField(ex.differentiate(self.ast, VAR_NAMES[k] if isinstance(k, int) else k))
+        if isinstance(k, str):
+            k = VAR_INDEX[k]
+        cache = self._derivs
+        if cache is None:
+            cache = [None] * NVARS
+            object.__setattr__(self, "_derivs", cache)
+        if cache[k] is None:
+            cache[k] = ex.differentiate(self, VAR_NAMES[k])
+        return cache[k]
 
-    # arithmetic -----------------------------------------------------------
+    # arithmetic: expression-backed operands fold, any other gives a BinField
 
-    def __add__(self, other):
-        return _combine("+", self, as_field(other))
-
-    def __radd__(self, other):
-        return _combine("+", as_field(other), self)
-
-    def __sub__(self, other):
-        return _combine("-", self, as_field(other))
-
-    def __rsub__(self, other):
-        return _combine("-", as_field(other), self)
-
-    def __mul__(self, other):
-        return _combine("*", self, as_field(other))
-
-    def __rmul__(self, other):
-        return _combine("*", as_field(other), self)
-
-    def __truediv__(self, other):
-        return _combine("/", self, as_field(other))
-
-    def __rtruediv__(self, other):
-        return _combine("/", as_field(other), self)
+    __add__, __radd__ = _arithmetic("+"), _arithmetic("+", swap=True)
+    __sub__, __rsub__ = _arithmetic("-"), _arithmetic("-", swap=True)
+    __mul__, __rmul__ = _arithmetic("*"), _arithmetic("*", swap=True)
+    __truediv__, __rtruediv__ = _arithmetic("/"), _arithmetic("/", swap=True)
 
     def __neg__(self):
-        if self.ast is not None:
-            return ExprField(ex.neg(self.ast))
-        return BinField("*", ConstField(-1.0), self)
-
-
-_FOLD = {"+": ex.add, "-": ex.sub, "*": ex.mul, "/": ex.div}
-
-
-def _combine(op, a, b):
-    if a.ast is not None and b.ast is not None:
-        return ExprField(_FOLD[op](a.ast, b.ast))
-    return BinField(op, a, b)
+        if self.expression:
+            return ex.neg(self)
+        return BinField("*", Num(-1.0), self)
 
 
 def is_zero(f) -> bool:
-    """True when ``f`` is expression-backed and its AST is the number 0."""
-    return isinstance(f.ast, ex.Num) and f.ast.value == 0.0
+    """True when ``f`` is the number 0 (or -0)."""
+    return type(f) is Num and f.value == 0.0
 
 
-class ConstField(Field):
-    def __init__(self, c):
-        self.c = float(c)
-        self.ast = ex.Num(self.c)
+# nodes -------------------------------------------------------------------------
 
-    def eval_jet(self, points, order):
-        return Jet.constant(self.c, points.shape[1:], order)
+_NODES = {}  # the intern table: key -> weak reference to the node
+
+
+class _Ref(weakref.ref):
+    __slots__ = ("key",)
+
+
+def _forget(ref):
+    """Drop a dead node's entry, unless its key was rebuilt: one atomic step, as in WeakValueDictionary."""
+    _remove_dead_weakref(_NODES, ref.key)
+
+
+class _Interned(type):
+    """Metaclass of the nodes: calling a node class returns the interned node."""
+
+    def __call__(cls, *args):
+        key, args = cls._key(*args)
+        ref = _NODES.get(key)
+        node = ref and ref()
+        if node is None:
+            node = object.__new__(cls._open)
+            node._source = node._derivs = None
+            node.__init__(*args)
+            node.__class__ = cls
+            ref = _Ref(node, _forget)
+            ref.key = key
+            while (first := _NODES.setdefault(key, ref)) is not ref:  # one atomic step
+                other = first()
+                if other is not None:
+                    return other  # another thread interned the same node first
+                _remove_dead_weakref(_NODES, key)  # that node died before its entry went
+        return node
+
+
+class _Node(Field, metaclass=_Interned):
+    # budget, expression and mask are set once by __init__ (or are class
+    # constants); _source and _derivs are caches, filled on first use
+    __slots__ = ("budget", "expression", "mask", "_source", "_derivs", "__weakref__")
+
+    def __init_subclass__(cls, frozen=True):
+        super().__init_subclass__()
+        if frozen:
+            # nodes are built as instances of this open twin, then switched to cls
+            twin = {"__slots__": (), "__setattr__": object.__setattr__}
+            cls._open = _Interned(cls.__name__, (cls,), twin, frozen=False)
+
+    @classmethod
+    def _key(cls, *args):
+        """The intern key (children by identity, parameters by value) and the ``__init__`` arguments."""
+        return (cls, *[id(a) if isinstance(a, Field) else a for a in args]), args
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
 
     def __repr__(self):
-        return f"ConstField({self.c})"
+        return f"ExprField({self.source!r})" if self.expression else super().__repr__()
+
+    def _tag(self, err):
+        """Name this node's source in an untagged domain error raised while evaluating it."""
+        if self.expression and err.subexpr is None:
+            err.subexpr = self.source
+            err.args = (f"{err.args[0]} in '{err.subexpr}'",)
+
+    @property
+    def source(self) -> str:
+        """The node as expression text, rendered on first use."""
+        if self._source is None:
+            object.__setattr__(self, "_source", ex.to_source(self))
+        return self._source
 
 
-class CoordField(Field):
+class _Expressions(type):
+    def __call__(cls, source):
+        return ex.parse(source) if isinstance(source, str) else source
+
+    def __instancecheck__(cls, obj):
+        return isinstance(obj, Field) and obj.expression
+
+
+class ExprField(metaclass=_Expressions):
+    """An expression-backed field: ``ExprField(text)`` parses, ``ExprField(node)`` is the node."""
+
+
+def _derive(node, expression, a, b):
+    """Set what a node derives from its children ``a`` and ``b``: budget, expression flag, mask."""
+    node.budget = min(a.budget, b.budget)
+    node.expression = expression and a.expression and b.expression
+    node.mask = a.mask | b.mask
+
+
+class _Leaf(_Node):  # a number or a named constant
+    __slots__ = ("value",)
+    budget = 2
+    expression = True
+    mask = 0
+
+    def eval_jet(self, points, order):
+        return Jet.constant(self.value, points.shape[1:], order)
+
+
+class Num(_Leaf):
+    __slots__ = ()
+
+    @classmethod
+    def _key(cls, value):
+        value = float(value)
+        return (cls, value.hex()), (value,)
+
+    def __init__(self, value):
+        self.value = value
+
+
+class Const(_Leaf):
+    __slots__ = ("name",)
+
+    def __init__(self, name):
+        self.name = name  # "pi" or "e"
+        self.value = math.pi if name == "pi" else math.e
+
+
+class Var(_Node):
+    __slots__ = ("name", "k")
+    budget = 2
+    expression = True
+
+    @classmethod
+    def _key(cls, name):
+        k = VAR_INDEX[name] if isinstance(name, str) else name
+        return (cls, k), (k,)
+
     def __init__(self, k):
-        self.k = VAR_INDEX[k] if isinstance(k, str) else k
-        self.ast = ex.Var(VAR_NAMES[self.k])
+        self.name = VAR_NAMES[k]
+        self.k = k
+        self.mask = 1 << k
 
     def eval_jet(self, points, order):
         return Jet.coordinate(self.k, points[self.k], order)
 
-    def __repr__(self):
-        return f"CoordField({VAR_NAMES[self.k]})"
 
+class Neg(_Node):
+    __slots__ = ("arg",)
 
-class ExprField(Field):
-    """Field backed by a parsed expression AST (or the AST itself)."""
-
-    def __init__(self, source):
-        if isinstance(source, str):
-            self.ast = ex.parse(source)
-            self._source = source
-        else:
-            self.ast = source
-            # rendered on demand: rendering every arithmetic result would make
-            # building a graph quadratic in its size
-            self._source = None
-
-    @property
-    def source(self) -> str:
-        if self._source is None:
-            self._source = ex.to_source(self.ast)
-        return self._source
+    def __init__(self, arg):
+        _derive(self, True, arg, arg)
+        self.arg = arg
 
     def eval_jet(self, points, order):
-        return _eval_ast(self.ast, points, order)
-
-    def __repr__(self):
-        return f"ExprField({self.source!r})"
+        return -self.arg.eval_jet(points, order)
 
 
-def _eval_ast(node, points, order):
-    if isinstance(node, ex.Num):
-        return Jet.constant(node.value, points.shape[1:], order)
-    if isinstance(node, ex.Const):
-        return Jet.constant(math.pi if node.name == "pi" else math.e, points.shape[1:], order)
-    if isinstance(node, ex.Var):
-        return Jet.coordinate(VAR_INDEX[node.name], points[VAR_INDEX[node.name]], order)
-    if isinstance(node, ex.Neg):
-        return -_eval_ast(node.arg, points, order)
-    if isinstance(node, ex.Pow):
-        return _eval_ast(node.base, points, order).powi(node.exponent)
-    if isinstance(node, ex.Call):
-        arg = _eval_ast(node.arg, points, order)
-        try:
-            return BUILTIN_JET_RULES[node.func](arg)
-        except Exception as err:
-            _tag_domain_error(err, node)
-            raise
-    if isinstance(node, ex.BinOp):
-        a = _eval_ast(node.left, points, order)
-        b = _eval_ast(node.right, points, order)
-        try:
-            if node.op == "+":
-                return a + b
-            if node.op == "-":
-                return a - b
-            if node.op == "*":
-                return a * b
-            return a / b
-        except Exception as err:
-            _tag_domain_error(err, node)
-            raise
-    raise TypeError(f"not an expression node: {node!r}")
+class Pow(_Node):
+    __slots__ = ("base", "exponent")
+
+    def __init__(self, base, exponent):
+        _derive(self, True, base, base)
+        self.base = base
+        self.exponent = exponent
+
+    def eval_jet(self, points, order):
+        return self.base.eval_jet(points, order).powi(self.exponent)
 
 
-def _tag_domain_error(err, node):
-    from .errors import DomainError
+class BinOp(_Node):
+    """``left op right`` for op in ``+ - * /``."""
 
-    if isinstance(err, DomainError) and err.subexpr is None:
-        err.subexpr = ex.to_source(node)
-        err.args = (f"{err.args[0]} in '{err.subexpr}'",)
+    __slots__ = ("op", "left", "right")
+    folds = True
 
+    @classmethod
+    def _key(cls, op, left, right):
+        return (cls, op, id(left), id(right)), (op, left, right)
 
-class BinField(Field):
-    def __init__(self, op, a, b):
+    def __init__(self, op, left, right):
+        _derive(self, self.folds, left, right)
         self.op = op
-        self.a = a
-        self.b = b
-        self.budget = min(a.budget, b.budget)
+        self.left = left
+        self.right = right
 
     def eval_jet(self, points, order):
-        a = self.a.eval_jet(points, order)
-        b = self.b.eval_jet(points, order)
-        if self.op == "+":
-            return a + b
-        if self.op == "-":
-            return a - b
-        if self.op == "*":
-            return a * b
-        return a / b
+        a = self.left.eval_jet(points, order)
+        b = self.right.eval_jet(points, order)
+        try:
+            return _ARITH[self.op](a, b)
+        except DomainError as err:
+            self._tag(err)
+            raise
 
 
-class FuncField(Field):
-    """Composition of a builtin with another field, e.g. exp(h)."""
+class BinField(BinOp):
+    """A binary evaluation node over any fields; it never folds."""
 
-    def __init__(self, func, child):
-        self.func = func
-        self.child = as_field(child)
-        self.budget = self.child.budget
+    __slots__ = ()
+    folds = False
+
+
+class Call(_Node):
+    """A builtin applied to a field, e.g. exp(h)."""
+
+    __slots__ = ("func", "arg")
+    folds = True
+
+    @classmethod
+    def _key(cls, func, arg):
+        arg = as_field(arg)
+        return (cls, func, id(arg)), (func, arg)
+
+    def __init__(self, func, arg):
+        _derive(self, self.folds, arg, arg)
+        self.func = func  # a key of BUILTIN_JET_RULES
+        self.arg = arg
 
     def eval_jet(self, points, order):
-        return BUILTIN_JET_RULES[self.func](self.child.eval_jet(points, order))
+        arg = self.arg.eval_jet(points, order)
+        try:
+            return BUILTIN_JET_RULES[self.func](arg)
+        except DomainError as err:
+            self._tag(err)
+            raise
 
 
-class PartialField(Field):
-    """d(parent)/d(variable k); supports jets one order below the parent."""
+class FuncField(Call):
+    """Composition of a builtin with another field; it never folds."""
+
+    __slots__ = ()
+    folds = False
+
+
+class PartialField(_Node):
+    """d(parent)/d(variable k): slot k of the parent's jet, one order below the parent."""
+
+    __slots__ = ("parent", "k")
+
+    @classmethod
+    def _key(cls, parent, k):
+        if parent.budget < 1:
+            raise OrderBudgetExceeded("cannot differentiate a field with exhausted budget")
+        return (cls, id(parent), k), (parent, k)
 
     def __init__(self, parent, k):
+        _derive(self, False, parent, parent)
+        self.budget = parent.budget - 1
         self.parent = parent
         self.k = k
-        self.budget = parent.budget - 1
-        if self.budget < 0:
-            raise OrderBudgetExceeded("cannot differentiate a field with exhausted budget")
 
     def eval_jet(self, points, order):
         if order > self.budget:
@@ -267,6 +382,10 @@ class PartialField(Field):
         jet = self.parent.eval_jet(points, order + 1)
         grad = jet.hess[self.k] if order >= 1 else None
         return Jet(jet.grad[self.k], grad, None)
+
+
+ConstField = Num
+CoordField = Var
 
 
 def as_field(obj) -> Field:
@@ -295,3 +414,9 @@ def finite_difference_check(f: Field, p) -> float:
         gap = np.abs(grad[k] - fd) / (1.0 + np.abs(grad[k]))
         worst = max(worst, float(np.max(gap)))
     return worst
+
+
+# the parser, the printer, folding and the derivative rules build on the nodes
+from . import expr as ex  # noqa: E402
+
+_FOLD = {"+": ex.add, "-": ex.sub, "*": ex.mul, "/": ex.div}

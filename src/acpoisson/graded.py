@@ -230,15 +230,6 @@ def arg_min_degree(a):
     return min((mono_degree(k) for k in a.coeffs), default=0)
 
 
-def pair(form: GradedElement, mv: GradedElement):
-    """Natural full pairing <form, multivector>: evaluation on frame vectors."""
-    total = 0.0
-    for key, c in form.coeffs.items():
-        other = mv.coefficient(key)
-        total = total + c * other
-    return total
-
-
 # chart constants ---------------------------------------------------------
 
 
@@ -265,8 +256,3 @@ def q_vertical():
 def q_horizontal():
     """Horizontal 2-vector dual to omega_h: Q_H = -hor_1 ^ hor_2."""
     return GradedElement.multivector({((1, 2), ()): -1.0})
-
-
-def hor_psi():
-    """Horizontal lift of the base Poisson tensor: hor_1 ^ hor_2."""
-    return GradedElement.multivector({((1, 2), ()): 1.0})

@@ -1,12 +1,12 @@
 """Straight-line evaluation of field groups: one emitter, two back ends.
 
-A group of fields is hash-consed into one graph.  Every distinct
-subexpression is a node, shared by structure across the whole group: a
-constant, a coordinate, an AST node, a ``BinField``, a ``FuncField``, and for
-``PartialField(parent, k)`` the parent's forward-mode derivative slot ``k``
-(slot ``(k, j)`` for a partial of a partial).  The emitter gives each node
-the highest derivative order any use needs and writes one line per needed
-(node, slot) pair, in dependency order, sharing lines that repeat.
+Fields are interned nodes (:mod:`~acpoisson.fields`), so a subexpression that
+several fields of a group share is already one object, and the emitter walks
+the nodes as they are.  ``PartialField(parent, k)`` is the parent's
+forward-mode derivative slot ``k`` (slot ``(k, j)`` for a partial of a
+partial).  The emitter gives each node the highest derivative order any use
+needs and writes one line per needed (node, slot) pair, in dependency order,
+sharing lines that repeat.
 
 Both back ends read that one line list:
 
@@ -32,114 +32,61 @@ error names its failing subexpression.
 from __future__ import annotations
 
 import functools
-import math
 import operator
 
 import numpy as np
 
-from . import expr as ex
 from .errors import DomainError
-from .fields import (
-    VAR_INDEX,
-    BinField,
-    ConstField,
-    CoordField,
-    ExprField,
-    FuncField,
-    PartialField,
-    as_points,
-)
+from .fields import NVARS, BinOp, Call, Const, Neg, Num, PartialField, Pow, Var, as_points
 from .jets import BUILTIN_RULES, Jet, powi_rule, reciprocal_rule
 
 # jets carry derivatives up to the Hessian
 MAX_ORDER = 2
-NVARS = 5
 
 _ARITH = {"+": "add", "-": "sub", "*": "mul"}
+_ZERO, _ONE = (0.0).hex(), (1.0).hex()
 
 
 class NotLowerable(Exception):
-    """The graph holds a node the lowering cannot express."""
+    """A field holds a node the lowering cannot express."""
 
 
-class _Graph:
-    """Hash-consed nodes; a reference is ``(node id, derivative slot prefix)``.
-
-    Node kinds: ``("const", hex)``, ``("var", k)``, ``("neg", a)``,
-    ``("add"|"sub"|"mul", a, b)``, ``("rec", a)`` (reciprocal),
-    ``("pow", a, n)``, ``("call", a, func)`` and ``("one", a)`` (``a^0``: the
-    constant 1, which still evaluates ``a`` as the jet path does).
-    """
-
-    def __init__(self):
-        self.nodes = []
-        self.ids = {}
-        self.memo = {}  # id(field or AST node) -> reference
-
-    def node(self, *key):
-        nid = self.ids.get(key)
-        if nid is None:
-            nid = self.ids[key] = len(self.nodes)
-            self.nodes.append(key)
-        return (nid, ())
-
-    def const(self, c):
-        return self.node("const", float(c).hex())
-
-    def ref(self, obj):
-        """Reference of a field or an AST node."""
-        ref = self.memo.get(id(obj))
-        if ref is None:
-            ref = self.memo[id(obj)] = self._ref(obj)
-        return ref
-
-    def _ref(self, obj):
-        kind = type(obj)
-        if kind is ExprField:
-            return self.ref(obj.ast)
-        if kind is ConstField:
-            return self.const(obj.c)
-        if kind is ex.Num:
-            return self.const(obj.value)
-        if kind is ex.Const:
-            return self.const(math.pi if obj.name == "pi" else math.e)
-        if kind is CoordField:
-            return self.node("var", obj.k)
-        if kind is ex.Var:
-            return self.node("var", VAR_INDEX[obj.name])
-        if kind is ex.Neg:
-            return self.node("neg", self.ref(obj.arg))
-        if kind is BinField:
-            return self.binop(obj.op, self.ref(obj.a), self.ref(obj.b))
-        if kind is ex.BinOp:
-            return self.binop(obj.op, self.ref(obj.left), self.ref(obj.right))
-        if kind is FuncField:
-            return self.node("call", self.ref(obj.child), obj.func)
-        if kind is ex.Call:
-            return self.node("call", self.ref(obj.arg), obj.func)
-        if kind is ex.Pow:
-            base = self.ref(obj.base)
-            if obj.exponent == 1:
-                return base  # the jet path returns the base's jet itself
-            if obj.exponent == 0:
-                return self.node("one", base)
-            return self.node("pow", base, obj.exponent)
-        if kind is PartialField:
-            nid, prefix = self.ref(obj.parent)
-            return (nid, prefix + (obj.k,))
-        raise NotLowerable(f"cannot lower a {kind.__name__}")
-
-    def binop(self, op, a, b):
-        if op == "/":
-            # the jet path divides as a * (1/b)
-            return self.node("mul", a, self.node("rec", b))
-        return self.node(_ARITH[op], a, b)
+def _locate(field):
+    """``(node, derivative slot prefix)`` of a field: a partial is a slot of its parent's node."""
+    prefix = ()
+    while True:
+        if type(field) is PartialField:
+            prefix = (field.k, *prefix)
+            field = field.parent
+        elif type(field) is Pow and field.exponent == 1:
+            field = field.base  # the jet path returns the base's jet itself
+        elif isinstance(field, (Num, Const, Var, Neg, Pow, BinOp, Call)):
+            return field, prefix
+        else:
+            raise NotLowerable(f"cannot lower a {type(field).__name__}")
 
 
-def _children(key):
-    if key[0] in ("const", "var"):
-        return ()
-    return key[1:2] if key[0] in ("pow", "call", "one") else key[1:]
+def _parts(node):
+    """``(kind, parameter, child references)`` of a node, as the jets compute it.
+
+    ``a/b`` is ``a * rec(b)``, the reciprocal being the tuple ``("rec", *reference of b)``;
+    ``a^0`` is ``one``, the constant 1, which still evaluates ``a``."""
+    if type(node) is tuple:
+        return "rec", None, (node[1:],)
+    if isinstance(node, (Num, Const)):
+        return "const", node.value.hex(), ()
+    if type(node) is Var:
+        return "var", node.k, ()
+    if type(node) is Neg:
+        return "neg", None, (_locate(node.arg),)
+    if type(node) is Pow:
+        return ("one" if node.exponent == 0 else "pow"), node.exponent, (_locate(node.base),)
+    if isinstance(node, Call):
+        return "call", node.func, (_locate(node.arg),)
+    a, b = _locate(node.left), _locate(node.right)
+    if node.op == "/":
+        return "mul", None, (a, (("rec", *b), ()))
+    return _ARITH[node.op], None, (a, b)
 
 
 # line operations ---------------------------------------------------------------
@@ -175,29 +122,29 @@ _RULES = {
 class _Emitter:
     """Derivative orders per node, then one line per needed (node, slot) in dependency order."""
 
-    def __init__(self, graph):
-        self.graph = graph
-        self.order = {}  # node id -> highest derivative order needed
+    def __init__(self):
+        self.order = {}  # node -> highest derivative order needed
+        self.parts = {}  # node -> _parts(node)
         self.consts = []
         self.const_names = {}  # hex of the constant -> temp
-        self.names = {}  # (node id, slot) -> temp
-        self.rule_out = {}  # node id -> (f, d1, d2) temps
+        self.names = {}  # (node, slot) -> temp
+        self.rule_out = {}  # node -> (f, d1, d2) temps
         self.lines = []  # (targets, op, operands)
-        self.known = {}  # (op, *operands) -> targets
+        self.known = {}  # (op, number of targets, *operands) -> targets
         self.ntemps = 0
 
     def need(self, ref, order=0):
-        nid, prefix = ref
+        node, prefix = ref
         order += len(prefix)
         if order > MAX_ORDER:
             raise NotLowerable("derivative order beyond the jet budget")
-        if order <= self.order.get(nid, -1):
+        if order <= self.order.get(node, -1):
             return
-        self.order[nid] = order
-        key = self.graph.nodes[nid]
-        for child in _children(key):
+        self.order[node] = order
+        kind, _, children = self.parts[node] = _parts(node)
+        for child in children:
             # a^0 only evaluates a
-            self.need(child, 0 if key[0] == "one" else order)
+            self.need(child, 0 if kind == "one" else order)
 
     # emission ------------------------------------------------------------------
 
@@ -209,7 +156,7 @@ class _Emitter:
         # lines are pure, so one that repeats an earlier line reuses its
         # result: the derivative slots of a term in variables it does not
         # contain are all the same computation on zeros
-        key = (op, *operands)
+        key = (op, ntargets, *operands)
         targets = self.known.get(key)
         if targets is None:
             targets = self.known[key] = [self.temp() for _ in range(ntargets)]
@@ -224,31 +171,30 @@ class _Emitter:
         return name
 
     def get(self, ref, slot=()):
-        nid, prefix = ref
+        node, prefix = ref
         slot = prefix + slot
-        name = self.names.get((nid, slot))
+        name = self.names.get((node, slot))
         if name is None:
             if slot:
-                self.get((nid, ()))  # the value first, as the jet path does
-            name = self.names[(nid, slot)] = self.emit(nid, slot)
+                self.get((node, ()))  # the value first, as the jet path does
+            name = self.names[(node, slot)] = self.emit(node, slot)
         return name
 
-    def emit(self, nid, slot):
-        key = self.graph.nodes[nid]
-        kind = key[0]
+    def emit(self, node, slot):
+        kind, param, children = self.parts[node]
         get = self.get
         if kind == "const":
-            return self.zero() if slot else self.const(key[1])
+            return self.const(_ZERO if slot else param)
         if kind == "var":
             if not slot:
-                return self.line(("P", key[1]), ())
-            return self.unit() if slot == (key[1],) else self.zero()
+                return self.line(("P", param), ())
+            return self.const(_ONE if slot == (param,) else _ZERO)
         if kind == "neg":
-            return self.line(("neg",), (get(key[1], slot),))
+            return self.line(("neg",), (get(children[0], slot),))
         if kind in ("add", "sub"):
-            return self.line((kind,), (get(key[1], slot), get(key[2], slot)))
+            return self.line((kind,), (get(children[0], slot), get(children[1], slot)))
         if kind == "mul":
-            a, b = key[1], key[2]
+            a, b = children
             if not slot:
                 return self.line(("mul",), (get(a), get(b)))
             ops = (get(a, slot), get(b), get(b, slot), get(a))
@@ -257,49 +203,42 @@ class _Emitter:
             k, j = slot
             ops += (get(a, (k,)), get(b, (j,)), get(b, (k,)), get(a, (j,)))
             return self.line(("hmul",), ops)
+        x = children[0]
         if kind == "one":
-            get(key[1])
-            return self.zero() if slot else self.const((1.0).hex())
+            get(x)
+            return self.const(_ZERO if slot else _ONE)
         # chain-rule nodes: rec, pow, call
-        f, d1, d2 = self.rule(nid, key)
+        f, d1, d2 = self.rule(node, kind, param, x)
         if not slot:
             return f
-        x = key[1]
         if len(slot) == 1:
             return self.line(("mul",), (d1, get(x, slot)))
         k, j = slot
         return self.line(("hchain",), (d1, get(x, slot), d2, get(x, (k,)), get(x, (j,))))
 
-    def zero(self):
-        return self.const((0.0).hex())
-
-    def unit(self):
-        return self.const((1.0).hex())
-
-    def rule(self, nid, key):
-        out = self.rule_out.get(nid)
+    def rule(self, node, kind, param, x):
+        out = self.rule_out.get(node)
         if out is None:
-            kind, order = key[0], self.order[nid]
+            order = self.order[node]
             if kind == "rec":
                 op = ("rec",)
             elif kind == "pow":
-                op = ("powi", key[2], order)
+                op = ("powi", param, order)
             else:
-                op = ("call", key[2])
-            x = self.get(key[1])
+                op = ("call", param)
+            x = self.get(x)
             if order == 0:
                 out = (self.line(op, (x,)), None, None)
             else:
                 out = tuple(self.line(op, (x,), ntargets=3))
-            self.rule_out[nid] = out
+            self.rule_out[node] = out
         return out
 
 
 def _emit(fields, order):
     """Lines, output temps and constants of every field's value and, at order 1, gradient slots."""
-    graph = _Graph()
-    emitter = _Emitter(graph)
-    refs = [graph.ref(f) for f in fields]
+    emitter = _Emitter()
+    refs = [_locate(f) for f in fields]
     for ref in refs:
         emitter.need(ref, order)
     slots = [()] + [(k,) for k in range(NVARS)] * order

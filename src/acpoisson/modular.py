@@ -23,6 +23,7 @@ from . import triple as tr
 from .calculus import Y_SLOTS, CoordVector
 from .errors import MissingCertificate, ZeroVolumeFactor
 from .fields import ConstField, Field, FuncField, as_field
+from .lowering import evaluate
 from .reports import VerificationReport, residual_block
 
 
@@ -73,11 +74,12 @@ def modular_direct_fields(triple: tr.PoissonTriple, a=None) -> CoordVector:
 def modular_direct(triple: tr.PoissonTriple, a, p):
     """Modular field values at p relative to the volume scaled by ``a``."""
     a = None if a is None else as_field(a)
-    if a is not None and isinstance(a, ConstField) and a.c == 1.0:
+    if a is ConstField(1.0):
         a = None
     if a is not None and np.any(a.at(p, 0).value == 0.0):
         raise ZeroVolumeFactor("volume factor vanishes at a requested point")
-    return modular_direct_fields(triple, a).values(p)
+    # evaluated once: one tape run, nothing compiled
+    return np.stack([jet.value for jet in evaluate(modular_direct_fields(triple, a).comps, p, 0)])
 
 
 def modular_bigraded(triple: tr.PoissonTriple, p):
@@ -128,7 +130,7 @@ def renormalization_check(triple: tr.PoissonTriple, a, p):
         raise ZeroVolumeFactor("volume factor vanishes at a requested point")
     za = modular_direct(triple, a, p)
     z1 = modular_direct(triple, None, p)
-    xa = tr.hamiltonian_field(triple, a).values(p)
+    xa = np.stack([jet.value for jet in evaluate(tr.hamiltonian_field(triple, a).comps, p, 0)])
     return np.max(np.abs(za - (z1 - xa / av)), axis=0)
 
 

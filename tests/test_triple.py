@@ -302,6 +302,15 @@ def test_section_rejects_fiber_dependence():
         tr.Section(["y1", "0", "0"])
 
 
+def test_section_rejects_fiber_dependence_that_vanishes_on_the_base_axes():
+    # x1*y1 is zero wherever x1 = 0, so probing points on the fiber over the
+    # origin cannot see its dependence on y1
+    for comps in (["x1*y1", "0", "0"], ["0", "sin(x2*y3)", "0"], ["x1", "x2", "x1*x2*y2"]):
+        with pytest.raises(ValueError, match="depend on x1, x2 only"):
+            tr.Section(comps)
+    assert tr.Section(["x1*x2", "sin(x1)", "2 + x2^2"]).comps[0].mask == 0b11
+
+
 def test_flat_pair_three_way_agreement(rng):
     # flatness, the horizontal self-bracket and the pair bracket vanish (or
     # fail) together on coupling-domain samples of verified structures
