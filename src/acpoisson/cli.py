@@ -32,7 +32,7 @@ from .errors import (
     ZeroVolumeFactor,
 )
 from .fields import ExprField
-from .reports import VerificationReport, residual_block
+from .reports import VerificationReport, residual_block, write_csv
 
 EXIT_OK, EXIT_FAIL, EXIT_INPUT, EXIT_NUMERIC = 0, 1, 2, 3
 
@@ -143,17 +143,17 @@ def cmd_strata(args):
     triple = model.effective_triple()
     box = model.sampling["box"]
     samples = st.sample_box(box, generator="grid", resolution=args.grid)
-    result = st.strata_report(triple, samples)
-    st.rows_to_csv(result["rows"], args.out)
+    columns, counts, flagged = st.strata_columns(triple, samples)
+    write_csv(args.out, st.CSV_HEADER, columns)
     summary = {
         "model": model.name,
         "tool_version": __version__,
-        "counts": result["counts"],
-        "rank_disagreements": len(result["rank_disagreements"]),
+        "counts": counts,
+        "rank_disagreements": flagged.size,
         "csv": args.out,
     }
     print(json.dumps(summary, indent=2, sort_keys=True))
-    return EXIT_OK if not result["rank_disagreements"] else EXIT_FAIL
+    return EXIT_OK if not flagged.size else EXIT_FAIL
 
 
 def cmd_modular(args):
@@ -196,14 +196,8 @@ def cmd_modular(args):
         for b in sub.blocks:
             report.add(b)
     if args.csv:
-        zvals = mo.modular_direct(triple, None, pts)
-        import csv
-
-        with open(args.csv, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x1", "x2", "y1", "y2", "y3", "Z_x1", "Z_x2", "Z_y1", "Z_y2", "Z_y3"])
-            for k in range(pts.shape[1]):
-                writer.writerow([repr(float(v)) for v in pts[:, k]] + [repr(float(v)) for v in zvals[:, k]])
+        header = ["x1", "x2", "y1", "y2", "y3", "Z_x1", "Z_x2", "Z_y1", "Z_y2", "Z_y3"]
+        write_csv(args.csv, header, [*pts, *mo.modular_direct(triple, None, pts)])
     doc = _document(model, report)
     _emit(doc, args.out)
     # closedness blocks are informational: beta need not be closed

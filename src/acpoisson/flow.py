@@ -13,7 +13,7 @@ from . import calculus as ca
 from . import triple as tr
 from .errors import DomainError
 from .fields import as_field
-from .reports import CheckBlock, VerificationReport
+from .reports import CheckBlock, VerificationReport, write_csv
 
 
 class Trajectory:
@@ -163,19 +163,7 @@ def conservation_report(
 
 
 def trajectory_to_csv(traj: Trajectory, casimirs, path):
-    import csv
-
     casimirs = [as_field(c) for c in casimirs]
-    fvals = traj.hamiltonian.at(traj.states, 0).value
-    cvals = [c.at(traj.states, 0).value for c in casimirs]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["t", "x1", "x2", "y1", "y2", "y3", "F"] + [f"casimir_{i + 1}" for i in range(len(casimirs))]
-        )
-        for k in range(traj.states.shape[1]):
-            row = [repr(float(traj.times[k]))]
-            row += [repr(float(v)) for v in traj.states[:, k]]
-            row.append(repr(float(fvals[k])))
-            row += [repr(float(cv[k])) for cv in cvals]
-            writer.writerow(row)
+    header = ["t", "x1", "x2", "y1", "y2", "y3", "F"] + [f"casimir_{i + 1}" for i in range(len(casimirs))]
+    columns = [traj.times, *traj.states, traj.hamiltonian.at(traj.states, 0).value]
+    write_csv(path, header, columns + [c.at(traj.states, 0).value for c in casimirs])

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,3 +80,36 @@ def residual_block(check_id, residuals, points, tol, note="") -> CheckBlock:
         n_samples=int(residuals.size),
         note=note,
     )
+
+
+_BARE = re.compile(r'[^,"\r\n]+\Z')  # a cell csv.writer leaves unquoted
+
+
+def _cells(column):
+    """A column's CSV cells (floats as ``repr``, ints as ``str``), and whether all are bare."""
+    array = np.asarray(column)
+    if array.dtype.kind == "f":
+        # repr once per distinct bit pattern (-0.0 stays apart from 0.0), scattered back
+        bits, inverse = np.unique(np.asarray(array, np.float64).view(np.int64), return_inverse=True)
+        text = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
+        return text[inverse].tolist(), True
+    if array.dtype.kind in "iu":
+        return list(map(str, array.tolist())), True
+    cells = list(column)  # not array.tolist(): a numpy str array drops trailing NULs
+    return cells, all(type(v) is str for v in cells) and all(map(_BARE.match, set(cells)))
+
+
+def write_csv(path, header, columns):
+    """Write equal-length float, int or label columns as CSV under ``header``: the
+    bytes ``csv.writer`` writes when fed ``repr(float(v))`` for each float cell."""
+    parts = [_cells(c) for c in columns]
+    cells = [c for c, _ in parts]
+    if len({len(c) for c in cells}) > 1:
+        raise ValueError(f"CSV columns differ in length: {[len(c) for c in cells]}")
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        if not all(bare for _, bare in parts):
+            writer.writerows(zip(*cells))
+        elif cells and cells[0]:  # nothing to quote: join all rows at once
+            fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")

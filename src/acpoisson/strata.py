@@ -13,6 +13,7 @@ import numpy as np
 
 from . import triple as tr
 from .errors import BadInput, EmptyBox
+from .reports import write_csv
 
 HALTON_BASES = (2, 3, 5, 7, 11)
 # largest tensor grid (points in all), checked before the grid is built
@@ -21,6 +22,7 @@ MAX_GRID_POINTS = 10**5
 # 30 MB plus 2 KB per point, so this many points need about 1 GB
 MAX_SAMPLE_POINTS = 5 * 10**5
 LABELS = ("rank0", "rank2_vertical", "rank2_horizontal", "rank4", "near_boundary")
+_NEAR = LABELS.index("near_boundary")
 
 
 def _radical_inverse(indices, base):
@@ -79,10 +81,6 @@ class SampleSet:
     seed: int = 0
     resolution: int | None = None
 
-    @property
-    def n(self):
-        return self.points.shape[1]
-
 
 def sample_box(box, generator="halton", n=None, resolution=None, seed=0) -> SampleSet:
     if generator == "halton":
@@ -124,74 +122,59 @@ class Stratum:
 
 def classify_point(triple: tr.PoissonTriple, p, kappa_tol=None, beta_tol=1e-9) -> Stratum:
     """Classify one point by the zero sets of kappa and beta."""
-    label, kv, bn, rank = _classify(triple, np.asarray(p, float).reshape(5, 1), kappa_tol, beta_tol)
-    return Stratum(label[0], float(kv[0]), float(bn[0]), int(rank[0]))
+    code, kv, bn, rank = _classify(triple, np.asarray(p, float).reshape(5, 1), kappa_tol, beta_tol)
+    return Stratum(LABELS[code[0]], float(kv[0]), float(bn[0]), int(rank[0]))
 
 
 def _classify(triple, pts, kappa_tol=None, beta_tol=1e-9):
+    """Label codes (indices into LABELS), kappa, |beta| and the SVD rank per point."""
     kv = np.atleast_1d(triple.kappa_values(pts))
     bn = np.atleast_1d(triple.beta.norm_values(pts))
     if kappa_tol is None:
         kappa_tol = triple.kappa_tol(pts)
     rank = matrix_rank(pi_matrix_values(triple, pts))
-    labels = np.where(
-        np.abs(kv) > kappa_tol,
-        np.where(bn > beta_tol, "rank4", "rank2_horizontal"),
-        np.where(bn > beta_tol, "rank2_vertical", "rank0"),
-    ).astype(object)
-    near = (np.abs(kv) > kappa_tol) & (np.abs(kv) <= 10 * kappa_tol)
-    labels[near] = "near_boundary"
-    return labels, kv, bn, rank
+    coupled = np.abs(kv) > kappa_tol
+    code = 2 * coupled + (bn > beta_tol)
+    code[coupled & (np.abs(kv) <= 10 * kappa_tol)] = _NEAR
+    return code, kv, bn, rank
 
 
-_EXPECTED_RANK = {"rank0": 0, "rank2_vertical": 2, "rank2_horizontal": 2, "rank4": 4}
+_EXPECTED_RANK = np.array([0, 2, 2, 4, -1])  # the SVD rank each label code predicts
+CSV_HEADER = ("x1", "x2", "y1", "y2", "y3", "kappa", "beta_norm", "rank", "label", "ic1", "ic2", "ic3")
+_ROW_KEYS = ("point", "kappa", "beta_norm", "rank", "label", "ic1", "ic2", "ic3")
+
+
+def strata_columns(triple: tr.PoissonTriple, samples: SampleSet, kappa_tol=None, beta_tol=1e-9):
+    """The columnar core of `strata_report`, with no per-point Python object.
+
+    Returns ``(columns, counts, flagged)``: one array per CSV_HEADER field, the
+    number of points of each label present, and the indices of the points
+    whose formula label disagrees with the SVD rank.
+    """
+    pts = samples.points
+    code, kv, bn, rank = _classify(triple, pts, kappa_tol, beta_tol)
+    ic = tr.ic_residuals(triple, pts)
+    labels = np.array(LABELS, dtype=object)[code]
+    columns = [*pts, kv, bn, rank, labels, ic["ic1"], ic["ic2"].max(axis=(0, 1)), ic["ic3"].max(axis=0)]
+    found, sizes = np.unique(code, return_counts=True)
+    counts = {LABELS[c]: k for c, k in zip(found.tolist(), sizes.tolist())}
+    return columns, counts, np.flatnonzero((code != _NEAR) & (_EXPECTED_RANK[code] != rank))
 
 
 def strata_report(triple: tr.PoissonTriple, samples: SampleSet, kappa_tol=None, beta_tol=1e-9):
     """Rows (point, kappa, |beta|, rank, label, ic residuals) plus summary counts.
 
-    Points whose formula label disagrees with the SVD rank are flagged; away
-    from the tolerance bands the flag list must stay empty.
+    The dict form of `strata_columns`.  Points whose formula label disagrees
+    with the SVD rank are flagged; away from the tolerance bands the flag list
+    must stay empty.
     """
-    pts = samples.points
-    labels, kv, bn, rank = _classify(triple, pts, kappa_tol, beta_tol)
-    ic = tr.ic_residuals(triple, pts)
-    ic1 = np.atleast_1d(ic["ic1"])
-    ic2 = np.atleast_1d(ic["ic2"].max(axis=(0, 1)))
-    ic3 = np.atleast_1d(ic["ic3"].max(axis=0))
-    rows = []
-    flags = []
-    counts = {}
-    for k in range(samples.n):
-        label = labels[k]
-        counts[label] = counts.get(label, 0) + 1
-        rows.append(
-            {
-                "point": pts[:, k].tolist(),
-                "kappa": float(kv[k]),
-                "beta_norm": float(bn[k]),
-                "rank": int(rank[k]),
-                "label": label,
-                "ic1": float(ic1[k]),
-                "ic2": float(ic2[k]),
-                "ic3": float(ic3[k]),
-            }
-        )
-        if label != "near_boundary" and _EXPECTED_RANK[label] != int(rank[k]):
-            flags.append(rows[-1])
-    return {"rows": rows, "counts": counts, "rank_disagreements": flags}
+    columns, counts, flagged = strata_columns(triple, samples, kappa_tol, beta_tol)
+    values = (samples.points.T.tolist(), *(c.tolist() for c in columns[5:]))
+    rows = [dict(zip(_ROW_KEYS, row)) for row in zip(*values)]
+    return {"rows": rows, "counts": counts, "rank_disagreements": [rows[k] for k in flagged.tolist()]}
 
 
 def rows_to_csv(rows, path):
-    import csv
-
-    fieldnames = ["x1", "x2", "y1", "y2", "y3", "kappa", "beta_norm", "rank", "label", "ic1", "ic2", "ic3"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(fieldnames)
-        for row in rows:
-            writer.writerow(
-                [repr(v) for v in row["point"]]
-                + [repr(row["kappa"]), repr(row["beta_norm"]), row["rank"], row["label"]]
-                + [repr(row["ic1"]), repr(row["ic2"]), repr(row["ic3"])]
-            )
+    """Write `strata_report` rows as CSV: the rows transposed into `write_csv` columns."""
+    points = zip(*(row["point"] for row in rows))
+    write_csv(path, CSV_HEADER, [*points, *([row[k] for row in rows] for k in _ROW_KEYS[1:])])
