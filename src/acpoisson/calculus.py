@@ -339,19 +339,51 @@ class CoordVector:
         return np.stack([j.value for j in jets]), np.stack([j.grad for j in jets])
 
 
-def matrix_values(matrix_fields, p, order=1):
-    """Evaluate a bivector's component fields, as one group, to a full antisymmetric array."""
-    jets = evaluate(matrix_fields.values(), p, order)
-    shape = np.shape(np.asarray(p)[0])
-    vals = np.zeros((5, 5) + shape)
-    grads = np.zeros((5, 5, 5) + shape) if order >= 1 else None
-    for (mu, nu), jet in zip(matrix_fields, jets):
+def _bivector_jets(matrix_fields, p, order):
+    """A bivector's component fields run as one group: the full antisymmetric
+    value array and the component jets, keyed as ``matrix_fields``."""
+    jets = dict(zip(matrix_fields, evaluate(matrix_fields.values(), p, order)))
+    vals = np.zeros((5, 5) + np.shape(np.asarray(p)[0]))
+    for (mu, nu), jet in jets.items():
         vals[mu, nu] = jet.value
         vals[nu, mu] = -jet.value
-        if order >= 1:
-            grads[mu, nu] = jet.grad
-            grads[nu, mu] = -jet.grad
-    return (vals, grads) if order >= 1 else vals
+    return vals, jets
+
+
+def matrix_values(matrix_fields, p, order=1):
+    """Evaluate a bivector's component fields, as one group, to a full antisymmetric array."""
+    vals, jets = _bivector_jets(matrix_fields, p, order)
+    if order < 1:
+        return vals
+    grads = np.zeros((5,) + vals.shape)
+    for (mu, nu), jet in jets.items():
+        grads[mu, nu] = jet.grad
+        grads[nu, mu] = -jet.grad
+    return vals, grads
+
+
+class _Gradients:
+    """``grad[mu, nu]``, the gradient of a bivector component, read from its jets:
+    a lower-triangle entry is the negated upper one, and an absent one is zero."""
+
+    __slots__ = ("jets", "zero")
+
+    def __init__(self, jets, vals):
+        self.jets = jets
+        self.zero = np.zeros_like(vals[0])
+
+    def __getitem__(self, pair):
+        jet = self.jets.get(pair)
+        if jet is not None:
+            return jet.grad
+        jet = self.jets.get(pair[::-1])
+        return self.zero if jet is None else -jet.grad
+
+
+def _bivector_gradients(matrix_fields, p):
+    """The full value array and the gradient lookup of a bivector, from one tape run."""
+    vals, jets = _bivector_jets(matrix_fields, p, 1)
+    return vals, _Gradients(jets, vals)
 
 
 TRIPLES = [(m, n, l) for m in range(5) for n in range(m + 1, 5) for l in range(n + 1, 5)]
@@ -368,8 +400,8 @@ def schouten_bivectors(A, B, p):
         A = bivector_matrix_fields(A)
     if isinstance(B, FieldElement):
         B = A if same else bivector_matrix_fields(B)
-    va, ga = matrix_values(A, p)
-    vb, gb = (va, ga) if same else matrix_values(B, p)
+    va, ga = _bivector_gradients(A, p)
+    vb, gb = (va, ga) if same else _bivector_gradients(B, p)
     out = {}
     for (m, n, l) in TRIPLES:
         total = 0.0
@@ -386,7 +418,7 @@ def lie_derivative_bivector(X: CoordVector, P, p):
     if isinstance(P, FieldElement):
         P = bivector_matrix_fields(P)
     vx, gx = X.jets(p)
-    vp, gp = matrix_values(P, p)
+    vp, gp = _bivector_gradients(P, p)
     out = {}
     for mu in range(5):
         for nu in range(mu + 1, 5):

@@ -32,6 +32,7 @@ from .errors import (
     ZeroVolumeFactor,
 )
 from .fields import ExprField
+from .lowering import evaluate
 from .reports import VerificationReport, residual_block, write_csv
 
 EXIT_OK, EXIT_FAIL, EXIT_INPUT, EXIT_NUMERIC = 0, 1, 2, 3
@@ -65,23 +66,24 @@ def run_check(model: md.ModelFile, n=None, tol=None) -> VerificationReport:
     """The full residual suite for the triple a model file denotes."""
     identity_tol = tol if tol is not None else model.tolerance("identity")
     triple = model.effective_triple()
-    pts = model.samples(n=n).points
-    mask = triple.domain_mask(pts)
-    pts = pts[:, mask]
+    # every block reads the triple's inputs through this one sample and its subsets
+    sample = model.samples(n=n)
+    sample = sample.subset(triple.domain_mask(sample.points), "domain")
+    pts = sample.points
 
-    report = tr.equivalence_check(triple, pts, tol=identity_tol)
+    report = tr.equivalence_check(triple, sample, tol=identity_tol)
     report.name = "check"
 
     # almost-coupling: the mixed component of the re-bigraded tensor
     mov = ca.coord_to_moving_bivector(triple.pi_coord(), triple.conn)
     mixed = np.zeros(pts.shape[1])
-    for key, f in mov.coeffs.items():
-        if (len(key[0]), len(key[1])) == (1, 1):
-            mixed = np.maximum(mixed, np.abs(f.at(pts, 0).value))
+    for jet in evaluate([f for key, f in mov.coeffs.items() if (len(key[0]), len(key[1])) == (1, 1)], pts):
+        mixed = np.maximum(mixed, np.abs(jet.value))
     report.add(residual_block("almost-coupling", np.atleast_1d(mixed), pts, identity_tol))
 
-    sub = pts[:, : min(pts.shape[1], 200)]
-    tiny = pts[:, : min(pts.shape[1], 60)]
+    first200 = sample.subset(slice(200), "first 200 points")
+    sub = first200.points
+    tiny = sample.subset(slice(60), "first 60 points").points
 
     test_forms = {
         "fiber-volume": FieldElement.form({((), (1, 2, 3)): 1.0}),
@@ -103,27 +105,28 @@ def run_check(model: md.ModelFile, n=None, tol=None) -> VerificationReport:
     )
 
     curv = cn.curvature(triple.conn, sub)
-    rc = np.stack([f.at(sub, 0).value for f in cn.rho_components(triple.conn)])
+    rc = np.stack([j.value for j in first200.jets(cn.rho_components(triple.conn))])
     report.add(
         residual_block(
             "curvature-commutator-agreement", np.max(np.abs(curv - rc), axis=0), sub, identity_tol
         )
     )
 
-    cmask = triple.coupling_mask(pts)
-    cpts = pts[:, cmask]
+    coupled = sample.subset(triple.coupling_mask(sample), "coupling")
+    cpts = coupled.points
     if cpts.shape[1]:
-        report.add(residual_block("structure-preserving-connection", tr.poisson_connection_residual(triple, cpts), cpts, identity_tol))
-        report.add(residual_block("horizontal-beta-compatibility", tr.c2_residual(triple, cpts), cpts, identity_tol))
-        report.add(residual_block("curvature-kappa-compatibility", tr.c3_residual(triple, cpts), cpts, identity_tol))
-        report.add(residual_block("horizontal-cocycle", tr.cocycle_residual(triple, cpts), cpts, identity_tol))
-        report.add(residual_block("curvature-identity", tr.curvature_identity_residual(triple, cpts), cpts, identity_tol))
-        report.add(residual_block("coupling-form-identity", tr.coupling_form_residual(triple, cpts), cpts, 1e-10))
-    kv = np.abs(triple.kappa_values(pts))
+        report.add(residual_block("structure-preserving-connection", tr.poisson_connection_residual(triple, coupled), cpts, identity_tol))
+        report.add(residual_block("horizontal-beta-compatibility", tr.c2_residual(triple, coupled), cpts, identity_tol))
+        report.add(residual_block("curvature-kappa-compatibility", tr.c3_residual(triple, coupled), cpts, identity_tol))
+        report.add(residual_block("horizontal-cocycle", tr.cocycle_residual(triple, coupled), cpts, identity_tol))
+        report.add(residual_block("curvature-identity", tr.curvature_identity_residual(triple, coupled), cpts, identity_tol))
+        report.add(residual_block("coupling-form-identity", tr.coupling_form_residual(triple, coupled), cpts, 1e-10))
+    kv = np.abs(triple.kappa_values(sample))
     band = kv <= 1e-6 * (1.0 + np.max(kv))
     if np.any(band):
+        boundary = sample.subset(band, "kappa zero band")
         report.add(
-            residual_block("boundary-first-variation", tr.c5_residual(triple, pts[:, band]), pts[:, band], identity_tol)
+            residual_block("boundary-first-variation", tr.c5_residual(triple, boundary), boundary.points, identity_tol)
         )
     return report
 
@@ -339,7 +342,7 @@ def cmd_selftest(args):
         )
         shifted = cn.shift(T.conn, xi)
         mov = ca.coord_to_moving_bivector(T.pi_coord(), shifted)
-        A2 = mov.coeffs[((1, 2), ())].at(sample, 0).value
+        A2 = evaluate([mov.coeffs[((1, 2), ())]], sample)[0].value
         ok &= bool(np.array_equal(np.asarray(A), np.asarray(A2)))
     item("horizontal-rank invariance under connection shifts", ok)
 

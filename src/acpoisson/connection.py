@@ -20,6 +20,7 @@ from . import calculus as ca
 from .calculus import Y_SLOTS, CoordVector, FieldElement
 from .fields import ConstField, Field, as_field
 from .graded import q_horizontal, q_vertical, interior
+from .lowering import evaluate
 
 
 class Connection:
@@ -35,7 +36,7 @@ class Connection:
         return cls([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
 
     def gamma_values(self, p):
-        return np.stack([np.stack([g.at(p, 0).value for g in row]) for row in self.gamma])
+        return np.stack([np.stack([j.value for j in evaluate(row, p)]) for row in self.gamma])
 
 
 class ConnectionShift:

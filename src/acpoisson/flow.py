@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import calculus as ca
+from . import strata as st
 from . import triple as tr
 from .errors import DomainError
 from .fields import as_field
@@ -125,8 +126,9 @@ def conservation_report(
             )
         )
     # kappa must not change sign along a flow started off its zero set
-    kv = triple.kappa_values(pts)
-    tol = triple.kappa_tol(pts)
+    path = st.as_sample(pts)
+    kv = triple.kappa_values(path)
+    tol = triple.kappa_tol(path)
     signs = np.sign(kv[np.abs(kv) > tol])
     crossings = int(np.sum(signs[1:] != signs[:-1])) if signs.size else 0
     report.add(

@@ -15,8 +15,9 @@ Both back ends read that one line list:
   right-hand side calls it hundreds of times.
 * :func:`evaluate` runs it once as a tape, one numpy operation per line, and
   frees each temporary after its last use.  It serves the batch evaluations
-  of a whole group at orders 0 and 1: ``FieldElement.at``,
-  ``calculus.matrix_values`` and ``CoordVector.jets``.
+  of a whole group at orders 0 and 1: ``FieldElement.at``, the bivector
+  kernels of :mod:`~acpoisson.calculus`, ``CoordVector.jets`` and the jets a
+  ``strata.SampleSet`` holds.
 
 Each line does what the jet path does, operation for operation: the same
 numpy operation on operands of the same shape, with the builtins, powers and

@@ -2,17 +2,19 @@
 
 Halton sampling uses the radical-inverse sequences in bases 2, 3, 5, 7, 11
 (one base per chart variable) with an index offset acting as the seed, so a
-given (box, n, seed) always reproduces the same points.
+given (box, n, seed) always reproduces the same points.  A sample is also the
+evaluation context of the command that drew it (:class:`SampleSet`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import triple as tr
 from .errors import BadInput, EmptyBox
+from .lowering import evaluate
 from .reports import write_csv
 
 HALTON_BASES = (2, 3, 5, 7, 11)
@@ -73,13 +75,55 @@ def _validate_box(box):
             raise EmptyBox(f"invalid interval [{lo}, {hi}]")
 
 
-@dataclass
+@dataclass(eq=False)
 class SampleSet:
-    points: np.ndarray  # (5, n)
+    """Sample points with their provenance: the evaluation context of one command.
+
+    A sample made by a mask or slice of another keeps that ``parent`` and the
+    ``reason`` it was taken.  ``jets`` evaluates fields on the points through
+    ``lowering.evaluate`` and keeps their jets, keyed by field identity, for
+    as long as the sample lives, so every block of a command that reads the
+    same field on the same sample shares one evaluation.
+    """
+
+    points: np.ndarray  # (5, n), or (5,) for one point
     generator: str
-    box: list
+    box: list | None = None
     seed: int = 0
     resolution: int | None = None
+    parent: SampleSet | None = None
+    reason: str | None = None
+    _jets: dict = field(default_factory=dict, init=False, repr=False)
+
+    def subset(self, keep, reason) -> SampleSet:
+        """The points a boolean mask or a slice keeps; the sample itself when it keeps them all."""
+        if not isinstance(keep, slice) and np.all(keep):
+            return self
+        points = self.points[:, keep]
+        if points.shape == self.points.shape:
+            return self
+        return SampleSet(points, self.generator, self.box, self.seed, self.resolution, self, reason)
+
+    def jets(self, fields, order=0):
+        """The jets of ``fields`` on the points, as ``lowering.evaluate`` gives them.
+
+        Fields not yet held at ``order`` run as one group; their jets are kept
+        read-only.  A jet held at a higher order serves a lower one: its value
+        is the same.
+        """
+        held = self._jets
+        missing = [f for f in dict.fromkeys(fields) if f not in held or held[f].order < order]
+        for f, jet in zip(missing, evaluate(missing, self.points, order)):
+            for array in (jet.value, jet.grad):
+                if array is not None:
+                    array.flags.writeable = False
+            held[f] = jet
+        return [held[f] for f in fields]
+
+
+def as_sample(p) -> SampleSet:
+    """``p`` itself when it is a sample, else a sample of the bare points ``p``."""
+    return p if isinstance(p, SampleSet) else SampleSet(np.asarray(p, dtype=float), "points")
 
 
 def sample_box(box, generator="halton", n=None, resolution=None, seed=0) -> SampleSet:
@@ -126,13 +170,14 @@ def classify_point(triple: tr.PoissonTriple, p, kappa_tol=None, beta_tol=1e-9) -
     return Stratum(LABELS[code[0]], float(kv[0]), float(bn[0]), int(rank[0]))
 
 
-def _classify(triple, pts, kappa_tol=None, beta_tol=1e-9):
+def _classify(triple, p, kappa_tol=None, beta_tol=1e-9):
     """Label codes (indices into LABELS), kappa, |beta| and the SVD rank per point."""
-    kv = np.atleast_1d(triple.kappa_values(pts))
-    bn = np.atleast_1d(triple.beta.norm_values(pts))
+    sample = as_sample(p)
+    kv = np.atleast_1d(triple.kappa_values(sample))
+    bn = np.atleast_1d(triple.beta.norm_values(sample))
     if kappa_tol is None:
-        kappa_tol = triple.kappa_tol(pts)
-    rank = matrix_rank(pi_matrix_values(triple, pts))
+        kappa_tol = triple.kappa_tol(sample)
+    rank = matrix_rank(pi_matrix_values(triple, sample.points))
     coupled = np.abs(kv) > kappa_tol
     code = 2 * coupled + (bn > beta_tol)
     code[coupled & (np.abs(kv) <= 10 * kappa_tol)] = _NEAR
@@ -152,8 +197,8 @@ def strata_columns(triple: tr.PoissonTriple, samples: SampleSet, kappa_tol=None,
     whose formula label disagrees with the SVD rank.
     """
     pts = samples.points
-    code, kv, bn, rank = _classify(triple, pts, kappa_tol, beta_tol)
-    ic = tr.ic_residuals(triple, pts)
+    ic = tr.ic_residuals(triple, samples)
+    code, kv, bn, rank = _classify(triple, samples, kappa_tol, beta_tol)
     labels = np.array(LABELS, dtype=object)[code]
     columns = [*pts, kv, bn, rank, labels, ic["ic1"], ic["ic2"].max(axis=(0, 1)), ic["ic3"].max(axis=0)]
     found, sizes = np.unique(code, return_counts=True)

@@ -13,6 +13,7 @@ import numpy as np
 
 from . import calculus as ca
 from . import connection as cn
+from . import strata as st
 from .calculus import Y_SLOTS, CoordVector, FieldElement
 from .errors import (
     NotAlmostCoupling,
@@ -23,6 +24,7 @@ from .errors import (
 )
 from .fields import ConstField, as_field, is_zero
 from .graded import GradedElement
+from .lowering import evaluate
 from .reports import CheckBlock, VerificationReport, residual_block
 
 
@@ -42,7 +44,7 @@ class VerticalOneForm:
         return FieldElement.form({((), (a,)): self.comps[a - 1] for a in (1, 2, 3)})
 
     def values(self, p):
-        return np.stack([c.at(p, 0).value for c in self.comps])
+        return np.stack([jet.value for jet in st.as_sample(p).jets(self.comps)])
 
     def norm_values(self, p):
         return np.sqrt(np.sum(self.values(p) ** 2, axis=0))
@@ -62,8 +64,8 @@ class Section:
         xs = np.asarray(xs, dtype=float)
         pts = np.zeros((5,) + xs.shape[1:])
         pts[0], pts[1] = xs[0], xs[1]
-        for a in range(3):
-            pts[2 + a] = self.comps[a].at(pts, 0).value
+        for a, jet in enumerate(evaluate(self.comps, pts)):
+            pts[2 + a] = jet.value
         return pts
 
 
@@ -117,7 +119,7 @@ class PoissonTriple:
         return ca.bivector_matrix_fields(vertical_poisson(self.beta))
 
     def kappa_values(self, p):
-        return self.kappa.at(p, 0).value
+        return st.as_sample(p).jets([self.kappa])[0].value
 
     def kappa_tol(self, p, base=1e-9):
         """Coupling-domain tolerance scaled by the sampled magnitude of kappa."""
@@ -131,7 +133,7 @@ class PoissonTriple:
     def domain_mask(self, p, tol=1e-9):
         if self.domain is None:
             return np.ones(np.shape(np.asarray(p)[0]), dtype=bool)
-        return np.abs(self.domain.at(p, 0).value) > tol
+        return np.abs(evaluate([self.domain], p)[0].value) > tol
 
 
 def _scaled_tol(kappa_values, base=1e-9):
@@ -156,9 +158,8 @@ def recover_triple(pi: FieldElement, conn: cn.Connection, probe=None, tol=1e-9):
 
         probe = halton_points(64, [(-1.0, 1.0)] * 5)
     mixed = 0.0
-    for key, f in mov.coeffs.items():
-        if (len(key[0]), len(key[1])) == (1, 1):
-            mixed = max(mixed, float(np.max(np.abs(f.at(probe, 0).value))))
+    for jet in evaluate([f for key, f in mov.coeffs.items() if (len(key[0]), len(key[1])) == (1, 1)], probe):
+        mixed = max(mixed, float(np.max(np.abs(jet.value))))
     if mixed > tol:
         raise NotAlmostCoupling(mixed)
     kappa = mov.coeffs.get(((1, 2), ()), ConstField(0.0))
@@ -186,14 +187,18 @@ def jacobiator_norm(triple: PoissonTriple, p):
     return np.max(np.stack([np.abs(np.asarray(v)) for v in comps.values()]), axis=0)
 
 
+def _input_jets(triple: PoissonTriple, sample):
+    """The 1-jets of the triple's inputs on a sample: beta (3), kappa, gamma (2 x 3)."""
+    jets = sample.jets([*triple.beta.comps, triple.kappa, *triple.conn.gamma[0], *triple.conn.gamma[1]], 1)
+    return jets[:3], jets[3], [jets[4:7], jets[7:]]
+
+
 def ic_residuals(triple: PoissonTriple, p):
     """The three integrability residual groups at p (coordinate formulas)."""
-    g = [[triple.conn.gamma[i][a] for a in range(3)] for i in range(2)]
-    bj = [triple.beta.comps[a].at(p, 1) for a in range(3)]
+    sample = st.as_sample(p)
+    bj, kj, gv = _input_jets(triple, sample)
     bv = [j.value for j in bj]
-    kj = triple.kappa.at(p, 1)
-    rho_v = [f.at(p, 0).value for f in cn.rho_components(triple.conn)]
-    gv = [[g[i][a].at(p, 1) for a in range(3)] for i in range(2)]
+    rho_v = [j.value for j in sample.jets(cn.rho_components(triple.conn))]
 
     def dyb(jet, a):
         return jet.grad[Y_SLOTS[a]]
@@ -232,9 +237,9 @@ def ic_norm(triple: PoissonTriple, p):
 
 def verdict_scale(triple: PoissonTriple, p):
     """1 + max magnitude of the kappa/beta/gamma 1-jets at p."""
+    bj, kj, gv = _input_jets(triple, st.as_sample(p))
     mags = []
-    for f in [triple.kappa, *triple.beta.comps, *triple.conn.gamma[0], *triple.conn.gamma[1]]:
-        jet = f.at(p, 1)
+    for jet in [kj, *bj, *gv[0], *gv[1]]:
         mags.append(np.abs(jet.value))
         mags.append(np.max(np.abs(jet.grad), axis=0))
     return 1.0 + np.max(np.stack(mags), axis=0)
@@ -242,12 +247,13 @@ def verdict_scale(triple: PoissonTriple, p):
 
 def equivalence_check(triple: PoissonTriple, samples, tol=1e-9) -> VerificationReport:
     """Pointwise agreement of the integrability verdict and the Jacobiator verdict."""
-    pts = np.asarray(samples, dtype=float)
-    mask = triple.domain_mask(pts)
-    pts = pts[:, mask] if pts.ndim == 2 else pts
-    ic = ic_norm(triple, pts)
+    sample = st.as_sample(samples)
+    if sample.points.ndim == 2:
+        sample = sample.subset(triple.domain_mask(sample.points), "domain")
+    pts = sample.points
+    ic = ic_norm(triple, sample)
     jac = jacobiator_norm(triple, pts)
-    scale = verdict_scale(triple, pts)
+    scale = verdict_scale(triple, sample)
     ic_pass = ic <= tol
     jac_pass = jac <= tol * scale
     disagree = ic_pass != jac_pass
@@ -289,9 +295,9 @@ def poisson_bracket(triple: PoissonTriple, f, g, p):
     vertical term is the determinant of the vertical gradients against beta.
     """
     f, g = as_field(f), as_field(g)
-    jf, jg = f.at(p, 1), g.at(p, 1)
-    hf = [ca.hor_apply(triple.conn, i, f).at(p, 0).value for i in (1, 2)]
-    hg = [ca.hor_apply(triple.conn, i, g).at(p, 0).value for i in (1, 2)]
+    jf, jg = evaluate([f, g], p, 1)
+    hf = [j.value for j in evaluate([ca.hor_apply(triple.conn, i, f) for i in (1, 2)], p)]
+    hg = [j.value for j in evaluate([ca.hor_apply(triple.conn, i, g) for i in (1, 2)], p)]
     horizontal = triple.kappa_values(p) * (hf[0] * hg[1] - hf[1] * hg[0])
     bv = triple.beta.values(p)
     vertical = np.einsum("a...,a...->...", jf.grad[2:], np.cross(jg.grad[2:], bv, axis=0))
@@ -300,9 +306,7 @@ def poisson_bracket(triple: PoissonTriple, f, g, p):
 
 def poisson_bracket_direct(triple: PoissonTriple, f, g, p):
     """{f, g} = Pi(df, dg) from the assembled coordinate bivector."""
-    f, g = as_field(f), as_field(g)
-    gf = f.at(p, 1).grad
-    gg = g.at(p, 1).grad
+    gf, gg = (j.grad for j in evaluate([as_field(f), as_field(g)], p, 1))
     vals = ca.matrix_values(triple.pi_matrix(), p, order=0)
     return np.einsum("mn...,m...,n...->...", vals, gf, gg)
 
@@ -322,11 +326,10 @@ def hamiltonian_parts(triple: PoissonTriple, F, p):
     """Bigraded pieces of X_F: hor-frame pair and vertical triple."""
     F = as_field(F)
     kv = triple.kappa_values(p)
-    h1F = ca.hor_apply(triple.conn, 1, F).at(p, 0).value
-    h2F = ca.hor_apply(triple.conn, 2, F).at(p, 0).value
+    h1F, h2F = (j.value for j in evaluate([ca.hor_apply(triple.conn, i, F) for i in (1, 2)], p))
     hor_part = np.stack([-kv * h2F, kv * h1F])  # coefficients of hor_1, hor_2
     bv = triple.beta.values(p)
-    dFv = F.at(p, 1).grad[2:]
+    dFv = evaluate([F], p, 1)[0].grad[2:]
     vert = np.cross(bv, dFv, axis=0)
     return hor_part, vert
 
@@ -335,11 +338,9 @@ def casimir_residual(triple: PoissonTriple, c, p):
     """Pair (|kappa d_{1,0} c|, |d_{0,1} c ^ beta|), max-norms at p."""
     c = as_field(c)
     kv = triple.kappa_values(p)
-    r1 = np.max(
-        np.stack([np.abs(kv * ca.hor_apply(triple.conn, i, c).at(p, 0).value) for i in (1, 2)]),
-        axis=0,
-    )
-    dcv = c.at(p, 1).grad[2:]
+    hc = evaluate([ca.hor_apply(triple.conn, i, c) for i in (1, 2)], p)
+    r1 = np.max(np.stack([np.abs(kv * j.value) for j in hc]), axis=0)
+    dcv = evaluate([c], p, 1)[0].grad[2:]
     bv = triple.beta.values(p)
     r2 = np.max(np.abs(np.cross(dcv, bv, axis=0)), axis=0)
     return r1, r2
@@ -356,22 +357,24 @@ def _require_coupling(triple, p, kappa_tol=None):
 
 def poisson_connection_residual(triple: PoissonTriple, p, kappa_tol=None):
     """Max over u in {dx1, dx2} of |L_{hor u} P_beta| at p."""
-    _require_coupling(triple, p, kappa_tol)
+    sample = st.as_sample(p)
+    _require_coupling(triple, sample, kappa_tol)
     pb = triple.p_beta_matrix()
     worst = 0.0
     for i in (1, 2):
-        comps = ca.lie_derivative_bivector(cn.horizontal_lift(i, triple.conn), pb, p)
+        comps = ca.lie_derivative_bivector(cn.horizontal_lift(i, triple.conn), pb, sample.points)
         worst = np.maximum(worst, np.max(np.stack([np.abs(v) for v in comps.values()]), axis=0))
     return worst
 
 
 def cocycle_residual(triple: PoissonTriple, p, kappa_tol=None):
     """Max-norm of the Schouten bracket of Q_H with P_beta at p."""
-    _require_coupling(triple, p, kappa_tol)
+    sample = st.as_sample(p)
+    _require_coupling(triple, sample, kappa_tol)
     qh = ca.moving_to_coord_bivector(
         FieldElement.multivector({((1, 2), ()): -1.0}), triple.conn
     )
-    comps = ca.schouten_bivectors(qh, triple.p_beta_matrix(), p)
+    comps = ca.schouten_bivectors(qh, triple.p_beta_matrix(), sample.points)
     return np.max(np.stack([np.abs(v) for v in comps.values()]), axis=0)
 
 
@@ -382,10 +385,11 @@ def curvature_identity_residual(triple: PoissonTriple, p, kappa_tol=None):
     the check stays meaningful arbitrarily close to the domain boundary,
     where the raw quotient amplifies rounding noise without bound.
     """
-    _require_coupling(triple, p, kappa_tol)
-    curv = cn.curvature(triple.conn, p)
-    kj = triple.kappa.at(p, 1)
-    bv = triple.beta.values(p)
+    sample = st.as_sample(p)
+    _require_coupling(triple, sample, kappa_tol)
+    curv = cn.curvature(triple.conn, sample.points)
+    (kj,) = sample.jets([triple.kappa], 1)
+    bv = triple.beta.values(sample)
     k2 = kj.value**2
     rhs = np.cross(bv, kj.grad[2:], axis=0) / k2
     scale = 1.0 + np.abs(curv) + _cross_magnitude(bv, kj.grad[2:]) / k2
@@ -409,7 +413,7 @@ def c2_residual(triple: PoissonTriple, p):
     beta_form = triple.beta.as_form()
     d10 = ca.d_component(beta_form, triple.conn, (1, 0))
     th = cn.theta(triple.conn)
-    return (d10 + beta_form.wedge(th)).at(p).norm()
+    return (d10 + beta_form.wedge(th)).at(st.as_sample(p).points).norm()
 
 
 def c3_residual(triple: PoissonTriple, p, kappa_tol=None):
@@ -419,12 +423,13 @@ def c3_residual(triple: PoissonTriple, p, kappa_tol=None):
     terms (see curvature_identity_residual) to stay well conditioned near
     the boundary of the coupling domain.
     """
-    _require_coupling(triple, p, kappa_tol)
-    kj = triple.kappa.at(p, 1)
+    sample = st.as_sample(p)
+    _require_coupling(triple, sample, kappa_tol)
+    (kj,) = sample.jets([triple.kappa], 1)
     k2 = kj.value**2
     dinv = -kj.grad[2:] / k2  # vertical gradient of 1/kappa
-    bv = triple.beta.values(p)
-    rho_v = np.stack([f.at(p, 0).value for f in cn.rho_components(triple.conn)])
+    bv = triple.beta.values(sample)
+    rho_v = np.stack([j.value for j in sample.jets(cn.rho_components(triple.conn))])
     # (0,2) pairs (a,b) with the matching rho component carrying -eps_{abc}
     pairs = [(1, 2, 0, -1.0), (0, 2, 1, 1.0), (0, 1, 2, -1.0)]
     worst = 0.0
@@ -437,8 +442,9 @@ def c3_residual(triple: PoissonTriple, p, kappa_tol=None):
 
 def c5_residual(triple: PoissonTriple, p):
     """|d_{0,1} kappa ^ beta| at p (meaningful near the kappa zero set)."""
-    kj = triple.kappa.at(p, 1)
-    bv = triple.beta.values(p)
+    sample = st.as_sample(p)
+    (kj,) = sample.jets([triple.kappa], 1)
+    bv = triple.beta.values(sample)
     return np.max(np.abs(np.cross(kj.grad[2:], bv, axis=0)), axis=0)
 
 
@@ -489,7 +495,7 @@ def flat_triple(conn: cn.Connection, kappa0, beta: VerticalOneForm, samples, tol
     if np.max(worst) > tol:
         i = int(np.argmax(worst))
         raise NotPoissonConnection(float(np.max(worst)), pts[:, i].tolist())
-    dk = kappa0.at(pts, 1).grad[2:]
+    dk = evaluate([kappa0], pts, 1)[0].grad[2:]
     bv = beta.values(pts)
     cas = np.max(np.abs(np.cross(dk, bv, axis=0)), axis=0)
     if np.max(cas) > tol:
@@ -505,9 +511,8 @@ def submanifold_check(triple: PoissonTriple, section: Section, xs, tol=1e-9) -> 
     gv = triple.conn.gamma_values(pts)  # (2, 3, n)
     n = pts.shape[1] if pts.ndim == 2 else 1
     # tangent frame of the graph: tau_i = dx_i + ds^a/dx_i dy_a
-    slopes = np.stack(
-        [np.stack([section.comps[a].at(pts, 1).grad[i] for a in range(3)]) for i in range(2)]
-    )  # (2, 3, n)
+    slope_jets = evaluate(section.comps, pts, 1)
+    slopes = np.stack([np.stack([j.grad[i] for j in slope_jets]) for i in range(2)])  # (2, 3, n)
     res1 = np.zeros(np.shape(kv))
     for i in (1, 2):
         # Pi_20-sharp dx^i: kappa hor_2 for i=1, -kappa hor_1 for i=2
@@ -518,9 +523,7 @@ def submanifold_check(triple: PoissonTriple, section: Section, xs, tol=1e-9) -> 
         for a in range(3):
             vec[2 + a] = -sign * kv * gv[j - 1, a]
         res1 = np.maximum(res1, _distance_from_graph_tangent(vec, slopes))
-    pb_vals = np.stack(
-        [np.abs(np.asarray(f.at(pts, 0).value)) for f in triple.beta.comps]
-    )
+    pb_vals = np.abs(triple.beta.values(pts))
     res2 = np.max(pb_vals, axis=0)
     report = VerificationReport(name="poisson-submanifold")
     report.add(residual_block("horizontal-tangency", res1, pts, tol))
