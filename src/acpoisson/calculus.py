@@ -309,11 +309,10 @@ class CoordVector:
     """Vector field in the coordinate frame: five scalar-field components.
 
     ``values`` runs the components as one straight-line function, compiled on
-    first use (:mod:`~acpoisson.lowering`) and bit-identical to evaluating each
-    component's jet; ``jets`` runs them as one group on the tape
-    (``lowering.evaluate``).  Jets stay the oracle: graphs the lowering cannot
-    express and every domain error go through ``Field.at``, so an error names
-    its failing subexpression.
+    first use (``lowering.lower``) and bit-identical to evaluating each
+    component's jet; graphs the compiler cannot express and every domain error
+    go through ``Field.at``, so an error names its failing subexpression.
+    ``jets`` evaluates the components as one group (``lowering.evaluate``).
     """
 
     __slots__ = ("comps", "_lowered")
@@ -381,7 +380,7 @@ class _Gradients:
 
 
 def _bivector_gradients(matrix_fields, p):
-    """The full value array and the gradient lookup of a bivector, from one tape run."""
+    """The full value array and the gradient lookup of a bivector, from one group evaluation."""
     vals, jets = _bivector_jets(matrix_fields, p, 1)
     return vals, _Gradients(jets, vals)
 

@@ -16,8 +16,12 @@ and a domain error names its subexpression.  Any other operand gives a
 ``BinField`` or ``FuncField``; ``partial`` reads a slot of the parent's jet and
 spends one order.  A node computes its budget, expression flag and variable
 bitmask once, and keeps its derivatives and source text once asked.
-Evaluation walks the tree without a memo, and nodes are inserted into the table
-atomically, so fields are safe to share between threads.
+
+A node's jet is one ``combine`` step applied to the jets of its ``operands``;
+the step holds the node's jet rule and tags its domain errors.  ``Field.at``
+walks the tree without a memo and is the oracle; ``lowering.evaluate`` walks a
+group with one.  Nodes are inserted into the table atomically, so fields are
+safe to share between threads.
 """
 
 from __future__ import annotations
@@ -61,7 +65,7 @@ def _arithmetic(op, swap=False):
 
 
 class Field:
-    """Base class; subclasses implement ``eval_jet``."""
+    """Base class; subclasses implement ``eval_jet``, nodes ``operands`` and ``combine``."""
 
     __slots__ = ()
     budget = 2
@@ -71,15 +75,27 @@ class Field:
     def eval_jet(self, points, order):
         raise NotImplementedError
 
+    def operands(self, order):
+        """The ``(field, order)`` pairs whose jets ``combine`` takes, in evaluation order."""
+        return ()
+
+    def combine(self, points, order, *jets):
+        """The jet at ``points`` from the jets of ``operands(order)``."""
+        return self.eval_jet(points, order)
+
     # evaluation helpers --------------------------------------------------
 
     def at(self, p, order=2) -> Jet:
         """Evaluate to a jet truncated to ``order`` at point(s) ``p``."""
+        self.check_budget(order)
+        return self.eval_jet(as_points(p), order)
+
+    def check_budget(self, order):
+        """Refuse an order beyond the field's jet budget."""
         if order > self.budget:
             raise OrderBudgetExceeded(
                 f"order {order} requested from a field with budget {self.budget}"
             )
-        return self.eval_jet(as_points(p), order)
 
     def value(self, p):
         return self.at(p, order=0).value
@@ -187,6 +203,14 @@ class _Node(Field, metaclass=_Interned):
     def __repr__(self):
         return f"ExprField({self.source!r})" if self.expression else super().__repr__()
 
+    def eval_jet(self, points, order):
+        # the tree walked without a memo: a node reached twice is evaluated twice;
+        # a loop, not a comprehension, so each level of the tree costs one frame
+        jets = []
+        for f, o in self.operands(order):
+            jets.append(f.eval_jet(points, o))
+        return self.combine(points, order, *jets)
+
     def _tag(self, err):
         """Name this node's source in an untagged domain error raised while evaluating it."""
         if self.expression and err.subexpr is None:
@@ -226,7 +250,7 @@ class _Leaf(_Node):  # a number or a named constant
     expression = True
     mask = 0
 
-    def eval_jet(self, points, order):
+    def combine(self, points, order):
         return Jet.constant(self.value, points.shape[1:], order)
 
 
@@ -265,7 +289,7 @@ class Var(_Node):
         self.k = k
         self.mask = 1 << k
 
-    def eval_jet(self, points, order):
+    def combine(self, points, order):
         return Jet.coordinate(self.k, points[self.k], order)
 
 
@@ -276,8 +300,11 @@ class Neg(_Node):
         _derive(self, True, arg, arg)
         self.arg = arg
 
-    def eval_jet(self, points, order):
-        return -self.arg.eval_jet(points, order)
+    def operands(self, order):
+        return ((self.arg, order),)
+
+    def combine(self, points, order, a):
+        return -a
 
 
 class Pow(_Node):
@@ -288,8 +315,11 @@ class Pow(_Node):
         self.base = base
         self.exponent = exponent
 
-    def eval_jet(self, points, order):
-        return self.base.eval_jet(points, order).powi(self.exponent)
+    def operands(self, order):
+        return ((self.base, order),)
+
+    def combine(self, points, order, a):
+        return a.powi(self.exponent)
 
 
 class BinOp(_Node):
@@ -308,9 +338,10 @@ class BinOp(_Node):
         self.left = left
         self.right = right
 
-    def eval_jet(self, points, order):
-        a = self.left.eval_jet(points, order)
-        b = self.right.eval_jet(points, order)
+    def operands(self, order):
+        return ((self.left, order), (self.right, order))
+
+    def combine(self, points, order, a, b):
         try:
             return _ARITH[self.op](a, b)
         except DomainError as err:
@@ -341,10 +372,12 @@ class Call(_Node):
         self.func = func  # a key of BUILTIN_JET_RULES
         self.arg = arg
 
-    def eval_jet(self, points, order):
-        arg = self.arg.eval_jet(points, order)
+    def operands(self, order):
+        return ((self.arg, order),)
+
+    def combine(self, points, order, a):
         try:
-            return BUILTIN_JET_RULES[self.func](arg)
+            return BUILTIN_JET_RULES[self.func](a)
         except DomainError as err:
             self._tag(err)
             raise
@@ -374,12 +407,14 @@ class PartialField(_Node):
         self.parent = parent
         self.k = k
 
-    def eval_jet(self, points, order):
+    def operands(self, order):
         if order > self.budget:
             raise OrderBudgetExceeded(
                 f"order {order} requested from a derivative field with budget {self.budget}"
             )
-        jet = self.parent.eval_jet(points, order + 1)
+        return ((self.parent, order + 1),)
+
+    def combine(self, points, order, jet):
         grad = jet.hess[self.k] if order >= 1 else None
         return Jet(jet.grad[self.k], grad, None)
 

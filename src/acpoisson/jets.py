@@ -44,7 +44,7 @@ class Jet:
     def constant(c, shape, order):
         g = np.zeros((NVARS,) + shape) if order >= 1 else None
         h = np.zeros((NVARS, NVARS) + shape) if order >= 2 else None
-        return Jet(np.broadcast_to(np.asarray(float(c)), shape).copy(), g, h)
+        return Jet(np.full(shape, float(c)), g, h)
 
     @staticmethod
     def coordinate(k, values, order):

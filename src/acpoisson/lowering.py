@@ -1,44 +1,33 @@
-"""Straight-line evaluation of field groups: one emitter, two back ends.
+"""Evaluation of field groups: one memoized jet walk, plus one compiler.
 
-Fields are interned nodes (:mod:`~acpoisson.fields`), so a subexpression that
-several fields of a group share is already one object, and the emitter walks
-the nodes as they are.  ``PartialField(parent, k)`` is the parent's
-forward-mode derivative slot ``k`` (slot ``(k, j)`` for a partial of a
-partial).  The emitter gives each node the highest derivative order any use
-needs and writes one line per needed (node, slot) pair, in dependency order,
-sharing lines that repeat.
-
-Both back ends read that one line list:
-
-* :func:`lower` renders it as the text of a Python function and compiles it.
-  ``CoordVector.values`` keeps the function on the instance, because the RK4
-  right-hand side calls it hundreds of times.
-* :func:`evaluate` runs it once as a tape, one numpy operation per line, and
-  frees each temporary after its last use.  It serves the batch evaluations
-  of a whole group at orders 0 and 1: ``FieldElement.at``, the bivector
-  kernels of :mod:`~acpoisson.calculus`, ``CoordVector.jets`` and the jets a
-  ``strata.SampleSet`` holds.
-
-Each line does what the jet path does, operation for operation: the same
-numpy operation on operands of the same shape, with the builtins, powers and
-reciprocals applied through the value-level rules of :mod:`~acpoisson.jets`.
-The emitter eliminates common subexpressions and nothing else: ``0*x`` and
-``x + 0`` are computed as written, because skipping them could flip the sign
-of a zero or lose a NaN.  The results are therefore bit-identical to
-``f.at(p, order)``, and the jet path remains the oracle: a graph that holds a
-node of any other kind, and every domain error, goes through the jets, so the
-error names its failing subexpression.
+* :func:`evaluate` serves every batch evaluation of a group of fields, at
+  every size and order.  It runs the jets' own ``operands``/``combine`` steps
+  (:mod:`~acpoisson.fields`), as ``Field.at`` does, but combines each (node,
+  order) pair once and drops a jet after its last consumer: forward mode over
+  a shared graph (Griewank & Walther, *Evaluating Derivatives*, 2nd ed., SIAM
+  2008, ch. 6).  Its results are bit-identical to ``f.at(p, order)``, which
+  walks the tree without a memo and stays the oracle, and a domain error
+  names its failing subexpression.
+* :func:`lower` compiles the components of a vector field into one
+  straight-line Python function, which ``CoordVector.values`` keeps because
+  the RK4 right-hand side calls it hundreds of times.  ``PartialField(parent,
+  k)`` is the parent's derivative slot ``k`` (``(k, j)`` for a partial of a
+  partial).  The emitter gives each node the highest order any use needs and
+  writes one line per needed (node, slot) pair, in dependency order, sharing
+  lines that repeat.  Each line performs the jets' numpy operation on
+  operands of the same shape, through the value-level rules of
+  :mod:`~acpoisson.jets`, and nothing is skipped: ``0*x`` and ``x + 0`` are
+  computed as written, because skipping them could flip the sign of a zero or
+  lose a NaN.
 """
 
 from __future__ import annotations
 
 import functools
-import operator
 
 import numpy as np
 
-from .errors import DomainError
-from .fields import NVARS, BinOp, Call, Const, Neg, Num, PartialField, Pow, Var, as_points
+from .fields import BinOp, Call, Const, Neg, Num, PartialField, Pow, Var, as_points
 from .jets import BUILTIN_RULES, Jet, powi_rule, reciprocal_rule
 
 # jets carry derivatives up to the Hessian
@@ -93,30 +82,21 @@ def _parts(node):
 # line operations ---------------------------------------------------------------
 #
 # A line is ``(targets, op, operands)``: ``op`` is a tuple ``(kind, *params)``
-# and the operands are temps.  ``C`` and ``P`` read the run's constants and
-# points; rules return ``(f, d1, d2)`` and a one-target line keeps ``f``.  Every
-# other kind is a pure expression, written once as text for the compiled back
-# end and once as a function for the tape.
+# and the operands are temps.  ``C`` and ``P`` read the constants and points;
+# rules return ``(f, d1, d2)`` and a one-target line keeps ``f``.  Every other
+# kind is a pure expression, given here as text.
 
 _EXPRESSIONS = {
-    "neg": ("-{}", operator.neg),
-    "add": ("{} + {}", operator.add),
-    "sub": ("{} - {}", operator.sub),
-    "mul": ("{} * {}", operator.mul),
+    "neg": "-{}",
+    "add": "{} + {}",
+    "sub": "{} - {}",
+    "mul": "{} * {}",
     # first derivative slot of a product
-    "dmul": ("{} * {} + {} * {}", lambda a, b, c, d: a * b + c * d),
+    "dmul": "{} * {} + {} * {}",
     # Hessian slots of a product and of a chain rule: np.einsum builds each
     # outer-product entry as 0.0 + x*y, so a -0.0 product enters as +0.0
-    "hmul": (
-        "{} * {} + {} * {} + ({} * {} + 0.0) + ({} * {} + 0.0)",
-        lambda a, b, c, d, e, f, g, h: a * b + c * d + (e * f + 0.0) + (g * h + 0.0),
-    ),
-    "hchain": ("{} * {} + {} * ({} * {} + 0.0)", lambda a, b, c, d, e: a * b + c * (d * e + 0.0)),
-}
-_RULES = {
-    "rec": lambda op, x: reciprocal_rule(x),
-    "powi": lambda op, x: powi_rule(x, op[1], op[2]),
-    "call": lambda op, x: BUILTIN_RULES[op[1]](x),
+    "hmul": "{} * {} + {} * {} + ({} * {} + 0.0) + ({} * {} + 0.0)",
+    "hchain": "{} * {} + {} * ({} * {} + 0.0)",
 }
 
 
@@ -236,14 +216,13 @@ class _Emitter:
         return out
 
 
-def _emit(fields, order):
-    """Lines, output temps and constants of every field's value and, at order 1, gradient slots."""
+def _emit(fields):
+    """Lines, output temps and constants of every field's value."""
     emitter = _Emitter()
     refs = [_locate(f) for f in fields]
     for ref in refs:
-        emitter.need(ref, order)
-    slots = [()] + [(k,) for k in range(NVARS)] * order
-    outputs = [emitter.get(ref, slot) for ref in refs for slot in slots]
+        emitter.need(ref)
+    outputs = [emitter.get(ref) for ref in refs]
     return emitter.lines, outputs, emitter.consts
 
 
@@ -264,7 +243,7 @@ def _dying(lines, outputs):
     return dead
 
 
-# back end 1: compiled text ---------------------------------------------------------
+# compiled text ---------------------------------------------------------------------
 
 
 def _text(op, names, ntargets):
@@ -274,7 +253,7 @@ def _text(op, names, ntargets):
     if kind == "P":
         return f"P[{op[1]}]"
     if kind in _EXPRESSIONS:
-        return _EXPRESSIONS[kind][0].format(*names)
+        return _EXPRESSIONS[kind].format(*names)
     if kind == "rec":
         call = f"reciprocal_rule({names[0]})"
     elif kind == "powi":
@@ -318,7 +297,7 @@ def lower(comps):
     raises it tagged with the failing subexpression.
     """
     try:
-        lines, outputs, consts = _emit(comps, 0)
+        lines, outputs, consts = _emit(comps)
     except (NotLowerable, RecursionError):
         return None
     text = _source(lines, outputs)
@@ -328,87 +307,63 @@ def lower(comps):
     return functools.partial(_call, scope["lowered"])
 
 
-def _inputs(points):
-    """The points and the constant maker of a run, shaped as the jets shape them."""
+def _call(fn, points):
+    """Run a compiled function with points and constants shaped as the jets shape them."""
     shape = points.shape[1:]
     if shape:
         # constants take the batch shape, as Jet.constant gives them, and rows
         # are contiguous like the copies Jet.coordinate makes
-        return np.ascontiguousarray(points), functools.partial(np.full, shape)
+        return fn(np.ascontiguousarray(points), functools.partial(np.full, shape))
     # at one point the values are numpy scalars where jets hold 0-d arrays:
     # + - * / round alike on both, and powi_rule makes its own 0-d array
-    return points, np.float64
+    return fn(points, np.float64)
 
 
-def _call(fn, points):
-    return fn(*_inputs(points))
-
-
-# back end 2: tape ------------------------------------------------------------------
-
-
-def _run(lines, outputs, consts, points):
-    """Execute the lines in order into one array holding every output.
-
-    Each output is copied into its row as soon as it is computed, and a temp
-    is dropped after its last use, so no output outlives its last reader.
-    """
-    P, C = _inputs(points)
-    rows = {}  # temp -> its rows in the result
-    for i, t in enumerate(outputs):
-        rows.setdefault(t, []).append(i)
-    result = np.empty((len(outputs),) + points.shape[1:])
-    vals = {}
-    for (targets, op, operands), dead in zip(lines, _dying(lines, ())):
-        kind = op[0]
-        if kind == "C":
-            vals[targets[0]] = C(consts[op[1]])
-        elif kind == "P":
-            vals[targets[0]] = P[op[1]]
-        elif kind in _EXPRESSIONS:
-            vals[targets[0]] = _EXPRESSIONS[kind][1](*[vals[t] for t in operands])
-        else:
-            out = _RULES[kind](op, vals[operands[0]])
-            if len(targets) == 1:
-                vals[targets[0]] = out[0]
-            else:
-                vals.update(zip(targets, out))
-        for t in targets:
-            for i in rows.get(t, ()):
-                result[i] = vals[t]
-        for t in dead:
-            del vals[t]
-    return result
+# the memoized jet walk --------------------------------------------------------------
 
 
 def evaluate(fields, points, order=0):
     """The jets of ``fields`` at ``points``, as ``[f.at(points, order) for f in fields]``.
 
-    The group runs as one tape at orders 0 and 1, bit-identical to the jets;
-    each field's value and gradient are rows of one array.  Higher orders,
-    graphs the lowering cannot express, exhausted budgets and domain errors
-    take the jet path, so errors and their messages are the jets' own.
+    Each (node, order) pair is combined once, in the order the jets first reach
+    it, and its jet is dropped after its last consumer.  Every output owns its
+    arrays, also when a field repeats.
     """
     fields = list(fields)
     if not fields:
         return []
     points = as_points(points)
-    if order > 1 or any(order > f.budget for f in fields):
-        return _jets(fields, points, order)
-    try:
-        tape = _emit(fields, order)
-    except (NotLowerable, RecursionError):
-        return _jets(fields, points, order)
-    try:
-        result = _run(*tape, points)
-    except DomainError:
-        return _jets(fields, points, order)  # raises it again, tagged
-    width = 1 + NVARS * order
-    return [
-        Jet(result[i], result[i + 1 : i + width] if order else None)
-        for i in range(0, len(result), width)
-    ]
+    for f in fields:
+        f.check_budget(order)
+    steps, users = [], {}  # (pair, its operand pairs) in post-order; pair -> consumer count
 
+    def visit(pair):
+        ops = pair[0].operands(pair[1])
+        for op in ops:
+            if op in users:
+                users[op] += 1
+            else:
+                users[op] = 1
+                visit(op)
+        steps.append((pair, ops))
 
-def _jets(fields, points, order):
-    return [f.at(points, order) for f in fields]
+    wanted = {}  # output pair -> its positions in the result
+    for i, f in enumerate(fields):
+        pair = (f, order)
+        if pair not in users:
+            users[pair] = 0
+            visit(pair)
+        wanted.setdefault(pair, []).append(i)
+    held, result = {}, [None] * len(fields)
+    for pair, ops in steps:
+        jet = pair[0].combine(points, pair[1], *map(held.__getitem__, ops))
+        for op in ops:
+            users[op] -= 1
+            if not users[op]:
+                del held[op]
+        if users[pair]:
+            held[pair] = jet
+        for i in wanted.get(pair, ()):
+            g, h = jet.grad, jet.hess
+            result[i] = Jet(jet.value.copy(), None if g is None else g.copy(), None if h is None else h.copy())
+    return result

@@ -78,7 +78,7 @@ def modular_direct(triple: tr.PoissonTriple, a, p):
         a = None
     if a is not None and np.any(a.at(p, 0).value == 0.0):
         raise ZeroVolumeFactor("volume factor vanishes at a requested point")
-    # evaluated once: one tape run, nothing compiled
+    # evaluated once: one group walk, nothing compiled
     return np.stack([jet.value for jet in evaluate(modular_direct_fields(triple, a).comps, p, 0)])
 
 

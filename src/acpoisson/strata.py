@@ -107,14 +107,14 @@ class SampleSet:
     def jets(self, fields, order=0):
         """The jets of ``fields`` on the points, as ``lowering.evaluate`` gives them.
 
-        Fields not yet held at ``order`` run as one group; their jets are kept
-        read-only.  A jet held at a higher order serves a lower one: its value
-        is the same.
+        Fields not yet held at ``order`` are evaluated in one walk over the
+        group, and their jets are kept read-only.  A jet held at a higher order
+        serves a lower one: its value is the same.
         """
         held = self._jets
         missing = [f for f in dict.fromkeys(fields) if f not in held or held[f].order < order]
         for f, jet in zip(missing, evaluate(missing, self.points, order)):
-            for array in (jet.value, jet.grad):
+            for array in (jet.value, jet.grad, jet.hess):
                 if array is not None:
                     array.flags.writeable = False
             held[f] = jet
@@ -137,10 +137,12 @@ def sample_box(box, generator="halton", n=None, resolution=None, seed=0) -> Samp
 
 
 def matrix_rank(mats, threshold=1e-9):
-    """Even rank of antisymmetric 5x5 matrices via singular values.
+    """Rank of stacked 5-row matrices via singular values.
 
-    ``mats`` has shape (..., 5, 5); the cut is relative to the largest
-    singular value of each matrix (a zero matrix has rank 0).
+    ``mats`` has shape (..., 5, m): antisymmetric 5x5 bivectors, whose rank is
+    even, or joined ``[A | B]`` pairs of shape (..., 5, 10).  The cut is
+    relative to the largest singular value of each matrix (a zero matrix has
+    rank 0).
     """
     svals = np.linalg.svd(mats, compute_uv=False)
     top = svals[..., :1]

@@ -4,6 +4,7 @@ import pytest
 from acpoisson import connection as cn
 from acpoisson import fuzz
 from acpoisson import gauge as ga
+from acpoisson import model as md
 from acpoisson import strata as st
 from acpoisson import triple as tr
 from acpoisson.errors import EmptyBox
@@ -128,3 +129,17 @@ def test_csv_roundtrip(tmp_path, sec5):
     header = path.read_text().splitlines()[0]
     assert header == "x1,x2,y1,y2,y3,kappa,beta_norm,rank,label,ic1,ic2,ic3"
     assert len(path.read_text().splitlines()) == 33
+
+
+@pytest.mark.parametrize("name", sorted(md.BUILTIN_MODELS))
+def test_joint_rank_of_a_matrix_with_itself_is_its_rank(name):
+    # gauge.characteristic_compare passes joined (..., 5, 10) [A | B] matrices
+    model = md.resolve(name)
+    triple = model.effective_triple()
+    pts = model.samples(40).points
+    pts = pts[:, triple.domain_mask(pts)][:, :8]
+    a = st.pi_matrix_values(triple, pts)
+    joint = np.concatenate([a, a], axis=-1)
+    assert joint.shape == (pts.shape[1], 5, 10)
+    assert st.matrix_rank(joint).tolist() == st.matrix_rank(a).tolist()
+    assert set(st.matrix_rank(a).tolist()) <= {0, 2, 4}
