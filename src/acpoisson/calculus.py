@@ -1,7 +1,9 @@
 """Field-level exterior calculus and coordinate-frame tensor kernels.
 
-:class:`FieldElement` is a form/multivector whose coefficients are scalar
-fields; it evaluates to a :class:`~acpoisson.graded.GradedElement` at a point.
+:class:`FieldElement` is the bigraded algebra of :mod:`acpoisson.graded` with
+scalar-field coefficients: it inherits the sums, wedges and projections, never
+stores a zero field under a new key, and evaluates to a
+:class:`~acpoisson.graded.GradedElement` at a point.
 The split exterior differential, the Schouten bracket of bivector fields, Lie
 derivatives and divergences live here, together with the moving-frame to
 coordinate-frame conversions (hor_i = d/dx_i - gamma_i^a d/dy_a).
@@ -21,75 +23,17 @@ X_SLOTS = (0, 1)
 Y_SLOTS = (2, 3, 4)
 
 
-class FieldElement:
+class FieldElement(GradedElement):
     """Graded element with field coefficients, evaluable at chart points."""
 
-    __slots__ = ("kind", "coeffs")
+    __slots__ = ()
 
-    def __init__(self, kind, coeffs=None):
-        self.kind = kind
-        self.coeffs = {}
-        if coeffs:
-            for key, c in coeffs.items():
-                self._add(key, as_field(c))
-
-    def _add(self, key, f):
-        if is_zero(f):
-            if key not in self.coeffs:
-                return
+    def _add(self, key, c):
+        f = as_field(c)
         if key in self.coeffs:
             self.coeffs[key] = self.coeffs[key] + f
-        else:
+        elif not is_zero(f):
             self.coeffs[key] = f
-
-    @classmethod
-    def form(cls, coeffs=None):
-        return cls("form", coeffs)
-
-    @classmethod
-    def multivector(cls, coeffs=None):
-        return cls("mv", coeffs)
-
-    def __add__(self, other):
-        if other == 0:
-            return FieldElement(self.kind, dict(self.coeffs))
-        if self.kind != other.kind:
-            raise ValueError("cannot add elements of different kinds")
-        out = FieldElement(self.kind, dict(self.coeffs))
-        for key, f in other.coeffs.items():
-            out._add(key, f)
-        return out
-
-    __radd__ = __add__
-
-    def scale(self, s):
-        s = as_field(s)
-        return FieldElement(self.kind, {k: f * s for k, f in self.coeffs.items()})
-
-    def __neg__(self):
-        return self.scale(-1.0)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def wedge(self, other):
-        if self.kind != other.kind:
-            raise ValueError("wedge requires elements of the same kind")
-        out = FieldElement(self.kind)
-        for ka, fa in self.coeffs.items():
-            for kb, fb in other.coeffs.items():
-                merged = wedge_keys(ka, kb)
-                if merged is None:
-                    continue
-                sign, key = merged
-                term = fa * fb
-                out._add(key, term if sign > 0 else term * -1.0)
-        return out
-
-    def project(self, p, q):
-        return FieldElement(
-            self.kind, {k: f for k, f in self.coeffs.items() if (len(k[0]), len(k[1])) == (p, q)}
-        )
 
     def at(self, p, order=0) -> GradedElement:
         """Evaluate coefficients at point(s) p; order>0 is rarely needed."""
@@ -97,10 +41,6 @@ class FieldElement:
 
     def min_budget(self):
         return min((f.budget for f in self.coeffs.values()), default=2)
-
-    def __repr__(self):
-        items = ", ".join(str(k) for k in sorted(self.coeffs))
-        return f"FieldElement({self.kind}, keys=[{items}])"
 
 
 def evaluate_elements(elements, p, order=0):
@@ -157,6 +97,8 @@ def exterior_d_field(xi: FieldElement, conn, detas=None) -> FieldElement:
     out = FieldElement.form()
     for key, c in xi.coeffs.items():
         h, v = key
+        if len(h) + len(v) == 5:
+            continue  # d of a top-degree form vanishes; its wedges would overflow
         # dc ^ monomial
         for i in (1, 2):
             merged = wedge_keys(((i,), ()), key)
@@ -219,89 +161,61 @@ def cochain_residuals(conn, test: FieldElement, p):
 # frame conversions ----------------------------------------------------------
 
 
-def coord_basis_in_moving(conn):
-    """Coordinate frame vectors written in the moving frame, as FieldElements."""
+def _frame(conn, sign):
+    """One frame's vectors written in the other, keyed by basis factor ('h', i) or ('v', a).
+
+    hor_i = d/dx_i - gamma_i^a d/dy_a: ``sign`` -1.0 gives the moving frame in
+    coordinates, +1.0 the coordinate frame in the moving one; dy_a is shared.
+    """
     basis = {}
     for i in (1, 2):
         coeffs = {((i,), ()): 1.0}
         for a in (1, 2, 3):
             g = conn.gamma[i - 1][a - 1]
             if not is_zero(g):
-                coeffs[((), (a,))] = g
-        basis[i - 1] = FieldElement.multivector(coeffs)
-    for a in (1, 2, 3):
-        basis[2 + a - 1] = FieldElement.multivector({((), (a,)): 1.0})
-    return basis
-
-
-def moving_basis_in_coord(conn):
-    """Moving frame vectors written in the coordinate frame (same key layout)."""
-    basis = {}
-    for i in (1, 2):
-        coeffs = {((i,), ()): 1.0}
-        for a in (1, 2, 3):
-            g = conn.gamma[i - 1][a - 1]
-            if not is_zero(g):
-                coeffs[((), (a,))] = g * -1.0
+                coeffs[((), (a,))] = g if sign > 0 else g * -1.0
         basis[("h", i)] = FieldElement.multivector(coeffs)
     for a in (1, 2, 3):
         basis[("v", a)] = FieldElement.multivector({((), (a,)): 1.0})
     return basis
 
 
-def _convert_bivector(P: FieldElement, basis_map) -> FieldElement:
+def _convert_bivector(P: FieldElement, frame) -> FieldElement:
     out = FieldElement.multivector()
     for key, c in P.coeffs.items():
         factors = key_factors(key)
         if len(factors) != 2:
             raise ValueError("expected a bivector")
         fa, fb = factors
-        ea = basis_map[fa] if fa in basis_map else basis_map[_slot(fa)]
-        eb = basis_map[fb] if fb in basis_map else basis_map[_slot(fb)]
-        term = ea.wedge(eb).scale(c)
+        term = frame[fa].wedge(frame[fb]).scale(c)
         for nk, nf in term.coeffs.items():
             out._add(nk, nf)
     return out
 
 
-def _slot(factor):
-    kind, idx = factor
-    return idx - 1 if kind == "h" else 2 + idx - 1
-
-
 def moving_to_coord_bivector(P: FieldElement, conn) -> FieldElement:
     """Expand hor_i factors; the result's keys read as coordinate indices."""
-    return _convert_bivector(P, moving_basis_in_coord(conn))
+    return _convert_bivector(P, _frame(conn, -1.0))
 
 
 def coord_to_moving_bivector(P: FieldElement, conn) -> FieldElement:
     """Re-bigrade a coordinate bivector with respect to the given connection."""
-    return _convert_bivector(P, coord_basis_in_moving(conn))
+    return _convert_bivector(P, _frame(conn, 1.0))
 
 
 # coordinate-frame kernels ---------------------------------------------------
 
-_PAIR_TO_COORDS = {}
-for _i in (1, 2):
-    _PAIR_TO_COORDS[((_i,), ())] = None
-_PAIR_TO_COORDS[((1, 2), ())] = (0, 1)
-for _i in (1, 2):
-    for _a in (1, 2, 3):
-        _PAIR_TO_COORDS[((_i,), (_a,))] = (_i - 1, 2 + _a - 1)
-for _a in (1, 2, 3):
-    for _b in (1, 2, 3):
-        if _a < _b:
-            _PAIR_TO_COORDS[((), (_a, _b))] = (2 + _a - 1, 2 + _b - 1)
+_COORD = {("h", 1): 0, ("h", 2): 1, ("v", 1): 2, ("v", 2): 3, ("v", 3): 4}  # basis factor -> slot
 
 
 def bivector_matrix_fields(P: FieldElement):
     """Dict {(mu, nu): Field} with mu < nu over coordinate slots 0..4."""
     out = {}
     for key, c in P.coeffs.items():
-        pair = _PAIR_TO_COORDS.get(key)
-        if pair is None:
+        factors = key_factors(key)
+        if len(factors) != 2:
             raise ValueError(f"not a coordinate bivector key: {key}")
-        out[pair] = out[pair] + c if pair in out else c
+        out[_COORD[factors[0]], _COORD[factors[1]]] = c
     return out
 
 

@@ -77,7 +77,7 @@ def run_check(model: md.ModelFile, n=None, tol=None) -> VerificationReport:
     # almost-coupling: the mixed component of the re-bigraded tensor
     mov = ca.coord_to_moving_bivector(triple.pi_coord(), triple.conn)
     mixed = np.zeros(pts.shape[1])
-    for jet in evaluate([f for key, f in mov.coeffs.items() if (len(key[0]), len(key[1])) == (1, 1)], pts):
+    for jet in evaluate(mov.project(1, 1).coeffs.values(), pts):
         mixed = np.maximum(mixed, np.abs(jet.value))
     report.add(residual_block("almost-coupling", np.atleast_1d(mixed), pts, identity_tol))
 
@@ -211,13 +211,18 @@ def cmd_modular(args):
 def cmd_gauge(args):
     import os
 
+    eps_values = [args.epsilon] if args.epsilon is not None else []
+    if args.sweep:
+        try:
+            eps_values += [float(tok) for tok in args.sweep.split(",") if tok.strip()]
+        except ValueError:
+            raise BadInput(f"--sweep needs comma-separated numbers, got {args.sweep!r}") from None
+    if not all(math.isfinite(eps) for eps in eps_values):
+        raise BadInput(f"epsilon values must be finite, got {eps_values}")
     model = md.resolve(args.model)
     if model.gauge is None:
         print("model has no [gauge] section to sweep", file=sys.stderr)
         return EXIT_INPUT
-    eps_values = [args.epsilon] if args.epsilon is not None else []
-    if args.sweep:
-        eps_values += [float(tok) for tok in args.sweep.split(",") if tok.strip()]
     if not eps_values:
         print("give --epsilon or --sweep", file=sys.stderr)
         return EXIT_INPUT

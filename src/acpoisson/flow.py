@@ -20,12 +20,11 @@ from .reports import CheckBlock, VerificationReport, write_csv
 class Trajectory:
     """Uniform-step trajectory of a Hamiltonian flow."""
 
-    def __init__(self, times, states, hamiltonian, dt, method="rk4", truncated=False, halving_error=None):
+    def __init__(self, times, states, hamiltonian, dt, truncated=False, halving_error=None):
         self.times = times
         self.states = states  # (5, n_steps+1)
         self.hamiltonian = hamiltonian
         self.dt = dt
-        self.method = method
         self.truncated = truncated
         self.halving_error = halving_error
 

@@ -87,7 +87,7 @@ def varkappa_intrinsic(triple: tr.PoissonTriple, gauge: GaugeData, p, epsilon=No
     return base + eps * bracket
 
 
-def family(triple: tr.PoissonTriple, gauge: GaugeData, epsilon, probe=None, tol=1e-9):
+def family(triple: tr.PoissonTriple, gauge: GaugeData, epsilon, probe=None):
     """The eps-member of the deformation family; eps = 0 returns the input."""
     if epsilon == 0.0:
         return triple
@@ -97,7 +97,7 @@ def family(triple: tr.PoissonTriple, gauge: GaugeData, epsilon, probe=None, tol=
     denom = 1.0 - triple.kappa * (vk - gauge.c) * epsilon
     if probe is not None:
         vals = denom.at(probe, 0).value
-        if np.all(np.abs(vals) <= tol):
+        if np.all(np.abs(vals) <= 1e-9):
             raise EmptyDomain("transformation denominator vanishes on every probe point")
     kappa_new = triple.kappa / denom
     return tr.PoissonTriple(new_conn, kappa_new, triple.beta, domain=denom)
@@ -125,7 +125,7 @@ def domain_indicator(triple: tr.PoissonTriple, gauge: GaugeData, epsilon, p):
     return denom.at(p, 0).value
 
 
-def characteristic_compare(tripleA: tr.PoissonTriple, tripleB: tr.PoissonTriple, p, tol=1e-9):
+def characteristic_compare(tripleA: tr.PoissonTriple, tripleB: tr.PoissonTriple, p):
     """Compare the pointwise images of the two sharp maps by rank.
 
     The distributions agree at p iff rank(A) == rank(B) == rank([A | B]).
@@ -134,9 +134,9 @@ def characteristic_compare(tripleA: tr.PoissonTriple, tripleB: tr.PoissonTriple,
         raise OutsideDomain("characteristic comparison outside the definition domain")
     ma = st.pi_matrix_values(tripleA, p)
     mb = st.pi_matrix_values(tripleB, p)
-    ra = st.matrix_rank(ma, tol)
-    rb = st.matrix_rank(mb, tol)
-    rab = st.matrix_rank(np.concatenate([ma, mb], axis=-1), tol)
+    ra = st.matrix_rank(ma)
+    rb = st.matrix_rank(mb)
+    rab = st.matrix_rank(np.concatenate([ma, mb], axis=-1))
     return {
         "rank_a": ra,
         "rank_b": rb,

@@ -3,8 +3,11 @@
 Elements live over the moving frame {hor_1, hor_2, dy_1, dy_2, dy_3} (multi-
 vectors) and coframe {dx^1, dx^2, eta^1, eta^2, eta^3} (forms).  A monomial is
 keyed ``(h, v)`` with ``h`` a strictly increasing tuple from {1,2} and ``v``
-from {1,2,3}; horizontal factors always precede vertical ones.  Coefficients
-are floats or numpy arrays (point batches).
+from {1,2,3}; horizontal factors always precede vertical ones.  This is the
+one bigraded algebra of the package: :class:`GradedElement` holds floats or
+numpy arrays (point batches), and its subclass
+:class:`~acpoisson.calculus.FieldElement` holds scalar fields and adds only
+how a coefficient is stored and how the element is evaluated at points.
 
 Sign conventions (fixed once, used everywhere):
 
@@ -119,7 +122,7 @@ class GradedElement:
         return cls("mv", coeffs)
 
     def copy(self):
-        return GradedElement(self.kind, dict(self.coeffs))
+        return type(self)(self.kind, dict(self.coeffs))
 
     def max_degree(self):
         return max((mono_degree(k) for k in self.coeffs), default=0)
@@ -140,7 +143,7 @@ class GradedElement:
         return self + other.scale(-1.0)
 
     def scale(self, s):
-        return GradedElement(self.kind, {k: c * s for k, c in self.coeffs.items()})
+        return type(self)(self.kind, {k: c * s for k, c in self.coeffs.items()})
 
     def __neg__(self):
         return self.scale(-1.0)
@@ -150,19 +153,22 @@ class GradedElement:
             raise ValueError("wedge requires elements of the same kind")
         if self.coeffs and other.coeffs and self.max_degree() + other.max_degree() > 5:
             raise DegreeOverflow("wedge exceeds the chart's top degree 5")
-        out = GradedElement(self.kind)
+        out = type(self)(self.kind)
         for ka, ca in self.coeffs.items():
             for kb, cb in other.coeffs.items():
                 merged = wedge_keys(ka, kb)
                 if merged is None:
                     continue
                 sign, key = merged
-                out._add(key, ca * cb * sign)
+                term = ca * cb
+                # not ``term * sign``: a field times 1.0 is a new node whose
+                # product rule turns a -0.0 gradient slot into +0.0
+                out._add(key, term if sign > 0 else term * -1.0)
         return out
 
     def project(self, p, q):
         """Keep exactly the (p, q) bidegree monomials."""
-        return GradedElement(
+        return type(self)(
             self.kind, {k: c for k, c in self.coeffs.items() if (len(k[0]), len(k[1])) == (p, q)}
         )
 
@@ -185,7 +191,7 @@ class GradedElement:
 
     def __repr__(self):
         items = ", ".join(f"{k}: {c}" for k, c in sorted(self.coeffs.items()))
-        return f"GradedElement({self.kind}, {{{items}}})"
+        return f"{type(self).__name__}({self.kind}, {{{items}}})"
 
 
 def wedge(a, b):

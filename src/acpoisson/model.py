@@ -195,6 +195,8 @@ def loads(text: str) -> ModelFile:
             gauge["epsilon"] = float(g.get("epsilon", "0"))
         except ValueError as err:
             raise ModelParseError(f"[gauge] epsilon: {err}") from err
+        if not np.isfinite(gauge["epsilon"]):
+            raise ModelParseError(f"[gauge] epsilon must be finite, got {g['epsilon']!r}")
 
     certificate = None
     if "certificate" in sections:

@@ -136,17 +136,17 @@ def sample_box(box, generator="halton", n=None, resolution=None, seed=0) -> Samp
     raise ValueError(f"unknown generator '{generator}'")
 
 
-def matrix_rank(mats, threshold=1e-9):
+def matrix_rank(mats):
     """Rank of stacked 5-row matrices via singular values.
 
     ``mats`` has shape (..., 5, m): antisymmetric 5x5 bivectors, whose rank is
     even, or joined ``[A | B]`` pairs of shape (..., 5, 10).  The cut is
-    relative to the largest singular value of each matrix (a zero matrix has
-    rank 0).
+    relative to the largest singular value of each matrix, at 1e-9 of it (a
+    zero matrix has rank 0).
     """
     svals = np.linalg.svd(mats, compute_uv=False)
     top = svals[..., :1]
-    cut = threshold * np.where(top > 0, top, 1.0)
+    cut = 1e-9 * np.where(top > 0, top, 1.0)
     return np.sum(svals > cut, axis=-1)
 
 
@@ -166,22 +166,21 @@ class Stratum:
     rank: int
 
 
-def classify_point(triple: tr.PoissonTriple, p, kappa_tol=None, beta_tol=1e-9) -> Stratum:
+def classify_point(triple: tr.PoissonTriple, p) -> Stratum:
     """Classify one point by the zero sets of kappa and beta."""
-    code, kv, bn, rank = _classify(triple, np.asarray(p, float).reshape(5, 1), kappa_tol, beta_tol)
+    code, kv, bn, rank = _classify(triple, np.asarray(p, float).reshape(5, 1))
     return Stratum(LABELS[code[0]], float(kv[0]), float(bn[0]), int(rank[0]))
 
 
-def _classify(triple, p, kappa_tol=None, beta_tol=1e-9):
+def _classify(triple, p):
     """Label codes (indices into LABELS), kappa, |beta| and the SVD rank per point."""
     sample = as_sample(p)
     kv = np.atleast_1d(triple.kappa_values(sample))
     bn = np.atleast_1d(triple.beta.norm_values(sample))
-    if kappa_tol is None:
-        kappa_tol = triple.kappa_tol(sample)
+    kappa_tol = triple.kappa_tol(sample)
     rank = matrix_rank(pi_matrix_values(triple, sample.points))
     coupled = np.abs(kv) > kappa_tol
-    code = 2 * coupled + (bn > beta_tol)
+    code = 2 * coupled + (bn > 1e-9)
     code[coupled & (np.abs(kv) <= 10 * kappa_tol)] = _NEAR
     return code, kv, bn, rank
 
@@ -191,7 +190,7 @@ CSV_HEADER = ("x1", "x2", "y1", "y2", "y3", "kappa", "beta_norm", "rank", "label
 _ROW_KEYS = ("point", "kappa", "beta_norm", "rank", "label", "ic1", "ic2", "ic3")
 
 
-def strata_columns(triple: tr.PoissonTriple, samples: SampleSet, kappa_tol=None, beta_tol=1e-9):
+def strata_columns(triple: tr.PoissonTriple, samples: SampleSet):
     """The columnar core of `strata_report`, with no per-point Python object.
 
     Returns ``(columns, counts, flagged)``: one array per CSV_HEADER field, the
@@ -200,7 +199,7 @@ def strata_columns(triple: tr.PoissonTriple, samples: SampleSet, kappa_tol=None,
     """
     pts = samples.points
     ic = tr.ic_residuals(triple, samples)
-    code, kv, bn, rank = _classify(triple, samples, kappa_tol, beta_tol)
+    code, kv, bn, rank = _classify(triple, samples)
     labels = np.array(LABELS, dtype=object)[code]
     columns = [*pts, kv, bn, rank, labels, ic["ic1"], ic["ic2"].max(axis=(0, 1)), ic["ic3"].max(axis=0)]
     found, sizes = np.unique(code, return_counts=True)
@@ -208,14 +207,14 @@ def strata_columns(triple: tr.PoissonTriple, samples: SampleSet, kappa_tol=None,
     return columns, counts, np.flatnonzero((code != _NEAR) & (_EXPECTED_RANK[code] != rank))
 
 
-def strata_report(triple: tr.PoissonTriple, samples: SampleSet, kappa_tol=None, beta_tol=1e-9):
+def strata_report(triple: tr.PoissonTriple, samples: SampleSet):
     """Rows (point, kappa, |beta|, rank, label, ic residuals) plus summary counts.
 
     The dict form of `strata_columns`.  Points whose formula label disagrees
     with the SVD rank are flagged; away from the tolerance bands the flag list
     must stay empty.
     """
-    columns, counts, flagged = strata_columns(triple, samples, kappa_tol, beta_tol)
+    columns, counts, flagged = strata_columns(triple, samples)
     values = (samples.points.T.tolist(), *(c.tolist() for c in columns[5:]))
     rows = [dict(zip(_ROW_KEYS, row)) for row in zip(*values)]
     return {"rows": rows, "counts": counts, "rank_disagreements": [rows[k] for k in flagged.tolist()]}

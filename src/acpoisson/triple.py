@@ -121,24 +121,23 @@ class PoissonTriple:
     def kappa_values(self, p):
         return st.as_sample(p).jets([self.kappa])[0].value
 
-    def kappa_tol(self, p, base=1e-9):
+    def kappa_tol(self, p):
         """Coupling-domain tolerance scaled by the sampled magnitude of kappa."""
-        return _scaled_tol(self.kappa_values(p), base)
+        return _scaled_tol(self.kappa_values(p))
 
-    def coupling_mask(self, p, kappa_tol=None):
+    def coupling_mask(self, p):
         kv = self.kappa_values(p)
-        tol = _scaled_tol(kv) if kappa_tol is None else kappa_tol
-        return np.abs(kv) > tol
+        return np.abs(kv) > _scaled_tol(kv)
 
-    def domain_mask(self, p, tol=1e-9):
+    def domain_mask(self, p):
         if self.domain is None:
             return np.ones(np.shape(np.asarray(p)[0]), dtype=bool)
-        return np.abs(evaluate([self.domain], p)[0].value) > tol
+        return np.abs(evaluate([self.domain], p)[0].value) > 1e-9
 
 
-def _scaled_tol(kappa_values, base=1e-9):
+def _scaled_tol(kappa_values):
     scale = float(np.max(np.abs(kappa_values))) if np.size(kappa_values) else 0.0
-    return base * (1.0 + scale)
+    return 1e-9 * (1.0 + scale)
 
 
 def assemble_pi(triple: PoissonTriple) -> FieldElement:
@@ -146,7 +145,7 @@ def assemble_pi(triple: PoissonTriple) -> FieldElement:
     return triple.pi_coord()
 
 
-def recover_triple(pi: FieldElement, conn: cn.Connection, probe=None, tol=1e-9):
+def recover_triple(pi: FieldElement, conn: cn.Connection, probe=None):
     """Invert assembly: kappa from the horizontal block, beta from the vertical.
 
     ``pi`` is a coordinate-frame bivector; the mixed component must vanish in
@@ -158,9 +157,9 @@ def recover_triple(pi: FieldElement, conn: cn.Connection, probe=None, tol=1e-9):
 
         probe = halton_points(64, [(-1.0, 1.0)] * 5)
     mixed = 0.0
-    for jet in evaluate([f for key, f in mov.coeffs.items() if (len(key[0]), len(key[1])) == (1, 1)], probe):
+    for jet in evaluate(mov.project(1, 1).coeffs.values(), probe):
         mixed = max(mixed, float(np.max(np.abs(jet.value))))
-    if mixed > tol:
+    if mixed > 1e-9:
         raise NotAlmostCoupling(mixed)
     kappa = mov.coeffs.get(((1, 2), ()), ConstField(0.0))
     beta = VerticalOneForm(
@@ -349,28 +348,32 @@ def casimir_residual(triple: PoissonTriple, c, p):
 # coupling-domain identities ---------------------------------------------------
 
 
-def _require_coupling(triple, p, kappa_tol=None):
-    mask = triple.coupling_mask(p, kappa_tol)
+def _require_coupling(triple, p):
+    mask = triple.coupling_mask(p)
     if not np.all(mask):
         raise OutsideCouplingDomain("kappa vanishes at a requested point")
 
 
-def poisson_connection_residual(triple: PoissonTriple, p, kappa_tol=None):
+def poisson_connection_residual(triple: PoissonTriple, p):
     """Max over u in {dx1, dx2} of |L_{hor u} P_beta| at p."""
     sample = st.as_sample(p)
-    _require_coupling(triple, sample, kappa_tol)
-    pb = triple.p_beta_matrix()
+    _require_coupling(triple, sample)
+    return _lie_residual(triple.conn, triple.p_beta_matrix(), sample.points)
+
+
+def _lie_residual(conn, pb, points):
+    """Max over i in {1, 2} of |L_{hor_i} P_beta| at points, for any kappa."""
     worst = 0.0
     for i in (1, 2):
-        comps = ca.lie_derivative_bivector(cn.horizontal_lift(i, triple.conn), pb, sample.points)
+        comps = ca.lie_derivative_bivector(cn.horizontal_lift(i, conn), pb, points)
         worst = np.maximum(worst, np.max(np.stack([np.abs(v) for v in comps.values()]), axis=0))
     return worst
 
 
-def cocycle_residual(triple: PoissonTriple, p, kappa_tol=None):
+def cocycle_residual(triple: PoissonTriple, p):
     """Max-norm of the Schouten bracket of Q_H with P_beta at p."""
     sample = st.as_sample(p)
-    _require_coupling(triple, sample, kappa_tol)
+    _require_coupling(triple, sample)
     qh = ca.moving_to_coord_bivector(
         FieldElement.multivector({((1, 2), ()): -1.0}), triple.conn
     )
@@ -378,7 +381,7 @@ def cocycle_residual(triple: PoissonTriple, p, kappa_tol=None):
     return np.max(np.stack([np.abs(v) for v in comps.values()]), axis=0)
 
 
-def curvature_identity_residual(triple: PoissonTriple, p, kappa_tol=None):
+def curvature_identity_residual(triple: PoissonTriple, p):
     """Curvature vs -P_beta-sharp d(1/kappa) at coupling-domain points.
 
     The gap is normalized by the natural magnitude of the 1/kappa^2 terms so
@@ -386,7 +389,7 @@ def curvature_identity_residual(triple: PoissonTriple, p, kappa_tol=None):
     where the raw quotient amplifies rounding noise without bound.
     """
     sample = st.as_sample(p)
-    _require_coupling(triple, sample, kappa_tol)
+    _require_coupling(triple, sample)
     curv = cn.curvature(triple.conn, sample.points)
     (kj,) = sample.jets([triple.kappa], 1)
     bv = triple.beta.values(sample)
@@ -416,7 +419,7 @@ def c2_residual(triple: PoissonTriple, p):
     return (d10 + beta_form.wedge(th)).at(st.as_sample(p).points).norm()
 
 
-def c3_residual(triple: PoissonTriple, p, kappa_tol=None):
+def c3_residual(triple: PoissonTriple, p):
     """d_{0,1}(1/kappa) ^ beta + rho at coupling-domain points.
 
     Residuals are normalized by the uncancelled magnitude of the quotient
@@ -424,7 +427,7 @@ def c3_residual(triple: PoissonTriple, p, kappa_tol=None):
     the boundary of the coupling domain.
     """
     sample = st.as_sample(p)
-    _require_coupling(triple, sample, kappa_tol)
+    _require_coupling(triple, sample)
     (kj,) = sample.jets([triple.kappa], 1)
     k2 = kj.value**2
     dinv = -kj.grad[2:] / k2  # vertical gradient of 1/kappa
@@ -448,15 +451,15 @@ def c5_residual(triple: PoissonTriple, p):
     return np.max(np.abs(np.cross(kj.grad[2:], bv, axis=0)), axis=0)
 
 
-def coupling_form(triple: PoissonTriple, p, kappa_tol=None) -> GradedElement:
+def coupling_form(triple: PoissonTriple, p) -> GradedElement:
     """(1/kappa) Omega_H at p; defined on the coupling domain."""
-    _require_coupling(triple, p, kappa_tol)
+    _require_coupling(triple, p)
     return GradedElement.form({((1, 2), ()): 1.0 / triple.kappa_values(p)})
 
 
-def coupling_form_residual(triple: PoissonTriple, p, kappa_tol=None):
+def coupling_form_residual(triple: PoissonTriple, p):
     """Defining identity: i_{i_alpha Pi_20} sigma = -alpha for alpha in {dx1, dx2}."""
-    _require_coupling(triple, p, kappa_tol)
+    _require_coupling(triple, p)
     kv = triple.kappa_values(p)
     sigma = GradedElement.form({((1, 2), ()): 1.0 / kv})
     from .graded import interior
@@ -474,7 +477,7 @@ def coupling_form_residual(triple: PoissonTriple, p, kappa_tol=None):
 # constructors and submanifolds -------------------------------------------------
 
 
-def flat_triple(conn: cn.Connection, kappa0, beta: VerticalOneForm, samples, tol=1e-8):
+def flat_triple(conn: cn.Connection, kappa0, beta: VerticalOneForm, samples):
     """Build a triple from a flat structure-preserving connection and a Casimir factor.
 
     Verifies flatness, the connection-preservation property, and the Casimir
@@ -483,15 +486,12 @@ def flat_triple(conn: cn.Connection, kappa0, beta: VerticalOneForm, samples, tol
     kappa0 = as_field(kappa0)
     beta = beta if isinstance(beta, VerticalOneForm) else VerticalOneForm(beta)
     pts = np.asarray(samples, dtype=float)
+    tol = 1e-8
     curv = np.max(np.abs(cn.curvature(conn, pts)), axis=0)
     if np.max(curv) > tol:
         i = int(np.argmax(curv))
         raise NotFlat(float(np.max(curv)), pts[:, i].tolist())
-    pb = ca.bivector_matrix_fields(vertical_poisson(beta))
-    worst = 0.0
-    for i in (1, 2):
-        comps = ca.lie_derivative_bivector(cn.horizontal_lift(i, conn), pb, pts)
-        worst = np.maximum(worst, np.max(np.stack([np.abs(v) for v in comps.values()]), axis=0))
+    worst = _lie_residual(conn, ca.bivector_matrix_fields(vertical_poisson(beta)), pts)
     if np.max(worst) > tol:
         i = int(np.argmax(worst))
         raise NotPoissonConnection(float(np.max(worst)), pts[:, i].tolist())

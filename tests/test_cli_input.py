@@ -10,6 +10,7 @@ import pytest
 from acpoisson import cli
 from acpoisson import strata as st
 from acpoisson.errors import BadInput
+from acpoisson.model import BUILTIN_MODELS
 from acpoisson.strata import MAX_GRID_POINTS, MAX_SAMPLE_POINTS
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -62,6 +63,33 @@ def test_sizes_and_tolerances_are_checked(argv, message, capsys, tmp_path):
     assert code == 2
     assert len(lines) == 1 and message in lines[0]
     assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        (["--sweep", "x"], "--sweep needs comma-separated numbers"),
+        (["--sweep", "0,nan"], "epsilon values must be finite"),
+        (["--epsilon", "nan"], "epsilon values must be finite"),
+        (["--epsilon", "inf"], "epsilon values must be finite"),
+    ],
+)
+def test_gauge_rejects_bad_epsilon_before_writing(options, message, capsys, tmp_path):
+    outdir = tmp_path / "out"
+    code, lines = _exit_and_message(["gauge", "br3_unimodular", *options, "--outdir", str(outdir)], capsys)
+    assert code == 2
+    assert len(lines) == 1 and message in lines[0]
+    assert not outdir.exists()
+
+
+def test_gauge_rejects_a_non_finite_model_epsilon(capsys, tmp_path):
+    model = tmp_path / "nan_epsilon.ini"
+    model.write_text(BUILTIN_MODELS["br3_unimodular"].replace("epsilon = 0.05", "epsilon = nan"))
+    outdir = tmp_path / "out"
+    code, lines = _exit_and_message(["gauge", str(model), "--epsilon", "0.1", "--outdir", str(outdir)], capsys)
+    assert code == 2
+    assert len(lines) == 1 and "[gauge] epsilon must be finite" in lines[0]
+    assert not outdir.exists()
 
 
 def test_grid_bound_is_checked_before_allocation():
