@@ -55,7 +55,15 @@ from .gauge import GaugeData, family, gauge_transform, scale, varkappa
 from .graded import GradedElement, bigrade_project, interior, wedge
 from .model import ModelFile, load, loads, resolve, save
 from .modular import UnimodularityCertificate, VolumeFactor, modular_bigraded, modular_direct
-from .strata import SampleSet, classify_point, halton_points, matrix_rank, sample_box, strata_report
+from .strata import (
+    SampleSet,
+    bivector_rank,
+    classify_point,
+    halton_points,
+    matrix_rank,
+    sample_box,
+    strata_report,
+)
 from .triple import (
     PoissonTriple,
     Section,

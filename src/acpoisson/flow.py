@@ -12,9 +12,13 @@ import numpy as np
 from . import calculus as ca
 from . import strata as st
 from . import triple as tr
-from .errors import DomainError
+from .errors import BadInput, DomainError
 from .fields import as_field
 from .reports import CheckBlock, VerificationReport, write_csv
+
+# most RK4 steps in one trajectory, checked before its (5, steps + 1) states
+# are allocated; the step-halving rerun takes twice as many
+MAX_FLOW_STEPS = 10**6
 
 
 class Trajectory:
@@ -33,6 +37,18 @@ class Trajectory:
         return self.states.shape[1] - 1
 
 
+def _check_steps(n):
+    if not 0 <= n <= MAX_FLOW_STEPS:
+        raise BadInput(f"step count {n} is negative or more than {MAX_FLOW_STEPS}")
+
+
+def _stage(rhs, p):
+    """``rhs(p)`` at an intermediate RK4 stage, which may have left the finite range."""
+    if not np.isfinite(p).all():
+        raise DomainError("an RK4 stage left the finite range")
+    return rhs(p)
+
+
 def _rk4_path(rhs, p0, dt, n):
     states = np.zeros((5, n + 1))
     states[:, 0] = p0
@@ -41,9 +57,9 @@ def _rk4_path(rhs, p0, dt, n):
     for k in range(n):
         try:
             k1 = rhs(p)
-            k2 = rhs(p + 0.5 * dt * k1)
-            k3 = rhs(p + 0.5 * dt * k2)
-            k4 = rhs(p + dt * k3)
+            k2 = _stage(rhs, p + 0.5 * dt * k1)
+            k3 = _stage(rhs, p + 0.5 * dt * k2)
+            k4 = _stage(rhs, p + dt * k3)
         except DomainError:
             states = states[:, : k + 1]
             truncated = True
@@ -65,6 +81,7 @@ def integrate_batch(triple: tr.PoissonTriple, F, p0s, dt, n):
     failing subexpression; no partial batch is returned.  Used for
     sweep-style diagnostics.
     """
+    _check_steps(n)
     F = as_field(F)
     X = tr.hamiltonian_field(triple, F)
     p = np.array(p0s, dtype=float)
@@ -83,6 +100,7 @@ def integrate(triple: tr.PoissonTriple, F, p0, dt, n, halving_check=True) -> Tra
     """RK4 trajectory of X_F from p0; optionally estimates error by step halving."""
     if dt <= 0:
         raise ValueError("dt must be positive")
+    _check_steps(n)
     F = as_field(F)
     X = tr.hamiltonian_field(triple, F)
     rhs = lambda p: X.values(p)

@@ -225,6 +225,8 @@ def loads(text: str) -> ModelFile:
                     sampling[key] = cast(s[key])
                 except ValueError as err:
                     raise ModelParseError(f"[sampling] {key}: {err}") from err
+        if sampling["seed"] < 0:
+            raise ModelParseError(f"[sampling] seed must be non-negative, got {sampling['seed']}")
 
     tolerances = dict(DEFAULT_TOLERANCES)
     if "tolerances" in sections:
@@ -235,6 +237,8 @@ def loads(text: str) -> ModelFile:
                 tolerances[key] = float(value)
             except ValueError as err:
                 raise ModelParseError(f"[tolerances] {key}: {err}") from err
+            if not (np.isfinite(tolerances[key]) and tolerances[key] >= 0):
+                raise ModelParseError(f"[tolerances] {key} must be a finite non-negative number, got {value!r}")
 
     return ModelFile(
         name=name,
@@ -268,8 +272,12 @@ def _parse_box(text):
 
 
 def load(path) -> ModelFile:
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as err:
+        raise ModelParseError(f"cannot read model file '{path}': {err}") from err
+    return loads(text)
 
 
 def dumps(model: ModelFile) -> str:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import triple as tr
-from .errors import BadInput, EmptyBox
+from .errors import BadInput, DomainError, EmptyBox
 from .lowering import evaluate
 from .reports import write_csv
 
@@ -150,6 +150,35 @@ def matrix_rank(mats):
     return np.sum(svals > cut, axis=-1)
 
 
+# for each deleted index i, the four remaining indices p < q < r < s
+_P, _Q, _R, _S = np.array([[k for k in range(5) if k != i] for i in range(5)]).T
+
+
+def bivector_rank(mats):
+    """Rank of stacked antisymmetric 5x5 matrices, shape (..., 5, 5), in closed form.
+
+    Such a matrix has singular values s1, s1, s2, s2, 0 (Cartan: rank 2k where
+    M^k != 0 and M^(k+1) = 0).  Its five principal 4x4 Pfaffians, the
+    coefficients of M^M/2, have norm |pf| = s1 s2, and its squared Frobenius
+    norm is 2 (s1^2 + s2^2).  The rank is 4 where s2 > 1e-9 s1, the cut of
+    `matrix_rank`, that is where |pf| > 1e-9 (s1^2 + s2^2): at the cut the
+    two sides differ only by a relative (s2 / s1)^2 = 1e-18, below rounding.
+    A zero matrix has rank 0.  Each matrix is first scaled by its largest
+    entry, so no product of entries overflows or underflows.  A non-finite
+    entry raises :class:`~acpoisson.errors.DomainError`.
+    """
+    finite = np.isfinite(mats).all(axis=(-2, -1))
+    if not finite.all():
+        bad = finite.size - np.count_nonzero(finite)
+        raise DomainError(f"the assembled bivector is not finite at {bad} of {finite.size} points")
+    entries = np.moveaxis(mats, (-2, -1), (0, 1))  # m[p, q] is one entry across the stack
+    scale = np.max(np.abs(entries), axis=(0, 1))
+    m = entries / np.where(scale > 0, scale, 1.0)
+    pf = m[_P, _Q] * m[_R, _S] - m[_P, _R] * m[_Q, _S] + m[_P, _S] * m[_Q, _R]
+    rank4 = np.sqrt(np.sum(pf * pf, axis=0)) > 0.5e-9 * np.sum(m * m, axis=(0, 1))
+    return np.where(scale > 0, 2 + 2 * rank4, 0)
+
+
 def pi_matrix_values(triple: tr.PoissonTriple, pts):
     """Assembled bivector as stacked antisymmetric matrices, shape (n, 5, 5)."""
     from .calculus import matrix_values
@@ -173,19 +202,19 @@ def classify_point(triple: tr.PoissonTriple, p) -> Stratum:
 
 
 def _classify(triple, p):
-    """Label codes (indices into LABELS), kappa, |beta| and the SVD rank per point."""
+    """Label codes (indices into LABELS), kappa, |beta| and the matrix rank per point."""
     sample = as_sample(p)
     kv = np.atleast_1d(triple.kappa_values(sample))
     bn = np.atleast_1d(triple.beta.norm_values(sample))
     kappa_tol = triple.kappa_tol(sample)
-    rank = matrix_rank(pi_matrix_values(triple, sample.points))
+    rank = bivector_rank(pi_matrix_values(triple, sample.points))
     coupled = np.abs(kv) > kappa_tol
     code = 2 * coupled + (bn > 1e-9)
     code[coupled & (np.abs(kv) <= 10 * kappa_tol)] = _NEAR
     return code, kv, bn, rank
 
 
-_EXPECTED_RANK = np.array([0, 2, 2, 4, -1])  # the SVD rank each label code predicts
+_EXPECTED_RANK = np.array([0, 2, 2, 4, -1])  # the matrix rank each label code predicts
 CSV_HEADER = ("x1", "x2", "y1", "y2", "y3", "kappa", "beta_norm", "rank", "label", "ic1", "ic2", "ic3")
 _ROW_KEYS = ("point", "kappa", "beta_norm", "rank", "label", "ic1", "ic2", "ic3")
 
@@ -195,7 +224,7 @@ def strata_columns(triple: tr.PoissonTriple, samples: SampleSet):
 
     Returns ``(columns, counts, flagged)``: one array per CSV_HEADER field, the
     number of points of each label present, and the indices of the points
-    whose formula label disagrees with the SVD rank.
+    whose formula label disagrees with the rank of the assembled matrix.
     """
     pts = samples.points
     ic = tr.ic_residuals(triple, samples)
@@ -211,8 +240,8 @@ def strata_report(triple: tr.PoissonTriple, samples: SampleSet):
     """Rows (point, kappa, |beta|, rank, label, ic residuals) plus summary counts.
 
     The dict form of `strata_columns`.  Points whose formula label disagrees
-    with the SVD rank are flagged; away from the tolerance bands the flag list
-    must stay empty.
+    with the rank of the assembled matrix are flagged; away from the tolerance
+    bands the flag list must stay empty.
     """
     columns, counts, flagged = strata_columns(triple, samples)
     values = (samples.points.T.tolist(), *(c.tolist() for c in columns[5:]))

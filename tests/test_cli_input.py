@@ -10,6 +10,7 @@ import pytest
 from acpoisson import cli
 from acpoisson import strata as st
 from acpoisson.errors import BadInput
+from acpoisson.flow import MAX_FLOW_STEPS
 from acpoisson.model import BUILTIN_MODELS
 from acpoisson.strata import MAX_GRID_POINTS, MAX_SAMPLE_POINTS
 
@@ -121,3 +122,69 @@ def test_python_dash_m_runs_the_cli(tmp_path):
         [sys.executable, "-m", "acpoisson", "--version"], capture_output=True, text=True, env=env, cwd=tmp_path,
     )
     assert proc.returncode == 0 and proc.stdout.strip() == cli.__version__
+
+
+def _model(tmp_path, builtin, old, new):
+    text = BUILTIN_MODELS[builtin]
+    assert old in text
+    path = tmp_path / "model.ini"
+    path.write_text(text.replace(old, new))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "kappa",
+    [
+        "exp(exp(y1*10)) - exp(exp(y1*10))",  # inf - inf: NaN entries
+        "exp(exp(y1*10))",  # infinite kappa
+    ],
+)
+def test_strata_of_a_non_finite_bivector_exits_3(kappa, capsys, tmp_path):
+    model = _model(tmp_path, "sec5_example", "expr = y1^2 - x1^2 - x2^2", f"expr = {kappa}")
+    out = tmp_path / "s.csv"
+    code, lines = _exit_and_message(["strata", model, "--grid", "5", "--out", str(out)], capsys)
+    assert code == 3
+    assert len(lines) == 1 and lines[0].startswith("numeric error: the assembled bivector is not finite")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan", "-1e-9"])
+@pytest.mark.parametrize("key", ["identity", "oracle", "conservation", "fd"])
+def test_bad_model_tolerances_are_rejected(key, value, capsys, tmp_path):
+    model = _model(tmp_path, "flat_so3", "[sampling]", f"[tolerances]\n{key} = {value}\n\n[sampling]")
+    code, lines = _exit_and_message(["check", model, "--samples", "20"], capsys)
+    assert code == 2
+    assert len(lines) == 1 and f"[tolerances] {key} must be a finite non-negative number" in lines[0]
+
+
+def test_negative_model_seed_is_rejected(capsys, tmp_path):
+    model = _model(tmp_path, "flat_so3", "seed = 0", "seed = -3")
+    code, lines = _exit_and_message(["check", model, "--samples", "20"], capsys)
+    assert code == 2
+    assert len(lines) == 1 and "[sampling] seed must be non-negative" in lines[0]
+
+
+def test_unreadable_model_paths_exit_2(capsys, tmp_path):
+    directory = tmp_path / "models"
+    directory.mkdir()
+    latin1 = tmp_path / "latin1.ini"
+    latin1.write_bytes(BUILTIN_MODELS["flat_so3"].replace("flat_so3", "flat_so3 \xe9").encode("latin-1"))
+    for path, reason in ((directory, "Is a directory"), (latin1, "can't decode")):
+        code, lines = _exit_and_message(["check", str(path)], capsys)
+        assert code == 2
+        assert len(lines) == 1 and f"cannot read model file '{path}'" in lines[0] and reason in lines[0]
+
+
+def test_flow_step_count_is_bounded_before_allocation(capsys):
+    code, lines = _exit_and_message(_with(FLOW, "--steps", str(MAX_FLOW_STEPS + 1)), capsys)
+    assert code == 2
+    assert len(lines) == 1 and f"more than {MAX_FLOW_STEPS}" in lines[0]
+
+
+def test_flow_truncates_at_a_non_finite_rk4_stage(capsys, tmp_path):
+    # the first stages are finite, then p + dt/2 * k2 overflows
+    argv = ["flow", "flat_so3", "--hamiltonian", "y1", "--p0", "0,0,0.3,0.4,0.5", "--dt", "1e308", "--steps", "3"]
+    code, lines = _exit_and_message([*argv, "--csv", str(tmp_path / "f.csv")], capsys)
+    assert code == 0 and lines == []
+    rows = (tmp_path / "f.csv").read_text().splitlines()
+    assert len(rows) == 2 and rows[1].startswith("0.0,0.0,0.0,0.3,0.4,0.5,")

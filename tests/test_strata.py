@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from acpoisson import connection as cn
 from acpoisson import fuzz
@@ -7,7 +9,7 @@ from acpoisson import gauge as ga
 from acpoisson import model as md
 from acpoisson import strata as st
 from acpoisson import triple as tr
-from acpoisson.errors import EmptyBox
+from acpoisson.errors import DomainError, EmptyBox
 from acpoisson.fields import ConstField, ExprField
 
 UNIT_BOX = [(0, 1)] * 5
@@ -143,3 +145,76 @@ def test_joint_rank_of_a_matrix_with_itself_is_its_rank(name):
     assert joint.shape == (pts.shape[1], 5, 10)
     assert st.matrix_rank(joint).tolist() == st.matrix_rank(a).tolist()
     assert set(st.matrix_rank(a).tolist()) <= {0, 2, 4}
+
+
+def _antisymmetric(seed, rank, s2_over_s1, scale):
+    """scale * Q^T diag(s1 J, s2 J, 0) Q for a random orthogonal Q, made exactly antisymmetric."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
+    s1 = rng.uniform(1.0, 10.0) if rank else 0.0
+    s2 = s2_over_s1 * s1 if rank == 4 else 0.0
+    d = np.zeros((5, 5))
+    d[0, 1], d[2, 3] = s1, s2
+    a = scale * (q.T @ (d - d.T) @ q)
+    return (a - a.T) / 2
+
+
+# log10(s2 / s1): anywhere from 1e-12 to 1, or within about 2 % of the cut, but
+# never within 1e-3 (relative) of it, where rounding may decide either way
+log_ratios = hs.one_of(hs.floats(-12.0, 0.0), hs.floats(-9.01, -8.99)).filter(
+    lambda e: abs(10 ** (e + 9) - 1) >= 1e-3
+)
+matrices = hs.builds(
+    _antisymmetric,
+    seed=hs.integers(0, 2**32 - 1),
+    rank=hs.sampled_from([0, 2, 4]),
+    s2_over_s1=log_ratios.map(lambda e: 10**e),
+    scale=hs.floats(-150.0, 150.0).map(lambda e: 10**e),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mats=hs.lists(matrices, min_size=1, max_size=6))
+def test_bivector_rank_matches_the_svd_rank(mats):
+    stack = np.stack(mats)
+    expected = st.matrix_rank(stack)
+    assert st.bivector_rank(stack).tolist() == expected.tolist()
+    assert [int(st.bivector_rank(m)) for m in mats] == expected.tolist()
+
+
+def test_generated_matrices_have_the_rank_asked_for():
+    # on either side of the 1e-9 cut of both rank functions
+    assert st.matrix_rank(_antisymmetric(1, 0, 0.5, 1.0)) == 0
+    assert st.matrix_rank(_antisymmetric(1, 2, 0.5, 1e-150)) == 2
+    assert st.matrix_rank(_antisymmetric(1, 4, 1.01e-9, 1e150)) == 4
+    assert st.matrix_rank(_antisymmetric(1, 4, 0.99e-9, 1e150)) == 2
+    assert st.bivector_rank(_antisymmetric(1, 4, 1.01e-9, 1e150)) == 4
+    assert st.bivector_rank(_antisymmetric(1, 4, 0.99e-9, 1e-150)) == 2
+
+
+@pytest.mark.parametrize("name", sorted(md.BUILTIN_MODELS))
+def test_bivector_rank_matches_the_svd_rank_on_the_builtin_grids(name):
+    model = md.resolve(name)
+    samples = st.sample_box(model.sampling["box"], generator="grid", resolution=5)
+    mats = st.pi_matrix_values(model.effective_triple(), samples.points)
+    assert mats.shape == (5**5, 5, 5)
+    assert st.bivector_rank(mats).tolist() == st.matrix_rank(mats).tolist()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_bivector_rank_rejects_non_finite_matrices(bad):
+    mats = np.zeros((3, 5, 5))
+    mats[1, 0, 4], mats[1, 4, 0] = bad, -bad
+    with pytest.raises(DomainError, match="not finite at 1 of 3 points"):
+        st.bivector_rank(mats)
+
+
+def test_strata_never_calls_the_svd(monkeypatch, sec5):
+    def no_svd(*args, **kwargs):
+        raise AssertionError("strata called np.linalg.svd")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    samples = st.sample_box([(-2, 2)] * 5, generator="grid", resolution=4)
+    result = st.strata_report(sec5, samples)
+    assert not result["rank_disagreements"]
+    assert st.classify_point(sec5, [0, 0, 1, 0, 0]).rank == 4
