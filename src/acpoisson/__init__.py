@@ -14,7 +14,6 @@ from .calculus import (
     FieldElement,
     cochain_residuals,
     divergence,
-    exterior_d,
     lie_derivative_bivector,
     schouten_bivectors,
     vector_commutator,
@@ -52,7 +51,7 @@ from .fields import (
     finite_difference_check,
 )
 from .gauge import GaugeData, family, gauge_transform, scale, varkappa
-from .graded import GradedElement, bigrade_project, interior, wedge
+from .graded import GradedElement, bigrade_project, interior
 from .model import ModelFile, load, loads, resolve, save
 from .modular import UnimodularityCertificate, VolumeFactor, modular_bigraded, modular_direct
 from .strata import (
@@ -68,7 +67,6 @@ from .triple import (
     PoissonTriple,
     Section,
     VerticalOneForm,
-    assemble_pi,
     equivalence_check,
     flat_triple,
     hamiltonian_field,

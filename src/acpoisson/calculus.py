@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError, OrderBudgetExceeded
+from .errors import DomainError, ZeroVolumeFactor
 from .fields import Field, as_field, as_points, is_zero
 from .graded import GradedElement, key_factors, wedge_keys
 from .lowering import evaluate, lower
@@ -38,9 +38,6 @@ class FieldElement(GradedElement):
     def at(self, p, order=0) -> GradedElement:
         """Evaluate coefficients at point(s) p; order>0 is rarely needed."""
         return evaluate_elements([self], p, order)[0]
-
-    def min_budget(self):
-        return min((f.budget for f in self.coeffs.values()), default=2)
 
 
 def evaluate_elements(elements, p, order=0):
@@ -85,41 +82,9 @@ def d_eta(conn, a) -> FieldElement:
     return out
 
 
-def exterior_d_field(xi: FieldElement, conn, detas=None) -> FieldElement:
-    """Full exterior differential of a form with field coefficients.
-
-    ``detas`` maps each a to ``d_eta(conn, a)``; it is built here when not given.
-    """
-    if xi.kind != "form":
-        raise ValueError("d is defined on forms")
-    if detas is None:
-        detas = {a: d_eta(conn, a) for a in (1, 2, 3)}
-    out = FieldElement.form()
-    for key, c in xi.coeffs.items():
-        h, v = key
-        if len(h) + len(v) == 5:
-            continue  # d of a top-degree form vanishes; its wedges would overflow
-        # dc ^ monomial
-        for i in (1, 2):
-            merged = wedge_keys(((i,), ()), key)
-            if merged is not None:
-                sign, nk = merged
-                out._add(nk, hor_apply(conn, i, c) * sign)
-        for a in (1, 2, 3):
-            merged = wedge_keys(((), (a,)), key)
-            if merged is not None:
-                sign, nk = merged
-                out._add(nk, c.partial(Y_SLOTS[a - 1]) * sign)
-        # c * d(monomial): only eta factors contribute (dx^i is closed)
-        for j, a in enumerate(v):
-            pos = len(h) + j  # 0-based slot of eta^a in the factor list
-            sign = -1.0 if pos % 2 else 1.0
-            prefix = FieldElement.form({(h, v[:j]): 1.0})
-            suffix = FieldElement.form({((), v[j + 1 :]): 1.0})
-            term = prefix.wedge(detas[a]).wedge(suffix).scale(c)
-            for nk, nf in term.coeffs.items():
-                out._add(nk, nf if sign > 0 else nf * -1.0)
-    return out
+def exterior_d_field(xi: FieldElement, conn) -> FieldElement:
+    """Full exterior differential of a form: the sum of its three bigraded components."""
+    return sum(d_components(xi, conn, [(1, 0), (0, 1), (2, -1)]))
 
 
 def d_component(xi: FieldElement, conn, shift) -> FieldElement:
@@ -128,23 +93,41 @@ def d_component(xi: FieldElement, conn, shift) -> FieldElement:
 
 
 def d_components(xi: FieldElement, conn, shifts) -> list[FieldElement]:
-    """Several bigraded components of d, from one differential of each monomial."""
-    detas = {a: d_eta(conn, a) for a in (1, 2, 3)}
-    outs = [FieldElement.form() for _ in shifts]
+    """Several bigraded components of d, building only the terms they read.
+
+    d(c m) = dc ^ m + c dm.  The horizontal part of dc shifts the bidegree by
+    (1,0) and its vertical part by (0,1); dm replaces each eta^a of m by
+    d eta^a, whose parts shift it by (1,0) and (2,-1) (``Connection.d_eta_parts``).
+    A monomial's terms are summed per key before they join the component.
+    """
+    if xi.kind != "form":
+        raise ValueError("d is defined on forms")
+    outs = {sh: FieldElement.form() for sh in shifts}
+    eta_shifts = [sh for sh in ((1, 0), (2, -1)) if sh in outs]
+    detas = conn.d_eta_parts if eta_shifts else None
     for key, c in xi.coeffs.items():
-        p, q = len(key[0]), len(key[1])
-        single = exterior_d_field(FieldElement.form({key: c}), conn, detas)
-        for (sh, sv), out in zip(shifts, outs):
-            for nk, nf in single.project(p + sh, q + sv).coeffs.items():
+        h, v = key
+        if len(h) + len(v) == 5 or is_zero(c):
+            continue  # d of a top-degree form vanishes; its wedges would overflow
+        terms = {sh: FieldElement.form() for sh in outs}
+        for i in (1, 2) if (1, 0) in outs else ():
+            merged = wedge_keys(((i,), ()), key)
+            if merged is not None:
+                terms[1, 0]._add(merged[1], hor_apply(conn, i, c) * merged[0])
+        for a in (1, 2, 3) if (0, 1) in outs else ():
+            merged = wedge_keys(((), (a,)), key)
+            if merged is not None:
+                terms[0, 1]._add(merged[1], c.partial(Y_SLOTS[a - 1]) * merged[0])
+        for j, a in enumerate(v if eta_shifts else ()):
+            prefix = FieldElement.form({(h, v[:j]): 1.0})
+            suffix = FieldElement.form({((), v[j + 1 :]): 1.0})
+            for sh in eta_shifts:
+                for nk, nf in prefix.wedge(detas[a][sh]).wedge(suffix).scale(c).coeffs.items():
+                    terms[sh]._add(nk, nf * -1.0 if (len(h) + j) % 2 else nf)
+        for sh, out in outs.items():
+            for nk, nf in terms[sh].copy().coeffs.items():  # the copy drops sums that cancelled
                 out._add(nk, nf)
-    return outs
-
-
-def exterior_d(xi: FieldElement, conn, p, order=0) -> GradedElement:
-    """Pointwise full differential; coefficients need jet budget >= 1 + order."""
-    if xi.min_budget() < 1 + order:
-        raise OrderBudgetExceeded("coefficients do not support the requested differential")
-    return exterior_d_field(xi, conn).at(p, order=order)
+    return [outs[sh] for sh in shifts]
 
 
 def cochain_residuals(conn, test: FieldElement, p):
@@ -355,14 +338,15 @@ def vector_commutator(X: CoordVector, Y: CoordVector, p):
 
 
 def divergence(X: CoordVector, p, density: Field | None = None):
-    """div X with respect to the chart volume scaled by ``density``."""
-    vx, gx = X.jets(p)
+    """div X with respect to the chart volume scaled by ``density``, read through the sample ``p``."""
+    from .strata import as_sample
+
+    sample = as_sample(p)
+    vx, gx = X.jets(sample.points)
     div = np.einsum("mm...->...", gx)
     if density is not None:
-        jet = density.at(p, order=1)
+        (jet,) = sample.jets([density], 1)
         if np.any(jet.value == 0.0):
-            from .errors import ZeroVolumeFactor
-
             raise ZeroVolumeFactor("volume density vanishes at a sampled point")
         div = div + np.einsum("m...,m...->...", vx, jet.grad) / jet.value
     return div

@@ -54,7 +54,11 @@ def _document(model: md.ModelFile, report: VerificationReport):
 
 
 def _emit(doc, out):
-    text = json.dumps(doc, indent=2, sort_keys=True)
+    """Write a report as JSON; one with a non-finite number is refused before anything is written."""
+    try:
+        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        raise DomainError("the report holds a non-finite number, which JSON cannot carry") from None
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -162,19 +166,21 @@ def cmd_strata(args):
 def cmd_modular(args):
     model = md.resolve(args.model)
     triple = model.effective_triple()
-    pts = model.samples(n=args.samples).points
-    pts = pts[:, triple.domain_mask(pts)]
+    # every block reads the triple's inputs through this one sample and its subsets
+    sample = model.samples(n=args.samples)
+    sample = sample.subset(triple.domain_mask(sample.points), "domain")
+    pts = sample.points
     report = VerificationReport(name="modular")
     report.add(
         residual_block(
-            "bigraded-vs-direct", mo.bigraded_vs_direct_residual(triple, pts), pts, model.tolerance("oracle")
+            "bigraded-vs-direct", mo.bigraded_vs_direct_residual(triple, sample), pts, model.tolerance("oracle")
         )
     )
     a = ExprField("2 + sin(x1)")
     report.add(
-        residual_block("renormalization-rule", mo.renormalization_check(triple, a, pts), pts, 1e-10)
+        residual_block("renormalization-rule", mo.renormalization_check(triple, a, sample), pts, 1e-10)
     )
-    closed = mo.closedness_check(triple, pts)
+    closed = mo.closedness_check(triple, sample)
     for key, vals in closed.items():
         report.add(residual_block(f"closedness-{key}", vals, pts, model.tolerance("identity"), note="informational for non-closed beta"))
     # the modular field must be an infinitesimal symmetry of the structure
@@ -195,12 +201,12 @@ def cmd_modular(args):
             return EXIT_INPUT
         # the global check runs the coupling check first and keeps its blocks
         unimod = mo.unimod_coupling_check if cert.K is None else mo.unimod_global_check
-        sub = unimod(triple, cert, pts, tol=model.tolerance("identity"), div_tol=model.tolerance("conservation"))
+        sub = unimod(triple, cert, sample, tol=model.tolerance("identity"), div_tol=model.tolerance("conservation"))
         for b in sub.blocks:
             report.add(b)
     if args.csv:
         header = ["x1", "x2", "y1", "y2", "y3", "Z_x1", "Z_x2", "Z_y1", "Z_y2", "Z_y3"]
-        write_csv(args.csv, header, [*pts, *mo.modular_direct(triple, None, pts)])
+        write_csv(args.csv, header, [*pts, *mo.modular_direct(triple, None, sample)])
     doc = _document(model, report)
     _emit(doc, args.out)
     # closedness blocks are informational: beta need not be closed
@@ -413,7 +419,9 @@ def main(argv=None):
     # argparse exits 2 on usage errors, matching the input-error contract
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # overflow and NaN surface as verdicts or as a DomainError, not as numpy warnings
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(args)
     except (ModelError, OrderBudgetExceeded) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT

@@ -14,6 +14,8 @@ formulas to rounding.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from . import calculus as ca
@@ -34,6 +36,13 @@ class Connection:
     @classmethod
     def flat(cls):
         return cls([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+
+    @cached_property
+    def d_eta_parts(self):
+        """d eta^a by a, built once and split by the bidegree shift each part gives a monomial
+        in ``calculus.d_components``: the (1,1) part under (1, 0), the (2,0) part under (2, -1)."""
+        detas = {a: ca.d_eta(self, a) for a in (1, 2, 3)}
+        return {a: {(1, 0): de.project(1, 1), (2, -1): de.project(2, 0)} for a, de in detas.items()}
 
     def gamma_values(self, p):
         return np.stack([np.stack([j.value for j in evaluate(row, p)]) for row in self.gamma])

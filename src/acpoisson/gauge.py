@@ -20,6 +20,7 @@ from . import triple as tr
 from .calculus import Y_SLOTS, FieldElement
 from .errors import EmptyDomain, OutsideDomain
 from .fields import ConstField, Field, as_field
+from .lowering import evaluate
 
 
 @dataclass
@@ -96,8 +97,8 @@ def family(triple: tr.PoissonTriple, gauge: GaugeData, epsilon, probe=None):
     vk = varkappa_field(triple, gauge, epsilon)
     denom = 1.0 - triple.kappa * (vk - gauge.c) * epsilon
     if probe is not None:
-        vals = denom.at(probe, 0).value
-        if np.all(np.abs(vals) <= 1e-9):
+        (jet,) = evaluate([denom], probe)
+        if np.all(np.abs(jet.value) <= 1e-9):
             raise EmptyDomain("transformation denominator vanishes on every probe point")
     kappa_new = triple.kappa / denom
     return tr.PoissonTriple(new_conn, kappa_new, triple.beta, domain=denom)

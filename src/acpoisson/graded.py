@@ -194,10 +194,6 @@ class GradedElement:
         return f"{type(self).__name__}({self.kind}, {{{items}}})"
 
 
-def wedge(a, b):
-    return a.wedge(b)
-
-
 def bigrade_project(a, p, q):
     return a.project(p, q)
 

@@ -19,10 +19,11 @@ import numpy as np
 
 from . import calculus as ca
 from . import connection as cn
+from . import strata as st
 from . import triple as tr
 from .calculus import Y_SLOTS, CoordVector
 from .errors import MissingCertificate, ZeroVolumeFactor
-from .fields import ConstField, Field, FuncField, as_field
+from .fields import ConstField, CoordField, ExprField, Field, FuncField, as_field
 from .lowering import evaluate
 from .reports import VerificationReport, residual_block
 
@@ -73,25 +74,32 @@ def modular_direct_fields(triple: tr.PoissonTriple, a=None) -> CoordVector:
 
 def modular_direct(triple: tr.PoissonTriple, a, p):
     """Modular field values at p relative to the volume scaled by ``a``."""
+    sample = st.as_sample(p)
     a = None if a is None else as_field(a)
     if a is ConstField(1.0):
         a = None
-    if a is not None and np.any(a.at(p, 0).value == 0.0):
+    if a is not None and np.any(_values(sample, [a])[0] == 0.0):
         raise ZeroVolumeFactor("volume factor vanishes at a requested point")
     # evaluated once: one group walk, nothing compiled
-    return np.stack([jet.value for jet in evaluate(modular_direct_fields(triple, a).comps, p, 0)])
+    return np.stack([jet.value for jet in evaluate(modular_direct_fields(triple, a).comps, sample.points, 0)])
+
+
+def _values(sample, fields):
+    return [jet.value for jet in sample.jets(fields)]
 
 
 def modular_bigraded(triple: tr.PoissonTriple, p):
     """Bigraded components: (hor-frame pair, vertical triple)."""
+    sample = st.as_sample(p)
     conn = triple.conn
-    kj = triple.kappa.at(p, 1)
-    th = [f.at(p, 0).value for f in _theta_fields(conn)]
-    alpha = [kj.value * th[i] + ca.hor_apply(conn, i + 1, triple.kappa).at(p, 0).value for i in range(2)]
+    (kj,) = sample.jets([triple.kappa], 1)
+    th = _values(sample, _theta_fields(conn))
+    hk = _values(sample, [ca.hor_apply(conn, i, triple.kappa) for i in (1, 2)])
+    alpha = [kj.value * th[i] + hk[i] for i in range(2)]
     hor_part = np.stack([alpha[1], -np.asarray(alpha[0])])
     # nu = d_(0,1) beta + kappa rho on the pairs (2,3), (1,3), (1,2)
-    bj = [c.at(p, 1) for c in triple.beta.comps]
-    rho_v = [f.at(p, 0).value for f in cn.rho_components(conn)]
+    bj = sample.jets(triple.beta.comps, 1)
+    rho_v = _values(sample, cn.rho_components(conn))
     rho_pairs = {(1, 2): -np.asarray(rho_v[0]), (0, 2): np.asarray(rho_v[1]), (0, 1): -np.asarray(rho_v[2])}
     nu = {}
     for (a, b), rv in rho_pairs.items():
@@ -108,11 +116,11 @@ def _theta_fields(conn):
 
 def bigraded_to_coordinates(triple: tr.PoissonTriple, hor_part, vert, p):
     """Convert (hor-frame, vertical) components to the coordinate frame."""
-    gv = triple.conn.gamma_values(p)  # (2, 3, ...)
+    gv = _values(st.as_sample(p), [*triple.conn.gamma[0], *triple.conn.gamma[1]])  # gamma_1^a, gamma_2^a
     out = np.zeros((5,) + np.shape(hor_part[0]))
     out[0], out[1] = hor_part[0], hor_part[1]
     for a in range(3):
-        out[2 + a] = vert[a] - hor_part[0] * gv[0, a] - hor_part[1] * gv[1, a]
+        out[2 + a] = vert[a] - hor_part[0] * gv[a] - hor_part[1] * gv[3 + a]
     return out
 
 
@@ -124,46 +132,37 @@ def bigraded_vs_direct_residual(triple: tr.PoissonTriple, p):
 
 def renormalization_check(triple: tr.PoissonTriple, a, p):
     """Residual of Z^{a Omega} = Z^Omega - (1/a) i_{da} Pi at p."""
+    sample = st.as_sample(p)
     a = as_field(a)
-    av = a.at(p, 0).value
+    (av,) = _values(sample, [a])
     if np.any(av == 0.0):
         raise ZeroVolumeFactor("volume factor vanishes at a requested point")
-    za = modular_direct(triple, a, p)
-    z1 = modular_direct(triple, None, p)
-    xa = np.stack([jet.value for jet in evaluate(tr.hamiltonian_field(triple, a).comps, p, 0)])
+    za = modular_direct(triple, a, sample)
+    z1 = modular_direct(triple, None, sample)
+    xa = np.stack([jet.value for jet in evaluate(tr.hamiltonian_field(triple, a).comps, sample.points, 0)])
     return np.max(np.abs(za - (z1 - xa / av)), axis=0)
 
 
 def closedness_check(triple: tr.PoissonTriple, p):
     """Residuals (|d_(0,1)beta|, theta-coefficients-Casimir, |d_(1,0)theta|)."""
-    bj = [c.at(p, 1) for c in triple.beta.comps]
+    sample = st.as_sample(p)
+    bj = sample.jets(triple.beta.comps, 1)
     dbeta = 0.0
     for a in range(3):
         for b in range(a + 1, 3):
             dbeta = np.maximum(dbeta, np.abs(bj[b].grad[Y_SLOTS[a]] - bj[a].grad[Y_SLOTS[b]]))
     thf = _theta_fields(triple.conn)
-    bv = triple.beta.values(p)
+    bv = triple.beta.values(sample)
     th_cas = 0.0
-    for f in thf:
-        grad_v = f.at(p, 1).grad[2:]
-        th_cas = np.maximum(th_cas, np.max(np.abs(np.cross(grad_v, bv, axis=0)), axis=0))
-    dtheta = np.abs(
-        ca.hor_apply(triple.conn, 1, thf[1]).at(p, 0).value
-        - ca.hor_apply(triple.conn, 2, thf[0]).at(p, 0).value
-    )
+    for jet in sample.jets(thf, 1):
+        th_cas = np.maximum(th_cas, np.max(np.abs(np.cross(jet.grad[2:], bv, axis=0)), axis=0))
+    h1, h2 = _values(sample, [ca.hor_apply(triple.conn, 1, thf[1]), ca.hor_apply(triple.conn, 2, thf[0])])
+    dtheta = np.abs(h1 - h2)
     return {"dbeta": dbeta, "theta_casimir": th_cas, "dtheta": dtheta}
-
-
-def _coordinate_fields():
-    from .fields import CoordField
-
-    return [CoordField(k) for k in range(5)]
 
 
 def test_hamiltonians(seed=7):
     """Five coordinate functions plus three seeded random cubic polynomials."""
-    from .fields import ExprField
-
     rng = np.random.default_rng(seed)
     names = ["x1", "x2", "y1", "y2", "y3"]
     polys = []
@@ -174,16 +173,17 @@ def test_hamiltonians(seed=7):
             picks = rng.choice(names, size=rng.integers(1, 4), replace=True)
             terms.append(f"{c:.6f}*" + "*".join(picks))
         polys.append(ExprField(" + ".join(terms)))
-    return _coordinate_fields() + polys
+    return [CoordField(k) for k in range(5)] + polys
 
 
 def invariant_divergence_residual(triple: tr.PoissonTriple, density, p, hamiltonians=None):
     """Max over test Hamiltonians of |div_(density)(X_F)| at p."""
     hams = hamiltonians if hamiltonians is not None else test_hamiltonians()
+    sample = st.as_sample(p)
     worst = 0.0
     for F in hams:
         X = tr.hamiltonian_field(triple, F)
-        worst = np.maximum(worst, np.abs(ca.divergence(X, p, density)))
+        worst = np.maximum(worst, np.abs(ca.divergence(X, sample, density)))
     return worst
 
 
@@ -193,19 +193,18 @@ def unimod_coupling_check(
     """Coupling-domain criterion: theta exact, h a Casimir, volume invariant."""
     if cert is None or cert.h is None:
         raise MissingCertificate("the coupling-domain check needs a primitive h")
-    mask = triple.coupling_mask(pts)
-    pts = pts[:, mask]
+    sample = st.as_sample(pts)
+    sample = sample.subset(triple.coupling_mask(sample), "coupling")
+    pts = sample.points
     report = VerificationReport(name="unimodularity-coupling")
     thf = _theta_fields(triple.conn)
-    exact = 0.0
-    for i in (1, 2):
-        resid = thf[i - 1] + ca.hor_apply(triple.conn, i, cert.h)
-        exact = np.maximum(exact, np.abs(resid.at(pts, 0).value))
+    resid = [thf[i - 1] + ca.hor_apply(triple.conn, i, cert.h) for i in (1, 2)]
+    exact = np.max(np.abs(_values(sample, resid)), axis=0)
     report.add(residual_block("theta-exactness", exact, pts, tol))
-    _, h_cas = tr.casimir_residual(triple, cert.h, pts)
+    _, h_cas = tr.casimir_residual(triple, cert.h, sample)
     report.add(residual_block("h-casimir", h_cas, pts, tol))
     density = FuncField("exp", cert.h) / triple.kappa
-    div = invariant_divergence_residual(triple, density, pts)
+    div = invariant_divergence_residual(triple, density, sample)
     report.add(residual_block("invariant-volume-divergence", div, pts, div_tol))
     return report
 
@@ -216,21 +215,22 @@ def unimod_global_check(
     """Global criterion: coupling check, kappa factorization, K Casimir, invariance."""
     if cert is None or cert.K is None:
         raise MissingCertificate("the global check needs a factor K")
-    report = unimod_coupling_check(triple, cert, pts, tol=tol, div_tol=div_tol)
+    sample = st.as_sample(pts)
+    report = unimod_coupling_check(triple, cert, sample, tol=tol, div_tol=div_tol)
     report.name = "unimodularity-global"
-    kv = triple.kappa_values(pts)
-    mask = triple.coupling_mask(pts)
+    kv = triple.kappa_values(sample)
+    mask = triple.coupling_mask(sample)
     kappa0 = cert.kappa0 if cert.kappa0 is not None else ConstField(1.0)
     factor = FuncField("exp", cert.h) * kappa0 * cert.K
-    K_vals = cert.K.at(pts, 0).value
+    (K_vals,) = _values(sample, [cert.K])
     if np.any(K_vals == 0.0):
         raise ZeroVolumeFactor("certificate factor K vanishes on the sample set")
-    fact_res = np.abs(kv - factor.at(pts, 0).value)[mask]
-    report.add(residual_block("kappa-factorization", fact_res, pts[:, mask], tol))
-    zero_mask = ~mask
-    if np.any(zero_mask):
-        _, k_cas = tr.casimir_residual(triple, cert.K, pts[:, zero_mask])
-        report.add(residual_block("K-casimir-on-zero-set", k_cas, pts[:, zero_mask], tol))
-    div = invariant_divergence_residual(triple, ConstField(1.0) / cert.K, pts)
-    report.add(residual_block("global-volume-divergence", div, pts, div_tol))
+    fact_res = np.abs(kv - _values(sample, [factor])[0])[mask]
+    report.add(residual_block("kappa-factorization", fact_res, sample.subset(mask, "coupling").points, tol))
+    if np.any(~mask):
+        zero_set = sample.subset(~mask, "kappa zero set")
+        _, k_cas = tr.casimir_residual(triple, cert.K, zero_set)
+        report.add(residual_block("K-casimir-on-zero-set", k_cas, zero_set.points, tol))
+    div = invariant_divergence_residual(triple, ConstField(1.0) / cert.K, sample)
+    report.add(residual_block("global-volume-divergence", div, sample.points, div_tol))
     return report

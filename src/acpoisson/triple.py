@@ -140,11 +140,6 @@ def _scaled_tol(kappa_values):
     return 1e-9 * (1.0 + scale)
 
 
-def assemble_pi(triple: PoissonTriple) -> FieldElement:
-    """Coordinate-frame bivector of the triple."""
-    return triple.pi_coord()
-
-
 def recover_triple(pi: FieldElement, conn: cn.Connection, probe=None):
     """Invert assembly: kappa from the horizontal block, beta from the vertical.
 
@@ -336,11 +331,12 @@ def hamiltonian_parts(triple: PoissonTriple, F, p):
 def casimir_residual(triple: PoissonTriple, c, p):
     """Pair (|kappa d_{1,0} c|, |d_{0,1} c ^ beta|), max-norms at p."""
     c = as_field(c)
-    kv = triple.kappa_values(p)
-    hc = evaluate([ca.hor_apply(triple.conn, i, c) for i in (1, 2)], p)
+    sample = st.as_sample(p)
+    kv = triple.kappa_values(sample)
+    hc = evaluate([ca.hor_apply(triple.conn, i, c) for i in (1, 2)], sample.points)
     r1 = np.max(np.stack([np.abs(kv * j.value) for j in hc]), axis=0)
-    dcv = evaluate([c], p, 1)[0].grad[2:]
-    bv = triple.beta.values(p)
+    dcv = evaluate([c], sample.points, 1)[0].grad[2:]
+    bv = triple.beta.values(sample)
     r2 = np.max(np.abs(np.cross(dcv, bv, axis=0)), axis=0)
     return r1, r2
 

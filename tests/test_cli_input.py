@@ -148,6 +148,22 @@ def test_strata_of_a_non_finite_bivector_exits_3(kappa, capsys, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["check", "modular", "strata"])
+def test_a_non_finite_report_exits_3_with_one_line(command, tmp_path):
+    # kappa overflows to inf on part of the box, so residuals turn NaN
+    model = _model(tmp_path, "sec5_example", "expr = y1^2 - x1^2 - x2^2", "expr = exp(exp(y1*10))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    out = ["--out", "report.out"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "acpoisson", command, model, *out],
+        capture_output=True, text=True, env=env, cwd=tmp_path,
+    )
+    assert proc.returncode == 3
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("numeric error:")
+    assert proc.stdout == "" and not (tmp_path / "report.out").exists()
+
+
 @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "-1e-9"])
 @pytest.mark.parametrize("key", ["identity", "oracle", "conservation", "fd"])
 def test_bad_model_tolerances_are_rejected(key, value, capsys, tmp_path):

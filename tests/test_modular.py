@@ -192,3 +192,21 @@ def test_bigraded_vertical_part_vanishes_for_closed_beta(rng, pts):
     T = fuzz.random_flat_casimir_triple(rng, closed=True)
     _, vert = mo.modular_bigraded(T, pts)
     assert np.max(np.abs(vert)) <= 1e-12
+
+
+def test_modular_certificate_reads_through_the_sample(tmp_path, capsys, monkeypatch):
+    """Every field `modular --certificate` reads goes through its sample or a group walk, none through Field.at."""
+    from acpoisson import cli, fields
+
+    calls = []
+    at = fields.Field.at
+
+    def spy(self, p, order=2):
+        calls.append(self)
+        return at(self, p, order)
+
+    monkeypatch.setattr(fields.Field, "at", spy)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["modular", "br3_unimodular", "--certificate", "--csv", "z.csv"]) == 0
+    capsys.readouterr()
+    assert calls == []
