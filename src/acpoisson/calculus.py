@@ -208,7 +208,7 @@ class CoordVector:
     ``values`` runs the components as one straight-line function, compiled on
     first use (``lowering.lower``) and bit-identical to evaluating each
     component's jet; graphs the compiler cannot express and every domain error
-    go through ``Field.at``, so an error names its failing subexpression.
+    go through ``lowering.evaluate``, so an error names its failing subexpression.
     ``jets`` evaluates the components as one group (``lowering.evaluate``).
     """
 
@@ -227,7 +227,7 @@ class CoordVector:
                 return np.array(self._lowered(p))
             except DomainError:
                 pass  # the jet path raises it again, tagged
-        return np.stack([c.at(p, order=0).value for c in self.comps])
+        return np.stack([jet.value for jet in evaluate(self.comps, p)])
 
     def jets(self, p):
         jets = evaluate(self.comps, p, 1)

@@ -79,11 +79,8 @@ def run_check(model: md.ModelFile, n=None, tol=None) -> VerificationReport:
     report.name = "check"
 
     # almost-coupling: the mixed component of the re-bigraded tensor
-    mov = ca.coord_to_moving_bivector(triple.pi_coord(), triple.conn)
-    mixed = np.zeros(pts.shape[1])
-    for jet in evaluate(mov.project(1, 1).coeffs.values(), pts):
-        mixed = np.maximum(mixed, np.abs(jet.value))
-    report.add(residual_block("almost-coupling", np.atleast_1d(mixed), pts, identity_tol))
+    mixed = tr.mixed_residual(ca.coord_to_moving_bivector(triple.pi_coord(), triple.conn), pts)
+    report.add(residual_block("almost-coupling", mixed, pts, identity_tol))
 
     first200 = sample.subset(slice(200), "first 200 points")
     sub = first200.points

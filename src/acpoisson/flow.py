@@ -27,6 +27,7 @@ class Trajectory:
     def __init__(self, times, states, hamiltonian, dt, truncated=False, halving_error=None):
         self.times = times
         self.states = states  # (5, n_steps+1)
+        self.sample = st.as_sample(states)  # every field along the path is read through it
         self.hamiltonian = hamiltonian
         self.dt = dt
         self.truncated = truncated
@@ -42,58 +43,46 @@ def _check_steps(n):
         raise BadInput(f"step count {n} is negative or more than {MAX_FLOW_STEPS}")
 
 
-def _stage(rhs, p):
-    """``rhs(p)`` at an intermediate RK4 stage, which may have left the finite range."""
+def _finite(p):
+    """``p`` itself; an RK4 stage that left the finite range raises :class:`DomainError`."""
     if not np.isfinite(p).all():
         raise DomainError("an RK4 stage left the finite range")
-    return rhs(p)
+    return p
 
 
 def _rk4_path(rhs, p0, dt, n):
-    states = np.zeros((5, n + 1))
-    states[:, 0] = p0
+    """RK4 from a point (5,) or a batch (5, m): the states, shape ``p0.shape + (n + 1,)``,
+    and None, or the states before the step a :class:`DomainError` cut, and that error."""
+    states = np.zeros(p0.shape + (n + 1,))
+    states[..., 0] = p0
     p = np.array(p0, dtype=float)
-    truncated = False
     for k in range(n):
         try:
             k1 = rhs(p)
-            k2 = _stage(rhs, p + 0.5 * dt * k1)
-            k3 = _stage(rhs, p + 0.5 * dt * k2)
-            k4 = _stage(rhs, p + dt * k3)
-        except DomainError:
-            states = states[:, : k + 1]
-            truncated = True
-            break
-        p = p + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not np.all(np.isfinite(p)):
-            states = states[:, : k + 1]
-            truncated = True
-            break
-        states[:, k + 1] = p
-    return states, truncated
+            k2 = rhs(_finite(p + 0.5 * dt * k1))
+            k3 = rhs(_finite(p + 0.5 * dt * k2))
+            k4 = rhs(_finite(p + dt * k3))
+            p = _finite(p + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
+        except DomainError as err:
+            return states[..., : k + 1], err
+        states[..., k + 1] = p
+    return states, None
 
 
 def integrate_batch(triple: tr.PoissonTriple, F, p0s, dt, n):
     """RK4 on a batch of starting points, shape (5, m); returns (5, m, n+1).
 
-    All trajectories share the step sequence.  A domain error at any point of
-    any stage raises :class:`~acpoisson.errors.DomainError`, naming the
-    failing subexpression; no partial batch is returned.  Used for
-    sweep-style diagnostics.
+    All trajectories share the step sequence.  Where a single flow would
+    truncate (a domain error, or a stage that leaves the finite range, at any
+    point) this raises that :class:`~acpoisson.errors.DomainError`; no partial
+    batch is returned.  Used for sweep-style diagnostics.
     """
     _check_steps(n)
-    F = as_field(F)
-    X = tr.hamiltonian_field(triple, F)
-    p = np.array(p0s, dtype=float)
-    out = [p.copy()]
-    for _ in range(n):
-        k1 = X.values(p)
-        k2 = X.values(p + 0.5 * dt * k1)
-        k3 = X.values(p + 0.5 * dt * k2)
-        k4 = X.values(p + dt * k3)
-        p = p + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        out.append(p.copy())
-    return np.stack(out, axis=-1)
+    X = tr.hamiltonian_field(triple, as_field(F))
+    states, error = _rk4_path(X.values, np.asarray(p0s, dtype=float), dt, n)
+    if error is not None:
+        raise error
+    return states
 
 
 def integrate(triple: tr.PoissonTriple, F, p0, dt, n, halving_check=True) -> Trajectory:
@@ -103,16 +92,15 @@ def integrate(triple: tr.PoissonTriple, F, p0, dt, n, halving_check=True) -> Tra
     _check_steps(n)
     F = as_field(F)
     X = tr.hamiltonian_field(triple, F)
-    rhs = lambda p: X.values(p)
     p0 = np.asarray(p0, dtype=float)
-    states, truncated = _rk4_path(rhs, p0, dt, n)
+    states, error = _rk4_path(X.values, p0, dt, n)
     halving = None
-    if halving_check and not truncated:
-        fine, trunc2 = _rk4_path(rhs, p0, dt / 2.0, 2 * n)
-        if not trunc2:
+    if halving_check and error is None:
+        fine, fine_error = _rk4_path(X.values, p0, dt / 2.0, 2 * n)
+        if fine_error is None:
             halving = float(np.max(np.abs(states[:, -1] - fine[:, -1])))
     times = np.arange(states.shape[1]) * dt
-    return Trajectory(times, states, F, dt, truncated=truncated, halving_error=halving)
+    return Trajectory(times, states, F, dt, truncated=error is not None, halving_error=halving)
 
 
 def conservation_report(
@@ -126,26 +114,16 @@ def conservation_report(
 ) -> VerificationReport:
     """Drift of the Hamiltonian, of Casimirs, kappa-sign constancy, divergence."""
     report = VerificationReport(name="conservation")
-    pts = traj.states
-    fvals = traj.hamiltonian.at(pts, 0).value
-    f_drift = float(np.max(np.abs(fvals - fvals[0])))
-    report.add(
-        CheckBlock("hamiltonian-drift", f_drift, f_drift, f_tol, f_drift <= f_tol, n_samples=pts.shape[1])
-    )
-    for i, c in enumerate(casimirs):
-        c = as_field(c)
-        cv = c.at(pts, 0).value
-        drift = float(np.max(np.abs(cv - cv[0])))
-        report.add(
-            CheckBlock(
-                f"casimir-{i + 1}-drift", drift, drift, casimir_tol, drift <= casimir_tol,
-                n_samples=pts.shape[1],
-            )
-        )
+    sample = traj.sample
+    n_samples = sample.points.shape[1]
+    fields = [traj.hamiltonian, *(as_field(c) for c in casimirs)]
+    for i, jet in enumerate(sample.jets(fields)):
+        check_id, tol = ("hamiltonian-drift", f_tol) if i == 0 else (f"casimir-{i}-drift", casimir_tol)
+        drift = float(np.max(np.abs(jet.value - jet.value[0])))
+        report.add(CheckBlock(check_id, drift, drift, tol, drift <= tol, n_samples=n_samples))
     # kappa must not change sign along a flow started off its zero set
-    path = st.as_sample(pts)
-    kv = triple.kappa_values(path)
-    tol = triple.kappa_tol(path)
+    kv = triple.kappa_values(sample)
+    tol = triple.kappa_tol(sample)
     signs = np.sign(kv[np.abs(kv) > tol])
     crossings = int(np.sum(signs[1:] != signs[:-1])) if signs.size else 0
     report.add(
@@ -155,13 +133,13 @@ def conservation_report(
             float(crossings),
             0.0,
             crossings == 0,
-            n_samples=pts.shape[1],
+            n_samples=n_samples,
             note="number of sign changes of kappa along the path",
         )
     )
     if volume_factor is not None:
         X = tr.hamiltonian_field(triple, traj.hamiltonian)
-        div = ca.divergence(X, pts, as_field(volume_factor))
+        div = ca.divergence(X, sample, as_field(volume_factor))
         accumulated = float(np.abs(np.sum(div) * traj.dt))
         worst = float(np.max(np.abs(div)))
         report.add(
@@ -171,7 +149,7 @@ def conservation_report(
                 accumulated,
                 div_tol,
                 worst <= div_tol,
-                n_samples=pts.shape[1],
+                n_samples=n_samples,
                 note="mean field holds the accumulated integral of div along the path",
             )
         )
@@ -182,7 +160,8 @@ def conservation_report(
 
 
 def trajectory_to_csv(traj: Trajectory, casimirs, path):
-    casimirs = [as_field(c) for c in casimirs]
-    header = ["t", "x1", "x2", "y1", "y2", "y3", "F"] + [f"casimir_{i + 1}" for i in range(len(casimirs))]
-    columns = [traj.times, *traj.states, traj.hamiltonian.at(traj.states, 0).value]
-    write_csv(path, header, columns + [c.at(traj.states, 0).value for c in casimirs])
+    """The states with F and the Casimirs along them, read through the trajectory's sample."""
+    fields = [traj.hamiltonian, *(as_field(c) for c in casimirs)]
+    header = ["t", "x1", "x2", "y1", "y2", "y3", "F"] + [f"casimir_{i}" for i in range(1, len(fields))]
+    columns = [traj.times, *traj.states, *(jet.value for jet in traj.sample.jets(fields))]
+    write_csv(path, header, columns)

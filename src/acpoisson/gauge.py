@@ -69,10 +69,9 @@ def varkappa(triple: tr.PoissonTriple, gauge: GaugeData, p, epsilon=None):
     """Coordinate-formula value of vk_{mu,eps} at p."""
     eps = gauge.epsilon if epsilon is None else epsilon
     mu1, mu2 = gauge.mu
-    h1 = ca.hor_apply(triple.conn, 1, mu2).at(p, 0).value
-    h2 = ca.hor_apply(triple.conn, 2, mu1).at(p, 0).value
-    d1 = mu1.at(p, 1).grad[2:]
-    d2 = mu2.at(p, 1).grad[2:]
+    hor = [ca.hor_apply(triple.conn, 1, mu2), ca.hor_apply(triple.conn, 2, mu1)]
+    h1, h2 = (jet.value for jet in evaluate(hor, p))
+    d1, d2 = (jet.grad[2:] for jet in evaluate([mu1, mu2], p, 1))
     bv = triple.beta.values(p)
     bilinear = np.einsum("a...,a...->...", d1, np.cross(bv, d2, axis=0))
     return h1 - h2 - eps * bilinear
@@ -84,8 +83,13 @@ def varkappa_intrinsic(triple: tr.PoissonTriple, gauge: GaugeData, p, epsilon=No
     mu_form = FieldElement.form({((1,), ()): gauge.mu[0], ((2,), ()): gauge.mu[1]})
     d10 = ca.d_component(mu_form, triple.conn, (1, 0)).at(p)
     base = d10.coefficient(((1, 2), ()))
-    bracket = _vertical_bracket_field(triple, gauge.mu[0], gauge.mu[1]).at(p, 0).value
-    return base + eps * bracket
+    (bracket,) = evaluate([_vertical_bracket_field(triple, gauge.mu[0], gauge.mu[1])], p)
+    return base + eps * bracket.value
+
+
+def _denominator(triple: tr.PoissonTriple, gauge: GaugeData, epsilon) -> Field:
+    """1 - eps kappa (vk - c): the rescaling of kappa and the domain of the eps-member."""
+    return 1.0 - triple.kappa * (varkappa_field(triple, gauge, epsilon) - gauge.c) * epsilon
 
 
 def family(triple: tr.PoissonTriple, gauge: GaugeData, epsilon, probe=None):
@@ -94,8 +98,7 @@ def family(triple: tr.PoissonTriple, gauge: GaugeData, epsilon, probe=None):
         return triple
     xi = cn.ConnectionShift.gauge(gauge.mu, triple.beta, epsilon)
     new_conn = cn.shift(triple.conn, xi)
-    vk = varkappa_field(triple, gauge, epsilon)
-    denom = 1.0 - triple.kappa * (vk - gauge.c) * epsilon
+    denom = _denominator(triple, gauge, epsilon)
     if probe is not None:
         (jet,) = evaluate([denom], probe)
         if np.all(np.abs(jet.value) <= 1e-9):
@@ -121,9 +124,7 @@ def scale(triple: tr.PoissonTriple, epsilon) -> tr.PoissonTriple:
 
 def domain_indicator(triple: tr.PoissonTriple, gauge: GaugeData, epsilon, p):
     """Denominator 1 - eps kappa (vk - c); membership is |value| > tol."""
-    vk = varkappa_field(triple, gauge, epsilon)
-    denom = ConstField(1.0) - triple.kappa * (vk - gauge.c) * epsilon
-    return denom.at(p, 0).value
+    return evaluate([_denominator(triple, gauge, epsilon)], p)[0].value
 
 
 def characteristic_compare(tripleA: tr.PoissonTriple, tripleB: tr.PoissonTriple, p):
@@ -152,5 +153,5 @@ def upsilon_closedness(gauge: GaugeData, triple: tr.PoissonTriple, p):
     omega_h = FieldElement.form({((1, 2), ()): 1.0})
     upsilon = ca.exterior_d_field(mu_form, triple.conn).scale(-1.0) + omega_h.scale(gauge.c)
     d_upsilon = ca.exterior_d_field(upsilon, triple.conn).at(p).norm()
-    dc_vertical = np.max(np.abs(gauge.c.at(p, 1).grad[2:]), axis=0)
+    dc_vertical = np.max(np.abs(evaluate([gauge.c], p, 1)[0].grad[2:]), axis=0)
     return d_upsilon, float(np.max(dc_vertical))

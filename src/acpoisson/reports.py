@@ -67,9 +67,10 @@ class VerificationReport:
 def residual_block(check_id, residuals, points, tol, note="") -> CheckBlock:
     """Summarize a per-point residual array into a check block."""
     residuals = np.atleast_1d(np.asarray(residuals, dtype=float))
-    worst = int(np.argmax(residuals))
     pts = np.asarray(points)
-    worst_point = pts[:, worst].tolist() if pts.ndim == 2 and pts.shape[1] == residuals.size else None
+    worst_point = None
+    if residuals.size and pts.ndim == 2 and pts.shape[1] == residuals.size:
+        worst_point = pts[:, int(np.argmax(residuals))].tolist()
     return CheckBlock(
         check_id=check_id,
         max_residual=float(residuals.max()) if residuals.size else 0.0,

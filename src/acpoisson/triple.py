@@ -23,7 +23,7 @@ from .errors import (
     OutsideCouplingDomain,
 )
 from .fields import ConstField, as_field, is_zero
-from .graded import GradedElement
+from .graded import GradedElement, interior
 from .lowering import evaluate
 from .reports import CheckBlock, VerificationReport, residual_block
 
@@ -140,6 +140,14 @@ def _scaled_tol(kappa_values):
     return 1e-9 * (1.0 + scale)
 
 
+def mixed_residual(mov: FieldElement, p):
+    """Pointwise max |coefficient| of the mixed (1,1) component of a moving-frame bivector."""
+    mixed = np.zeros(np.shape(np.asarray(p)[0]))
+    for jet in evaluate(mov.project(1, 1).coeffs.values(), p):
+        mixed = np.maximum(mixed, np.abs(jet.value))
+    return mixed
+
+
 def recover_triple(pi: FieldElement, conn: cn.Connection, probe=None):
     """Invert assembly: kappa from the horizontal block, beta from the vertical.
 
@@ -148,12 +156,8 @@ def recover_triple(pi: FieldElement, conn: cn.Connection, probe=None):
     """
     mov = ca.coord_to_moving_bivector(pi, conn)
     if probe is None:
-        from .strata import halton_points
-
-        probe = halton_points(64, [(-1.0, 1.0)] * 5)
-    mixed = 0.0
-    for jet in evaluate(mov.project(1, 1).coeffs.values(), probe):
-        mixed = max(mixed, float(np.max(np.abs(jet.value))))
+        probe = st.halton_points(64, [(-1.0, 1.0)] * 5)
+    mixed = float(np.max(mixed_residual(mov, probe)))
     if mixed > 1e-9:
         raise NotAlmostCoupling(mixed)
     kappa = mov.coeffs.get(((1, 2), ()), ConstField(0.0))
@@ -458,8 +462,6 @@ def coupling_form_residual(triple: PoissonTriple, p):
     _require_coupling(triple, p)
     kv = triple.kappa_values(p)
     sigma = GradedElement.form({((1, 2), ()): 1.0 / kv})
-    from .graded import interior
-
     worst = 0.0
     pi20 = GradedElement.multivector({((1, 2), ()): kv})
     for i, alpha_key in ((1, ((1,), ())), (2, ((2,), ()))):

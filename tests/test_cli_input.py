@@ -1,5 +1,6 @@
 """Bad command-line input exits 2 with a one-line message, never a traceback."""
 
+import json
 import os
 import subprocess
 import sys
@@ -204,3 +205,20 @@ def test_flow_truncates_at_a_non_finite_rk4_stage(capsys, tmp_path):
     assert code == 0 and lines == []
     rows = (tmp_path / "f.csv").read_text().splitlines()
     assert len(rows) == 2 and rows[1].startswith("0.0,0.0,0.0,0.3,0.4,0.5,")
+
+
+def test_a_certificate_with_no_coupling_points_reports_empty_blocks(tmp_path):
+    # kappa = 0 everywhere leaves the coupling-domain blocks of the certificate check no points
+    text = BUILTIN_MODELS["flat_so3"]
+    model = tmp_path / "model.ini"
+    model.write_text(text.replace("expr = 1 - y1^2 - y2^2 - y3^2", "expr = 0").replace("h = 0", "h = 0\nK = 1"))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "acpoisson", "modular", str(model), "--certificate", "--samples", "50"],
+        capture_output=True, text=True, env=env, cwd=tmp_path,
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    blocks = {b["check"]: b for b in json.loads(proc.stdout)["checks"]}
+    for check in ("theta-exactness", "h-casimir", "kappa-factorization"):
+        assert blocks[check]["n_samples"] == 0 and blocks[check]["worst_point"] is None
+    assert blocks["global-volume-divergence"]["n_samples"] == 50

@@ -134,3 +134,48 @@ def test_batch_domain_error_raises_with_its_subexpression():
     with pytest.raises(DomainError, match=r"ln of a non-positive value in 'ln\(y1\)'"):
         fl.integrate_batch(T, F, p0s, dt=0.01, n=5)
     assert fl.integrate_batch(T, F, p0s[:, :1], dt=0.01, n=5).shape == (5, 1, 6)
+
+
+def test_batch_stage_overflow_raises_domain_error():
+    from acpoisson import model as md
+
+    triple = md.resolve("flat_so3").effective_triple()
+    p0s = np.array([[0, 0, 0.6, -0.2, 0.3], [0.1, 0, 0.2, 0.4, -0.5]]).T
+    # the second stage lands near 1e307, so the third leaves the finite range
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DomainError, match="an RK4 stage left the finite range"):
+            fl.integrate_batch(triple, ExprField("y1"), p0s, dt=1e308, n=5)
+        # the single flow from the same point truncates at the same step
+        traj = fl.integrate(triple, ExprField("y1"), p0s[:, 0], dt=1e308, n=5)
+    assert traj.truncated and traj.n_steps == 0
+
+
+def test_csv_reads_the_fields_the_report_evaluated(so3, tmp_path, monkeypatch):
+    import sys
+
+    from acpoisson import fields, lowering
+
+    traj = fl.integrate(so3, ExprField("y3"), [0, 0, 1, 0, 0], dt=1e-2, n=5, halving_check=False)
+    casimirs = [ExprField(CASIMIR), ExprField("y1 + x2")]
+    fl.conservation_report(so3, traj, casimirs=casimirs)
+    walks = []
+    evaluate, at = lowering.evaluate, fields.Field.at
+
+    def evaluate_spy(fs, *args, **kwargs):
+        fs = list(fs)
+        if fs:  # an empty group walks nothing
+            walks.append(fs)
+        return evaluate(fs, *args, **kwargs)
+
+    def at_spy(self, p, order=2):
+        walks.append([self])
+        return at(self, p, order)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("acpoisson") and vars(module).get("evaluate") is evaluate:
+            monkeypatch.setattr(module, "evaluate", evaluate_spy)
+    monkeypatch.setattr(fields.Field, "at", at_spy)
+    fl.trajectory_to_csv(traj, casimirs, tmp_path / "traj.csv")
+    assert walks == []
+    lines = (tmp_path / "traj.csv").read_text().splitlines()
+    assert lines[0] == "t,x1,x2,y1,y2,y3,F,casimir_1,casimir_2" and len(lines) == 7

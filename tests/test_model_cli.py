@@ -248,3 +248,15 @@ def test_almost_coupling_block_covers_every_sample(name):
     block = cli.run_check(model).block("almost-coupling")
     assert block.n_samples == n
     assert block.worst_point is not None
+
+
+def test_readme_model_file_example_loads():
+    import re
+    from pathlib import Path
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"```\n(\[model\]\n.*?)```", readme, re.S)
+    model = md.loads(block)
+    assert model.name == "sec5_example"
+    assert model.gauge is not None and model.certificate_data() is not None
+    assert model.sampling["generator"] == "halton"

@@ -210,3 +210,24 @@ def test_modular_certificate_reads_through_the_sample(tmp_path, capsys, monkeypa
     assert cli.main(["modular", "br3_unimodular", "--certificate", "--csv", "z.csv"]) == 0
     capsys.readouterr()
     assert calls == []
+
+
+def test_gauge_functions_and_volume_factor_call_no_field_at(so3_coupled, pts, monkeypatch):
+    """Field.at is the oracle: the gauge functions and the volume factor read through group walks."""
+    from acpoisson import fields
+
+    calls = []
+    at = fields.Field.at
+
+    def spy(self, p, order=2):
+        calls.append(self)
+        return at(self, p, order)
+
+    monkeypatch.setattr(fields.Field, "at", spy)
+    G = ga.GaugeData(mu=(ExprField("y3*x1"), ExprField("y1 + x2")), c=ExprField("y1^2 + y2^2 + y3^2"), epsilon=0.1)
+    ga.varkappa(so3_coupled, G, pts)
+    ga.varkappa_intrinsic(so3_coupled, G, pts)
+    ga.domain_indicator(so3_coupled, G, 0.1, pts)
+    ga.upsilon_closedness(G, so3_coupled, pts)
+    mo.VolumeFactor(ExprField("1 + x1^2")).check_nonvanishing(pts)
+    assert calls == []

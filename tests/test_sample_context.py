@@ -197,3 +197,51 @@ def test_bivector_kernels_match_the_dense_arrays(name, shape):
     X = cn.horizontal_lift(1, triple.conn)
     assert _bytes(ca.lie_derivative_bivector(X, pb, p)) == _bytes(_dense_lie(X, pb, p))
     assert _bytes(ca.lie_derivative_bivector(X, pi, p)) == _bytes(_dense_lie(X, pi, p))
+
+
+def _field_at_calls(monkeypatch):
+    """The fields ``Field.at`` is called on from here on."""
+    calls = []
+    at = fields.Field.at
+
+    def spy(self, p, order=2):
+        calls.append(self)
+        return at(self, p, order)
+
+    monkeypatch.setattr(fields.Field, "at", spy)
+    return calls
+
+
+FLOW = ["--hamiltonian", "y1*y2 + 0.3*x1 + y3^2", "--p0", "0.1,-0.2,0.4,0.2,-0.3", "--dt", "0.01", "--steps", "20"]
+DIAGNOSTICS = ["--casimir", "y1^2 + y2^2 + y3^2", "--casimir", "y1 + x2", "--volume-factor", "1 + 0.1*y1^2"]
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        *((["flow", name, *FLOW, *DIAGNOSTICS, "--csv", "f.csv", "--out", "r.json"], 1) for name in MODELS),
+        (["flow", "flat_so3", "--hamiltonian", "1/(y1-0.3)", "--p0", "0,0,0.3,0,0", "--dt", "0.01", "--steps", "5"], 3),
+        (["gauge", "br3_unimodular", "--sweep", "0,0.05", "--outdir", "g"], 0),
+        (["strata", "sec5_example", "--grid", "4", "--out", "s.csv"], 0),
+        (["selftest"], 0),
+    ],
+    ids=[*(f"flow-{name}" for name in MODELS), "flow-exits-3", "gauge-sweep", "strata", "selftest"],
+)
+def test_commands_call_no_field_at(argv, code, tmp_path, capsys, monkeypatch):
+    """``Field.at`` is the oracle: no command evaluates through it."""
+    calls = _field_at_calls(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == code
+    capsys.readouterr()
+    assert calls == []
+
+
+def test_batch_flow_calls_no_field_at(monkeypatch):
+    from acpoisson import flow as fl
+
+    triple = md.resolve("sec5_example").effective_triple()
+    p0s = np.random.default_rng(3).uniform(-0.5, 0.5, (5, 4))
+    calls = _field_at_calls(monkeypatch)
+    states = fl.integrate_batch(triple, fields.ExprField("x1 + y2*y3"), p0s, 1e-2, 10)
+    assert states.shape == (5, 4, 11) and calls == []
+
