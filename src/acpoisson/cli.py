@@ -1,6 +1,7 @@
 """Command-line driver: model verification campaigns and report emission.
 
-Exit codes: 0 all verdicts pass, 1 a verdict failed, 2 bad input,
+Exit codes: 0 all verdicts pass, 1 a verdict failed, 2 bad input (also an
+expression too deep to evaluate or an output that cannot be written),
 3 a numeric domain error stopped evaluation.
 """
 
@@ -426,6 +427,12 @@ def main(argv=None):
         print(f"numeric error: {err}", file=sys.stderr)
         return EXIT_NUMERIC
     except AcPoissonError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_INPUT
+    except RecursionError:
+        print("error: an expression is nested too deeply for the recursion limit", file=sys.stderr)
+        return EXIT_INPUT
+    except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -9,7 +9,8 @@ Grammar:
 
 Identifiers are the five chart variables x1, x2, y1, y2, y3, the constants
 pi and e, and the builtin functions sin, cos, tan, exp, ln, sqrt, tanh,
-cutoff.  Power exponents must be integer literals.
+cutoff.  Power exponents must be integer literals.  Numbers and identifiers
+are ASCII; any other character is a syntax error.
 
 The tree is made of the interned field nodes of :mod:`~acpoisson.fields`,
 re-exported here, so a parsed expression is already a field.
@@ -26,7 +27,7 @@ from .fields import BinOp, Call, Const, Field, Neg, Num, Pow, Var
 CONSTANTS = ("pi", "e")
 FUNCTIONS = ("sin", "cos", "tan", "exp", "ln", "sqrt", "tanh", "cutoff")
 
-_NUMBER = re.compile(r"(\d+\.\d*|\.\d+|\d+)([eE][+-]?\d+)?")
+_NUMBER = re.compile(r"(\d+\.\d*|\.\d+|\d+)([eE][+-]?\d+)?", re.ASCII)
 _WORD = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 _INT = re.compile(r"-?\d+")
 
@@ -56,6 +57,8 @@ def _tokenize(source):
             i += 1
             col += 1
             continue
+        if not ch.isascii():  # numbers and words are ASCII only
+            raise ExprSyntaxError(f"unexpected character '{ch}'", line, col)
         if ch.isdigit() or ch == ".":
             m = _NUMBER.match(source, i)
             if not m:

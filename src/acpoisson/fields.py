@@ -9,13 +9,15 @@ derivative slot (``PartialField``).  One weak intern table keys each node by
 its kind, its parameters (numbers by ``float.hex``) and the identity of its
 children, so structurally equal nodes are one object while they live.
 
-Arithmetic on parsed expressions is *expression-backed* (``ExprField``): it
-folds (``0*f`` is ``0``, ``1*f`` is ``f``), so every spelling of zero is the same
-zero (:func:`is_zero`), ``derivative`` is symbolic with the full 2-jet budget,
-and a domain error names its subexpression.  Any other operand gives a
-``BinField`` or ``FuncField``; ``partial`` reads a slot of the parent's jet and
-spends one order.  A node computes its budget, expression flag and variable
-bitmask once, and keeps its derivatives and source text once asked.
+Each operation has one node class.  A node is *expression-backed*
+(``ExprField``) exactly when no ``PartialField`` lies below it.  Arithmetic on
+expression-backed operands is folded (``0*f`` is ``0``, ``1*f`` is ``f``), so
+every spelling of zero is the same zero (:func:`is_zero`), ``derivative`` is
+symbolic with the full 2-jet budget, and a domain error names its
+subexpression.  Any other operand gives a plain ``BinOp``; ``partial`` reads a
+slot of the parent's jet and spends one order.  A node computes its budget,
+expression flag and variable bitmask once, and keeps its derivatives and
+source text once asked.
 
 A node's jet is one ``combine`` step applied to the jets of its ``operands``;
 the step holds the node's jet rule and tags its domain errors.  ``Field.at``
@@ -59,7 +61,7 @@ def _arithmetic(op, swap=False):
         a, b = (as_field(other), self) if swap else (self, as_field(other))
         if a.expression and b.expression:
             return _FOLD[op](a, b)
-        return BinField(op, a, b)
+        return BinOp(op, a, b)
 
     return method
 
@@ -69,7 +71,7 @@ class Field:
 
     __slots__ = ()
     budget = 2
-    expression = False  # expression-backed: folds, differentiates symbolically
+    expression = False  # expression-backed: folded, differentiated symbolically
     mask = (1 << NVARS) - 1  # bit k: the field may depend on variable k
 
     def eval_jet(self, points, order):
@@ -126,7 +128,7 @@ class Field:
             cache[k] = ex.differentiate(self, VAR_NAMES[k])
         return cache[k]
 
-    # arithmetic: expression-backed operands fold, any other gives a BinField
+    # arithmetic: expression-backed operands fold, any other gives a plain BinOp
 
     __add__, __radd__ = _arithmetic("+"), _arithmetic("+", swap=True)
     __sub__, __rsub__ = _arithmetic("-"), _arithmetic("-", swap=True)
@@ -136,7 +138,7 @@ class Field:
     def __neg__(self):
         if self.expression:
             return ex.neg(self)
-        return BinField("*", Num(-1.0), self)
+        return BinOp("*", Num(-1.0), self)
 
 
 def is_zero(f) -> bool:
@@ -237,10 +239,10 @@ class ExprField(metaclass=_Expressions):
     """An expression-backed field: ``ExprField(text)`` parses, ``ExprField(node)`` is the node."""
 
 
-def _derive(node, expression, a, b):
+def _derive(node, a, b):
     """Set what a node derives from its children ``a`` and ``b``: budget, expression flag, mask."""
     node.budget = min(a.budget, b.budget)
-    node.expression = expression and a.expression and b.expression
+    node.expression = a.expression and b.expression
     node.mask = a.mask | b.mask
 
 
@@ -297,7 +299,7 @@ class Neg(_Node):
     __slots__ = ("arg",)
 
     def __init__(self, arg):
-        _derive(self, True, arg, arg)
+        _derive(self, arg, arg)
         self.arg = arg
 
     def operands(self, order):
@@ -311,7 +313,7 @@ class Pow(_Node):
     __slots__ = ("base", "exponent")
 
     def __init__(self, base, exponent):
-        _derive(self, True, base, base)
+        _derive(self, base, base)
         self.base = base
         self.exponent = exponent
 
@@ -326,14 +328,13 @@ class BinOp(_Node):
     """``left op right`` for op in ``+ - * /``."""
 
     __slots__ = ("op", "left", "right")
-    folds = True
 
     @classmethod
     def _key(cls, op, left, right):
         return (cls, op, id(left), id(right)), (op, left, right)
 
     def __init__(self, op, left, right):
-        _derive(self, self.folds, left, right)
+        _derive(self, left, right)
         self.op = op
         self.left = left
         self.right = right
@@ -349,18 +350,10 @@ class BinOp(_Node):
             raise
 
 
-class BinField(BinOp):
-    """A binary evaluation node over any fields; it never folds."""
-
-    __slots__ = ()
-    folds = False
-
-
 class Call(_Node):
     """A builtin applied to a field, e.g. exp(h)."""
 
     __slots__ = ("func", "arg")
-    folds = True
 
     @classmethod
     def _key(cls, func, arg):
@@ -368,7 +361,7 @@ class Call(_Node):
         return (cls, func, id(arg)), (func, arg)
 
     def __init__(self, func, arg):
-        _derive(self, self.folds, arg, arg)
+        _derive(self, arg, arg)
         self.func = func  # a key of BUILTIN_JET_RULES
         self.arg = arg
 
@@ -383,13 +376,6 @@ class Call(_Node):
             raise
 
 
-class FuncField(Call):
-    """Composition of a builtin with another field; it never folds."""
-
-    __slots__ = ()
-    folds = False
-
-
 class PartialField(_Node):
     """d(parent)/d(variable k): slot k of the parent's jet, one order below the parent."""
 
@@ -402,8 +388,9 @@ class PartialField(_Node):
         return (cls, id(parent), k), (parent, k)
 
     def __init__(self, parent, k):
-        _derive(self, False, parent, parent)
         self.budget = parent.budget - 1
+        self.expression = False
+        self.mask = parent.mask
         self.parent = parent
         self.k = k
 

@@ -37,7 +37,7 @@ class GaugeData:
 
     def validate(self, triple: tr.PoissonTriple, pts, tol=1e-8):
         """The function c must be a Casimir of the vertical structure."""
-        _, res = tr.casimir_residual(triple, self.c, pts)
+        res = tr.vertical_casimir_residual(triple.beta, self.c, pts)
         return float(np.max(res)) <= tol, float(np.max(res))
 
 

@@ -23,7 +23,7 @@ from . import strata as st
 from . import triple as tr
 from .calculus import Y_SLOTS, CoordVector
 from .errors import MissingCertificate, ZeroVolumeFactor
-from .fields import ConstField, CoordField, ExprField, Field, FuncField, as_field
+from .fields import Call, ConstField, CoordField, ExprField, Field, as_field
 from .lowering import evaluate
 from .reports import VerificationReport, residual_block
 
@@ -149,10 +149,9 @@ def closedness_check(triple: tr.PoissonTriple, p):
         for b in range(a + 1, 3):
             dbeta = np.maximum(dbeta, np.abs(bj[b].grad[Y_SLOTS[a]] - bj[a].grad[Y_SLOTS[b]]))
     thf = _theta_fields(triple.conn)
-    bv = triple.beta.values(sample)
     th_cas = 0.0
-    for jet in sample.jets(thf, 1):
-        th_cas = np.maximum(th_cas, np.max(np.abs(np.cross(jet.grad[2:], bv, axis=0)), axis=0))
+    for f in thf:
+        th_cas = np.maximum(th_cas, tr.vertical_casimir_residual(triple.beta, f, sample))
     h1, h2 = _values(sample, [ca.hor_apply(triple.conn, 1, thf[1]), ca.hor_apply(triple.conn, 2, thf[0])])
     dtheta = np.abs(h1 - h2)
     return {"dbeta": dbeta, "theta_casimir": th_cas, "dtheta": dtheta}
@@ -198,9 +197,9 @@ def unimod_coupling_check(
     resid = [thf[i - 1] + ca.hor_apply(triple.conn, i, cert.h) for i in (1, 2)]
     exact = np.max(np.abs(_values(sample, resid)), axis=0)
     report.add(residual_block("theta-exactness", exact, pts, tol))
-    _, h_cas = tr.casimir_residual(triple, cert.h, sample)
+    h_cas = tr.vertical_casimir_residual(triple.beta, cert.h, sample)
     report.add(residual_block("h-casimir", h_cas, pts, tol))
-    density = FuncField("exp", cert.h) / triple.kappa
+    density = Call("exp", cert.h) / triple.kappa
     div = invariant_divergence_residual(triple, density, sample)
     report.add(residual_block("invariant-volume-divergence", div, pts, div_tol))
     return report
@@ -218,7 +217,7 @@ def unimod_global_check(
     kv = triple.kappa_values(sample)
     mask = triple.coupling_mask(sample)
     kappa0 = cert.kappa0 if cert.kappa0 is not None else ConstField(1.0)
-    factor = FuncField("exp", cert.h) * kappa0 * cert.K
+    factor = Call("exp", cert.h) * kappa0 * cert.K
     (K_vals,) = _values(sample, [cert.K])
     if np.any(K_vals == 0.0):
         raise ZeroVolumeFactor("certificate factor K vanishes on the sample set")
@@ -226,7 +225,7 @@ def unimod_global_check(
     report.add(residual_block("kappa-factorization", fact_res, sample.subset(mask, "coupling").points, tol))
     if np.any(~mask):
         zero_set = sample.subset(~mask, "kappa zero set")
-        _, k_cas = tr.casimir_residual(triple, cert.K, zero_set)
+        k_cas = tr.vertical_casimir_residual(triple.beta, cert.K, zero_set)
         report.add(residual_block("K-casimir-on-zero-set", k_cas, zero_set.points, tol))
     div = invariant_divergence_residual(triple, ConstField(1.0) / cert.K, sample)
     report.add(residual_block("global-volume-divergence", div, sample.points, div_tol))

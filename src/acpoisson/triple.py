@@ -25,7 +25,7 @@ from .errors import (
 from .fields import ConstField, as_field, is_zero
 from .graded import GradedElement, interior
 from .lowering import evaluate
-from .reports import CheckBlock, VerificationReport, residual_block
+from .reports import VerificationReport, residual_block
 
 
 class VerticalOneForm:
@@ -181,8 +181,12 @@ def jacobiator(triple: PoissonTriple, p):
 
 
 def jacobiator_norm(triple: PoissonTriple, p):
-    comps = jacobiator(triple, p)
-    return np.max(np.stack([np.abs(np.asarray(v)) for v in comps.values()]), axis=0)
+    return _component_max(jacobiator(triple, p))
+
+
+def _component_max(comps):
+    """Pointwise max |component| of a dict of component values."""
+    return np.max(np.stack([np.abs(v) for v in comps.values()]), axis=0)
 
 
 def _input_jets(triple: PoissonTriple, sample):
@@ -257,18 +261,8 @@ def equivalence_check(triple: PoissonTriple, samples, tol=1e-9) -> VerificationR
     disagree = ic_pass != jac_pass
     report = VerificationReport(name="equivalence")
     report.add(residual_block("integrability", ic, pts, tol))
-    report.add(
-        CheckBlock(
-            check_id="jacobiator",
-            max_residual=float(np.max(jac)),
-            mean_residual=float(np.mean(jac)),
-            tol=tol,
-            passed=bool(np.all(jac_pass)),
-            worst_point=pts[:, int(np.argmax(jac))].tolist() if pts.ndim == 2 else None,
-            n_samples=int(np.size(jac)),
-            note="tolerance scaled by 1 + jet magnitudes",
-        )
-    )
+    block = report.add(residual_block("jacobiator", jac, pts, tol, note="tolerance scaled by 1 + jet magnitudes"))
+    block.passed = bool(np.all(jac_pass))
     if np.any(disagree):
         idx = np.nonzero(disagree)[0]
         report.disagreements = [
@@ -339,10 +333,14 @@ def casimir_residual(triple: PoissonTriple, c, p):
     kv = triple.kappa_values(sample)
     hc = evaluate([ca.hor_apply(triple.conn, i, c) for i in (1, 2)], sample.points)
     r1 = np.max(np.stack([np.abs(kv * j.value) for j in hc]), axis=0)
-    dcv = evaluate([c], sample.points, 1)[0].grad[2:]
-    bv = triple.beta.values(sample)
-    r2 = np.max(np.abs(np.cross(dcv, bv, axis=0)), axis=0)
-    return r1, r2
+    return r1, vertical_casimir_residual(triple.beta, c, sample)
+
+
+def vertical_casimir_residual(beta: VerticalOneForm, c, p):
+    """|d_{0,1} c ^ beta|, max-norm at p: zero where c is a Casimir of the vertical structure."""
+    sample = st.as_sample(p)
+    (cj,) = sample.jets([as_field(c)], 1)
+    return np.max(np.abs(np.cross(cj.grad[2:], beta.values(sample), axis=0)), axis=0)
 
 
 # coupling-domain identities ---------------------------------------------------
@@ -366,7 +364,7 @@ def _lie_residual(conn, pb, points):
     worst = 0.0
     for i in (1, 2):
         comps = ca.lie_derivative_bivector(cn.horizontal_lift(i, conn), pb, points)
-        worst = np.maximum(worst, np.max(np.stack([np.abs(v) for v in comps.values()]), axis=0))
+        worst = np.maximum(worst, _component_max(comps))
     return worst
 
 
@@ -377,8 +375,7 @@ def cocycle_residual(triple: PoissonTriple, p):
     qh = ca.moving_to_coord_bivector(
         FieldElement.multivector({((1, 2), ()): -1.0}), triple.conn
     )
-    comps = ca.schouten_bivectors(qh, triple.p_beta_matrix(), sample.points)
-    return np.max(np.stack([np.abs(v) for v in comps.values()]), axis=0)
+    return _component_max(ca.schouten_bivectors(qh, triple.p_beta_matrix(), sample.points))
 
 
 def curvature_identity_residual(triple: PoissonTriple, p):
@@ -445,10 +442,7 @@ def c3_residual(triple: PoissonTriple, p):
 
 def c5_residual(triple: PoissonTriple, p):
     """|d_{0,1} kappa ^ beta| at p (meaningful near the kappa zero set)."""
-    sample = st.as_sample(p)
-    (kj,) = sample.jets([triple.kappa], 1)
-    bv = triple.beta.values(sample)
-    return np.max(np.abs(np.cross(kj.grad[2:], bv, axis=0)), axis=0)
+    return vertical_casimir_residual(triple.beta, triple.kappa, p)
 
 
 def coupling_form(triple: PoissonTriple, p) -> GradedElement:
@@ -459,9 +453,9 @@ def coupling_form(triple: PoissonTriple, p) -> GradedElement:
 
 def coupling_form_residual(triple: PoissonTriple, p):
     """Defining identity: i_{i_alpha Pi_20} sigma = -alpha for alpha in {dx1, dx2}."""
-    _require_coupling(triple, p)
-    kv = triple.kappa_values(p)
-    sigma = GradedElement.form({((1, 2), ()): 1.0 / kv})
+    sample = st.as_sample(p)
+    sigma = coupling_form(triple, sample)
+    kv = triple.kappa_values(sample)
     worst = 0.0
     pi20 = GradedElement.multivector({((1, 2), ()): kv})
     for i, alpha_key in ((1, ((1,), ())), (2, ((2,), ()))):
@@ -472,7 +466,7 @@ def coupling_form_residual(triple: PoissonTriple, p):
     return worst
 
 
-# constructors and submanifolds -------------------------------------------------
+# constructors and submanifold checks -------------------------------------------
 
 
 def flat_triple(conn: cn.Connection, kappa0, beta: VerticalOneForm, samples):
@@ -484,22 +478,17 @@ def flat_triple(conn: cn.Connection, kappa0, beta: VerticalOneForm, samples):
     kappa0 = as_field(kappa0)
     beta = beta if isinstance(beta, VerticalOneForm) else VerticalOneForm(beta)
     pts = np.asarray(samples, dtype=float)
-    tol = 1e-8
-    curv = np.max(np.abs(cn.curvature(conn, pts)), axis=0)
-    if np.max(curv) > tol:
-        i = int(np.argmax(curv))
-        raise NotFlat(float(np.max(curv)), pts[:, i].tolist())
-    worst = _lie_residual(conn, ca.bivector_matrix_fields(vertical_poisson(beta)), pts)
-    if np.max(worst) > tol:
-        i = int(np.argmax(worst))
-        raise NotPoissonConnection(float(np.max(worst)), pts[:, i].tolist())
-    dk = evaluate([kappa0], pts, 1)[0].grad[2:]
-    bv = beta.values(pts)
-    cas = np.max(np.abs(np.cross(dk, bv, axis=0)), axis=0)
-    if np.max(cas) > tol:
-        i = int(np.argmax(cas))
-        raise NotCasimir(float(np.max(cas)), pts[:, i].tolist())
+    _refuse(NotFlat, np.max(np.abs(cn.curvature(conn, pts)), axis=0), pts)
+    _refuse(NotPoissonConnection, _lie_residual(conn, ca.bivector_matrix_fields(vertical_poisson(beta)), pts), pts)
+    _refuse(NotCasimir, vertical_casimir_residual(beta, kappa0, pts), pts)
     return PoissonTriple(conn, kappa0, beta)
+
+
+def _refuse(error, residual, pts):
+    """Raise ``error`` with the worst residual and its point when the residual exceeds 1e-8."""
+    if np.max(residual) > 1e-8:
+        i = int(np.argmax(residual))
+        raise error(float(np.max(residual)), pts[:, i].tolist())
 
 
 def submanifold_check(triple: PoissonTriple, section: Section, xs, tol=1e-9) -> VerificationReport:

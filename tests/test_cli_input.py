@@ -222,3 +222,64 @@ def test_a_certificate_with_no_coupling_points_reports_empty_blocks(tmp_path):
     for check in ("theta-exactness", "h-casimir", "kappa-factorization"):
         assert blocks[check]["n_samples"] == 0 and blocks[check]["worst_point"] is None
     assert blocks["global-volume-divergence"]["n_samples"] == 50
+
+
+DEEP = " + ".join(["y1*y2"] * 1500)  # parses in a loop, but its tree is 1500 levels deep
+NESTED = "(" * 900 + "y1" + ")" * 900  # the parser recurses on each parenthesis
+
+
+def _run_in(tmp_path, argv):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, "-m", "acpoisson", *argv], capture_output=True, text=True, env=env, cwd=tmp_path,
+    )
+
+
+def _assert_one_line_exit_2(proc, message):
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and message in lines[0]
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "hamiltonian, message",
+    [
+        ("é*y1", "unexpected character 'é' at line 1, column 1"),
+        ("٣*y1", "unexpected character '٣' at line 1, column 1"),  # not read as 3.0 * y1
+        ("1٣*y1", "unexpected character '٣' at line 1, column 2"),
+        (DEEP, "nested too deeply"),
+        (NESTED, "nested too deeply"),
+    ],
+    ids=["latin-letter", "arabic-digit", "arabic-digit-after-ascii", "deep-sum", "nested-parentheses"],
+)
+def test_flow_exits_2_on_an_expression_it_cannot_read(hamiltonian, message, tmp_path):
+    argv = ["flow", "flat_so3", "--hamiltonian", hamiltonian, "--p0", "0,0,0.1,0,0", "--dt", "0.1", "--steps", "1"]
+    _assert_one_line_exit_2(_run_in(tmp_path, argv), message)
+
+
+@pytest.mark.parametrize(
+    "kappa, message",
+    [
+        ("é*y1", "[kappa] expr: unexpected character 'é' at line 1, column 1"),
+        (DEEP, "nested too deeply"),
+    ],
+    ids=["latin-letter", "deep-sum"],
+)
+def test_check_exits_2_on_a_model_expression_it_cannot_read(kappa, message, tmp_path):
+    model = _model(tmp_path, "flat_so3", "expr = 1 - y1^2 - y2^2 - y3^2", f"expr = {kappa}")
+    _assert_one_line_exit_2(_run_in(tmp_path, ["check", model, "--samples", "20"]), message)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["check", "flat_so3", "--samples", "20", "--out", "missing/x.json"], "No such file or directory: 'missing/x.json'"),
+        (["strata", "flat_so3", "--grid", "2", "--out", "missing/x.csv"], "No such file or directory: 'missing/x.csv'"),
+        (["gauge", "br3_unimodular", "--epsilon", "0.1", "--outdir", "taken"], "File exists: 'taken'"),
+    ],
+    ids=["check", "strata", "gauge"],
+)
+def test_an_output_that_cannot_be_written_exits_2(argv, message, tmp_path):
+    (tmp_path / "taken").write_text("a file, not a directory\n")
+    _assert_one_line_exit_2(_run_in(tmp_path, argv), message)

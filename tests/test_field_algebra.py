@@ -10,7 +10,7 @@ from acpoisson import fuzz
 from acpoisson import model as md
 from acpoisson import triple as tr
 from acpoisson.errors import OrderBudgetExceeded
-from acpoisson.fields import BinField, ConstField, ExprField, PartialField, is_zero
+from acpoisson.fields import BinOp, ConstField, ExprField, PartialField, is_zero
 
 SEEDS = hst.integers(min_value=0, max_value=2**32 - 1)
 
@@ -32,18 +32,18 @@ def test_expression_arithmetic_matches_evaluation_nodes(seed):
     p = rng.uniform(-1, 1, size=(5, 7))
     for op, folded in (("+", f + g), ("-", f - g), ("*", f * g), ("/", f / g)):
         assert isinstance(folded, ExprField)
-        assert _jets_equal(folded.at(p, 2), BinField(op, f, g).at(p, 2)), op
+        assert _jets_equal(folded.at(p, 2), BinOp(op, f, g).at(p, 2)), op
     neg = -f
     assert isinstance(neg, ExprField)
-    assert _jets_equal(neg.at(p, 2), BinField("*", ConstField(-1.0), f).at(p, 2))
+    assert _jets_equal(neg.at(p, 2), BinOp("*", ConstField(-1.0), f).at(p, 2))
 
 
 def test_mixed_operands_build_evaluation_nodes():
     f = ExprField("x1*y2")
     d = f.partial(0)
-    assert isinstance(f + d, BinField)
-    assert isinstance(2.0 * d, BinField)
-    assert isinstance(-d, BinField)
+    assert isinstance(f + d, BinOp) and not (f + d).expression
+    assert isinstance(2.0 * d, BinOp) and not (2.0 * d).expression
+    assert isinstance(-d, BinOp) and not (-d).expression
     assert isinstance(1.0 - f, ExprField)
 
 

@@ -6,10 +6,10 @@ import pytest
 from acpoisson import fuzz
 from acpoisson.errors import DomainError, OrderBudgetExceeded
 from acpoisson.fields import (
+    Call,
     ConstField,
     CoordField,
     ExprField,
-    FuncField,
     finite_difference_check,
 )
 
@@ -123,7 +123,7 @@ def test_domain_errors_carry_subexpression():
 def test_field_algebra_and_composition():
     f = ExprField("x1") * ExprField("y1") + 2.0
     assert f.at([3, 0, 4, 0, 0], 0).value == 14.0
-    g = FuncField("exp", ConstField(0.0))
+    g = Call("exp", ConstField(0.0))
     assert g.at([0, 0, 0, 0, 0], 0).value == 1.0
     h = CoordField("y2") / 2.0
     assert h.at([0, 0, 0, 5, 0], 0).value == 2.5

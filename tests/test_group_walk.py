@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from acpoisson import model as md
-from acpoisson.fields import CoordField, FuncField
+from acpoisson.fields import Call, CoordField
 from acpoisson.jets import Jet
 from acpoisson.lowering import evaluate
 
@@ -16,7 +16,7 @@ MODELS = sorted(md.BUILTIN_MODELS)
 def test_each_shared_node_is_combined_once(monkeypatch):
     # squaring 30 times builds a DAG of 30 products whose tree has 2^30 leaves:
     # the unmemoized f.at would never finish, so it is not called here
-    f = FuncField("sin", CoordField(0))
+    f = Call("sin", CoordField(0))
     for _ in range(30):
         f = f * f
     calls = []
@@ -38,7 +38,7 @@ def _chain(length):
     """A chain of links that share the five coordinate leaves."""
     g = CoordField(2)
     for i in range(length):
-        g = FuncField("sin", g) * CoordField(i % 5)
+        g = Call("sin", g) * CoordField(i % 5)
     return g
 
 
@@ -80,6 +80,6 @@ def test_a_deep_chain_costs_one_frame_per_level():
     # default recursion limit of 1000
     g = CoordField(0)
     for _ in range(800):
-        g = FuncField("sin", g)
+        g = Call("sin", g)
     p = np.full(5, 0.3)
     assert _bytes(evaluate([g], p, 1)[0]) == _bytes(g.at(p, 1))

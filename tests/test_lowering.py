@@ -111,7 +111,7 @@ def test_pinned_power_point(so3):
 
 
 def test_non_expression_nodes_match_jets(rng):
-    # BinField, FuncField and PartialField chains, shared between components
+    # BinOp and PartialField chains below the expressions, shared between components
     F = ExprField(fuzz.random_smooth_expr(rng))
     g = F.partial(2) * F.partial(3).partial(4) - ConstField(-0.0)
     X = CoordVector([g, g / (F.partial(0) + 3.0), F.partial(1).partial(1), ConstField(2.5), F])

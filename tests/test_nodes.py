@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from acpoisson import expr as ex
 from acpoisson import fields, fuzz
-from acpoisson.fields import BinField, ConstField, CoordField, ExprField, FuncField, is_zero
+from acpoisson.fields import ConstField, CoordField, ExprField, is_zero
 
 LEAVES = st.one_of(
     st.floats(0.0, 1e6, allow_nan=False, allow_infinity=False).map(ex.Num),
@@ -62,10 +62,11 @@ def test_equal_structure_is_one_object():
     assert ex.Num(float("nan")) is ex.Num(float("nan"))
     assert ex.Num(-0.0) is not ex.Num(0.0)
     assert is_zero(ex.Num(-0.0)) and is_zero(ex.Num(0.0))
-    # evaluation nodes share structure with expressions but are nodes of their own
+    # one node class per operation: a node over a partial is the same class, not expression-backed
     f, g = ExprField("x1"), ExprField("y1")
-    assert BinField("+", f, g) is BinField("+", f, g) is not f + g
-    assert FuncField("exp", f) is FuncField("exp", f) is not ex.Call("exp", f)
+    assert ex.BinOp("+", f, g) is f + g and (f + g).expression
+    assert ex.BinOp("+", f, f.partial(0)) is f + f.partial(0) and not (f + f.partial(0)).expression
+    assert ex.Call("exp", f).expression and not ex.Call("exp", f.partial(0)).expression
     assert f.partial(0) is f.partial("x1")
     with pytest.raises(AttributeError):
         ex.Num(1.0).value = 2.0
@@ -119,3 +120,42 @@ def test_threads_building_the_same_expressions_get_the_same_nodes():
     # a lost race would hand out a node that the table does not hold
     held = {id(ref()) for ref in list(fields._NODES.values())}
     assert all(id(n) in held for n in built[0])
+
+
+NODE_CLASSES = (ex.Num, ex.Const, ex.Var, ex.Neg, ex.BinOp, ex.Pow, ex.Call, fields.PartialField)
+STEPS = st.tuples(st.sampled_from(["+", "-", "*", "/", "neg", "scale", "sin", "partial"]), st.integers(0, 4))
+
+
+def _apply(step, a, b):
+    op, k = step
+    if op == "partial":
+        return a.partial(k) if a.budget else a
+    if op == "neg":
+        return -a
+    if op == "scale":
+        return 1.5 - a * 2.0
+    if op == "sin":
+        return ex.Call("sin", a)
+    return {"+": a + b, "-": a - b, "*": a * b, "/": a / b}[op]
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.lists(STEPS, min_size=1, max_size=8))
+def test_one_node_class_per_operation_and_expression_means_no_partial_below(seed, steps):
+    rng = np.random.default_rng(seed)
+    built = [ExprField(fuzz.random_smooth_expr(rng)) for _ in range(2)]
+    for step in steps:
+        built.append(_apply(step, built[-1], built[step[1] % len(built)]))
+    partial_below = {}
+
+    def visit(node):
+        if id(node) not in partial_below:
+            assert type(node) in NODE_CLASSES
+            children = [getattr(node, a) for a in ("arg", "base", "left", "right", "parent") if hasattr(node, a)]
+            below = [visit(child) for child in children]
+            partial_below[id(node)] = type(node) is fields.PartialField or any(below)
+            assert node.expression is not partial_below[id(node)]
+        return partial_below[id(node)]
+
+    for f in built:
+        visit(f)

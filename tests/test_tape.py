@@ -13,7 +13,7 @@ from acpoisson import model as md
 from acpoisson import triple as tr
 from acpoisson.calculus import CoordVector, FieldElement
 from acpoisson.errors import DomainError, OrderBudgetExceeded
-from acpoisson.fields import ConstField, CoordField, ExprField, Field, FuncField
+from acpoisson.fields import Call, ConstField, CoordField, ExprField, Field
 from acpoisson.lowering import evaluate
 
 MODELS = sorted(md.BUILTIN_MODELS)
@@ -45,11 +45,11 @@ def assert_tape_matches_jets(fields, p, order):
 
 
 def _shared_group(rng):
-    """Fields that share subgraphs through folding, BinField, FuncField and partials."""
+    """Fields that share subgraphs through folding, plain BinOp and Call nodes, and partials."""
     F = ExprField(fuzz.random_smooth_expr(rng))
     G = ExprField(fuzz.random_smooth_expr(rng))
     H = F * G - ConstField(0.5)  # folds into one expression
-    bare = FuncField("tanh", F.partial(2)) * G  # a BinField over a FuncField
+    bare = Call("tanh", F.partial(2)) * G  # a plain BinOp over a Call of a partial
     return [F, G, H, F.partial(0), G.partial(3) * F, bare, bare / (2.5 + F * F), H.partial(4)]
 
 
@@ -149,7 +149,7 @@ def test_domain_errors_keep_their_subexpression(source, y1, message, shape, orde
 
 @pytest.mark.parametrize("shape", SHAPES)
 def test_cutoff_guard_band_gives_same_values_and_warning(shape):
-    fields = [ExprField("cutoff(y1) + y2*y3"), ExprField("y1*cutoff(y3)"), FuncField("cutoff", CoordField(4))]
+    fields = [ExprField("cutoff(y1) + y2*y3"), ExprField("y1*cutoff(y3)"), Call("cutoff", CoordField(4))]
     p = np.broadcast_to(np.array([0.1, 0.2, 1 + 1e-12, -0.3, 1 - 1e-11]).reshape((5,) + (1,) * (len(shape) - 1)), shape)
     caught = {}
     for path, fn in (("tape", evaluate), ("jets", lambda fs, q, o: [f.at(q, o) for f in fs])):
