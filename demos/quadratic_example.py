@@ -38,8 +38,8 @@ print(f"verdicts agree everywhere  : {not report.disagreements}")
 
 print("\nrank strata on a coarse grid:")
 samples = st.sample_box([(-2, 2)] * 5, generator="grid", resolution=3)
-result = st.strata_report(T, samples)
-for label, count in sorted(result["counts"].items()):
+_, counts, _ = st.strata_columns(T, samples)
+for label, count in sorted(counts.items()):
     print(f"  {label:18s} {count}")
 
 # the modular field relative to the chart volume is linear in the base slot:

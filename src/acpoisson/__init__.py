@@ -50,18 +50,16 @@ from .fields import (
     as_field,
     finite_difference_check,
 )
-from .gauge import GaugeData, family, gauge_transform, scale, varkappa
-from .graded import GradedElement, bigrade_project, interior
+from .gauge import GaugeData, family, scale, varkappa
+from .graded import GradedElement, interior
 from .model import ModelFile, load, loads, resolve, save
-from .modular import UnimodularityCertificate, VolumeFactor, modular_bigraded, modular_direct
+from .modular import UnimodularityCertificate, modular_bigraded, modular_direct
 from .strata import (
     SampleSet,
     bivector_rank,
-    classify_point,
     halton_points,
     matrix_rank,
     sample_box,
-    strata_report,
 )
 from .triple import (
     PoissonTriple,

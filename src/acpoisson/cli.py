@@ -25,6 +25,7 @@ from . import strata as st
 from . import triple as tr
 from .calculus import FieldElement
 from .errors import (
+    NESTED_TOO_DEEPLY,
     AcPoissonError,
     BadInput,
     DomainError,
@@ -430,7 +431,7 @@ def main(argv=None):
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
     except RecursionError:
-        print("error: an expression is nested too deeply for the recursion limit", file=sys.stderr)
+        print(f"error: {NESTED_TOO_DEEPLY}", file=sys.stderr)
         return EXIT_INPUT
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)

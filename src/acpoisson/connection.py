@@ -21,7 +21,7 @@ import numpy as np
 from . import calculus as ca
 from .calculus import Y_SLOTS, CoordVector, FieldElement
 from .fields import ConstField, Field, as_field
-from .graded import q_horizontal, q_vertical, interior
+from .graded import interior, omega_h, omega_v, q_horizontal, q_vertical
 from .lowering import evaluate
 
 
@@ -144,15 +144,13 @@ def rho(conn: Connection) -> FieldElement:
 
 def theta_from_volume(conn: Connection, p):
     """theta through the fiber volume: -i_{Q_V} d_{1,0} Omega_V, at p."""
-    omega_v = FieldElement.form({((), (1, 2, 3)): 1.0})
-    d10 = ca.d_component(omega_v, conn, (1, 0)).at(p)
+    d10 = ca.d_component(FieldElement.form(omega_v().coeffs), conn, (1, 0)).at(p)
     return interior(q_vertical(), d10).scale(-1.0)
 
 
 def rho_from_volume(conn: Connection, p):
     """rho through the fiber volume: i_{Q_H} d_{2,-1} Omega_V, at p."""
-    omega_v = FieldElement.form({((), (1, 2, 3)): 1.0})
-    d2m1 = ca.d_component(omega_v, conn, (2, -1)).at(p)
+    d2m1 = ca.d_component(FieldElement.form(omega_v().coeffs), conn, (2, -1)).at(p)
     return interior(q_horizontal(), d2m1)
 
 
@@ -170,10 +168,9 @@ def curvature(conn: Connection, p):
 
 def f4_residuals(conn: Connection, p):
     """Residuals of d_{1,0}Omega_V = theta ^ Omega_V and d_{2,-1}Omega_V = Omega_H ^ rho."""
-    omega_v = FieldElement.form({((), (1, 2, 3)): 1.0})
-    omega_h = FieldElement.form({((1, 2), ()): 1.0})
-    lhs1, lhs2 = ca.d_components(omega_v, conn, [(1, 0), (2, -1)])
-    rhs1 = theta(conn).wedge(omega_v)
-    rhs2 = omega_h.wedge(rho(conn))
+    vol_v = FieldElement.form(omega_v().coeffs)
+    lhs1, lhs2 = ca.d_components(vol_v, conn, [(1, 0), (2, -1)])
+    rhs1 = theta(conn).wedge(vol_v)
+    rhs2 = FieldElement.form(omega_h().coeffs).wedge(rho(conn))
     r1, r2 = ca.evaluate_elements([lhs1 - rhs1, lhs2 - rhs2], p)
     return r1.norm(), r2.norm()

@@ -1,5 +1,8 @@
 """Exception types shared across the package."""
 
+# how a RecursionError from parsing or walking a deep expression is reported
+NESTED_TOO_DEEPLY = "an expression is nested too deeply for the recursion limit"
+
 
 class AcPoissonError(Exception):
     """Base class for all package errors."""

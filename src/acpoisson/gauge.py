@@ -20,6 +20,7 @@ from . import triple as tr
 from .calculus import Y_SLOTS, FieldElement
 from .errors import EmptyDomain, OutsideDomain
 from .fields import ConstField, Field, as_field
+from .graded import omega_h
 from .lowering import evaluate
 
 
@@ -87,29 +88,20 @@ def varkappa_intrinsic(triple: tr.PoissonTriple, gauge: GaugeData, p, epsilon=No
     return base + eps * bracket.value
 
 
-def _denominator(triple: tr.PoissonTriple, gauge: GaugeData, epsilon) -> Field:
-    """1 - eps kappa (vk - c): the rescaling of kappa and the domain of the eps-member."""
-    return 1.0 - triple.kappa * (varkappa_field(triple, gauge, epsilon) - gauge.c) * epsilon
-
-
 def family(triple: tr.PoissonTriple, gauge: GaugeData, epsilon, probe=None):
     """The eps-member of the deformation family; eps = 0 returns the input."""
     if epsilon == 0.0:
         return triple
     xi = cn.ConnectionShift.gauge(gauge.mu, triple.beta, epsilon)
     new_conn = cn.shift(triple.conn, xi)
-    denom = _denominator(triple, gauge, epsilon)
+    # 1 - eps kappa (vk - c): the rescaling of kappa and the domain of the eps-member
+    denom = 1.0 - triple.kappa * (varkappa_field(triple, gauge, epsilon) - gauge.c) * epsilon
     if probe is not None:
         (jet,) = evaluate([denom], probe)
         if np.all(np.abs(jet.value) <= 1e-9):
             raise EmptyDomain("transformation denominator vanishes on every probe point")
     kappa_new = triple.kappa / denom
     return tr.PoissonTriple(new_conn, kappa_new, triple.beta, domain=denom)
-
-
-def gauge_transform(triple: tr.PoissonTriple, gauge: GaugeData, probe=None):
-    """Full (eps = 1) transformation."""
-    return family(triple, gauge, 1.0, probe=probe)
 
 
 def scale(triple: tr.PoissonTriple, epsilon) -> tr.PoissonTriple:
@@ -120,11 +112,6 @@ def scale(triple: tr.PoissonTriple, epsilon) -> tr.PoissonTriple:
         tr.VerticalOneForm([b * epsilon for b in triple.beta.comps]),
         domain=triple.domain,
     )
-
-
-def domain_indicator(triple: tr.PoissonTriple, gauge: GaugeData, epsilon, p):
-    """Denominator 1 - eps kappa (vk - c); membership is |value| > tol."""
-    return evaluate([_denominator(triple, gauge, epsilon)], p)[0].value
 
 
 def characteristic_compare(tripleA: tr.PoissonTriple, tripleB: tr.PoissonTriple, p):
@@ -150,8 +137,8 @@ def characteristic_compare(tripleA: tr.PoissonTriple, tripleB: tr.PoissonTriple,
 def upsilon_closedness(gauge: GaugeData, triple: tr.PoissonTriple, p):
     """(|d Upsilon|, |vertical part of dc|) with Upsilon = -d mu + c Omega_H."""
     mu_form = FieldElement.form({((1,), ()): gauge.mu[0], ((2,), ()): gauge.mu[1]})
-    omega_h = FieldElement.form({((1, 2), ()): 1.0})
-    upsilon = ca.exterior_d_field(mu_form, triple.conn).scale(-1.0) + omega_h.scale(gauge.c)
+    area = FieldElement.form(omega_h().coeffs)
+    upsilon = ca.exterior_d_field(mu_form, triple.conn).scale(-1.0) + area.scale(gauge.c)
     d_upsilon = ca.exterior_d_field(upsilon, triple.conn).at(p).norm()
     dc_vertical = np.max(np.abs(evaluate([gauge.c], p, 1)[0].grad[2:]), axis=0)
     return d_upsilon, float(np.max(dc_vertical))

@@ -194,10 +194,6 @@ class GradedElement:
         return f"{type(self).__name__}({self.kind}, {{{items}}})"
 
 
-def bigrade_project(a, p, q):
-    return a.project(p, q)
-
-
 def _contract_once(element, factor):
     out = GradedElement(element.kind)
     for key, c in element.coeffs.items():
@@ -243,11 +239,6 @@ def omega_h():
 def omega_v():
     """Fiber volume coframe eta^1 ^ eta^2 ^ eta^3."""
     return GradedElement.form({((), (1, 2, 3)): 1.0})
-
-
-def omega_total():
-    """Chart volume form, the product of the two factors."""
-    return omega_h().wedge(omega_v())
 
 
 def q_vertical():

@@ -29,7 +29,7 @@ from . import modular as mo
 from . import strata as st
 from . import triple as tr
 from .connection import Connection
-from .errors import BadInterval, MissingSection, ModelParseError
+from .errors import NESTED_TOO_DEEPLY, BadInterval, ExprSyntaxError, MissingSection, ModelParseError
 from .fields import ExprField
 
 DEFAULT_TOLERANCES = {
@@ -130,8 +130,10 @@ class ModelFile:
 def _check_expr(text, section, key, line):
     try:
         ex.parse(text)
-    except Exception as err:
+    except ExprSyntaxError as err:
         raise ModelParseError(f"[{section}] {key}: {err}", line=line) from err
+    except RecursionError as err:
+        raise ModelParseError(f"[{section}] {key}: {NESTED_TOO_DEEPLY}", line=line) from err
     return text
 
 

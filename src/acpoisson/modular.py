@@ -29,20 +29,6 @@ from .reports import VerificationReport, residual_block
 
 
 @dataclass
-class VolumeFactor:
-    """Nowhere-vanishing scale factor for the chart volume."""
-
-    a: Field
-
-    def __post_init__(self):
-        self.a = as_field(self.a)
-
-    def check_nonvanishing(self, pts):
-        if np.any(evaluate([self.a], pts)[0].value == 0.0):
-            raise ZeroVolumeFactor("volume factor vanishes on the sample set")
-
-
-@dataclass
 class UnimodularityCertificate:
     """Candidate data (h, K, kappa0) for the unimodularity criteria."""
 

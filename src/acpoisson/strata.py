@@ -15,7 +15,6 @@ import numpy as np
 from . import triple as tr
 from .errors import BadInput, DomainError, EmptyBox
 from .lowering import evaluate
-from .reports import write_csv
 
 HALTON_BASES = (2, 3, 5, 7, 11)
 # largest tensor grid (points in all), checked before the grid is built
@@ -187,69 +186,30 @@ def pi_matrix_values(triple: tr.PoissonTriple, pts):
     return np.moveaxis(vals, (0, 1), (-2, -1))
 
 
-@dataclass
-class Stratum:
-    label: str
-    kappa: float
-    beta_norm: float
-    rank: int
-
-
-def classify_point(triple: tr.PoissonTriple, p) -> Stratum:
-    """Classify one point by the zero sets of kappa and beta."""
-    code, kv, bn, rank = _classify(triple, np.asarray(p, float).reshape(5, 1))
-    return Stratum(LABELS[code[0]], float(kv[0]), float(bn[0]), int(rank[0]))
-
-
-def _classify(triple, p):
-    """Label codes (indices into LABELS), kappa, |beta| and the matrix rank per point."""
-    sample = as_sample(p)
-    kv = np.atleast_1d(triple.kappa_values(sample))
-    bn = np.atleast_1d(triple.beta.norm_values(sample))
-    kappa_tol = triple.kappa_tol(sample)
-    rank = bivector_rank(pi_matrix_values(triple, sample.points))
-    coupled = np.abs(kv) > kappa_tol
-    code = 2 * coupled + (bn > 1e-9)
-    code[coupled & (np.abs(kv) <= 10 * kappa_tol)] = _NEAR
-    return code, kv, bn, rank
-
-
 _EXPECTED_RANK = np.array([0, 2, 2, 4, -1])  # the matrix rank each label code predicts
 CSV_HEADER = ("x1", "x2", "y1", "y2", "y3", "kappa", "beta_norm", "rank", "label", "ic1", "ic2", "ic3")
-_ROW_KEYS = ("point", "kappa", "beta_norm", "rank", "label", "ic1", "ic2", "ic3")
 
 
 def strata_columns(triple: tr.PoissonTriple, samples: SampleSet):
-    """The columnar core of `strata_report`, with no per-point Python object.
+    """Rank strata of a sample as columns, with no per-point Python object.
 
     Returns ``(columns, counts, flagged)``: one array per CSV_HEADER field, the
     number of points of each label present, and the indices of the points
-    whose formula label disagrees with the rank of the assembled matrix.
+    whose formula label disagrees with the rank of the assembled matrix; away
+    from the tolerance bands ``flagged`` must stay empty.
     """
     pts = samples.points
     ic = tr.ic_residuals(triple, samples)
-    code, kv, bn, rank = _classify(triple, samples)
+    kv = np.atleast_1d(triple.kappa_values(samples))
+    bn = np.atleast_1d(triple.beta.norm_values(samples))
+    kappa_tol = triple.kappa_tol(samples)
+    rank = bivector_rank(pi_matrix_values(triple, pts))
+    coupled = np.abs(kv) > kappa_tol
+    code = 2 * coupled + (bn > 1e-9)  # indices into LABELS
+    code[coupled & (np.abs(kv) <= 10 * kappa_tol)] = _NEAR
     labels = np.array(LABELS, dtype=object)[code]
     columns = [*pts, kv, bn, rank, labels, ic["ic1"], ic["ic2"].max(axis=(0, 1)), ic["ic3"].max(axis=0)]
     found, sizes = np.unique(code, return_counts=True)
     counts = {LABELS[c]: k for c, k in zip(found.tolist(), sizes.tolist())}
     return columns, counts, np.flatnonzero((code != _NEAR) & (_EXPECTED_RANK[code] != rank))
 
-
-def strata_report(triple: tr.PoissonTriple, samples: SampleSet):
-    """Rows (point, kappa, |beta|, rank, label, ic residuals) plus summary counts.
-
-    The dict form of `strata_columns`.  Points whose formula label disagrees
-    with the rank of the assembled matrix are flagged; away from the tolerance
-    bands the flag list must stay empty.
-    """
-    columns, counts, flagged = strata_columns(triple, samples)
-    values = (samples.points.T.tolist(), *(c.tolist() for c in columns[5:]))
-    rows = [dict(zip(_ROW_KEYS, row)) for row in zip(*values)]
-    return {"rows": rows, "counts": counts, "rank_disagreements": [rows[k] for k in flagged.tolist()]}
-
-
-def rows_to_csv(rows, path):
-    """Write `strata_report` rows as CSV: the rows transposed into `write_csv` columns."""
-    points = zip(*(row["point"] for row in rows))
-    write_csv(path, CSV_HEADER, [*points, *([row[k] for row in rows] for k in _ROW_KEYS[1:])])

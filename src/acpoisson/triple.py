@@ -496,7 +496,6 @@ def submanifold_check(triple: PoissonTriple, section: Section, xs, tol=1e-9) -> 
     pts = section.graph_points(xs)
     kv = triple.kappa_values(pts)
     gv = triple.conn.gamma_values(pts)  # (2, 3, n)
-    n = pts.shape[1] if pts.ndim == 2 else 1
     # tangent frame of the graph: tau_i = dx_i + ds^a/dx_i dy_a
     slope_jets = evaluate(section.comps, pts, 1)
     slopes = np.stack([np.stack([j.grad[i] for j in slope_jets]) for i in range(2)])  # (2, 3, n)
@@ -519,16 +518,15 @@ def submanifold_check(triple: PoissonTriple, section: Section, xs, tol=1e-9) -> 
 
 
 def _distance_from_graph_tangent(vec, slopes):
-    """Distance of vec (5,n) from span{dx_i + slopes_i} via least squares."""
-    vecs = np.atleast_2d(vec.T).reshape(-1, 5)
-    n = vecs.shape[0]
-    out = np.zeros(n)
-    for k in range(n):
-        basis = np.zeros((5, 2))
-        basis[0, 0] = 1.0
-        basis[1, 1] = 1.0
-        basis[2:, 0] = slopes[0, :, k] if slopes.ndim == 3 else slopes[0]
-        basis[2:, 1] = slopes[1, :, k] if slopes.ndim == 3 else slopes[1]
-        coef, *_ = np.linalg.lstsq(basis, vecs[k], rcond=None)
-        out[k] = np.linalg.norm(vecs[k] - basis @ coef)
-    return out if vec.ndim == 2 else out[0]
+    """Distance of vec (5, ...) from span{dx_i + slopes_i}, slopes of shape (2, 3, ...).
+
+    Solves the 2x2 normal equations at every point at once: their Gram matrix
+    I + S^T S is at least the identity, so it is never singular.
+    """
+    u, w = vec[:2], vec[2:]
+    identity = np.eye(2).reshape((2, 2) + (1,) * (vec.ndim - 1))
+    (a, b), (_, c) = identity + np.einsum("ia...,ja...->ij...", slopes, slopes)
+    rhs = u + np.einsum("ia...,a...->i...", slopes, w)
+    coef = np.stack([c * rhs[0] - b * rhs[1], a * rhs[1] - b * rhs[0]]) / (a * c - b * b)
+    resid = np.concatenate([u - coef, w - np.einsum("ia...,i...->a...", slopes, coef)])
+    return np.sqrt(np.einsum("k...,k...->...", resid, resid))

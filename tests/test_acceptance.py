@@ -202,7 +202,7 @@ def test_criterion_5_structural_invariants():
         after = np.asarray(mov.coeffs[((1, 2), ())].at(pts, 0).value)
         rank_ok &= np.array_equal(np.abs(before) > 1e-9, np.abs(after) > 1e-9)
         samples = st.SampleSet(halton_points(60, BOX, seed=7 * k), "halton", BOX)
-        label_ok &= not st.strata_report(T, samples)["rank_disagreements"]
+        label_ok &= st.strata_columns(T, samples)[2].size == 0
     ok = worst_rt <= 1e-12 and rank_ok and label_ok
     _report(
         "criterion 5: structural invariants",

@@ -263,8 +263,9 @@ def test_flow_exits_2_on_an_expression_it_cannot_read(hamiltonian, message, tmp_
     [
         ("é*y1", "[kappa] expr: unexpected character 'é' at line 1, column 1"),
         (DEEP, "nested too deeply"),
+        (NESTED, "[kappa] expr: an expression is nested too deeply for the recursion limit"),
     ],
-    ids=["latin-letter", "deep-sum"],
+    ids=["latin-letter", "deep-sum", "nested-parentheses"],
 )
 def test_check_exits_2_on_a_model_expression_it_cannot_read(kappa, message, tmp_path):
     model = _model(tmp_path, "flat_so3", "expr = 1 - y1^2 - y2^2 - y3^2", f"expr = {kappa}")

@@ -7,6 +7,7 @@ from acpoisson import gauge as ga
 from acpoisson import triple as tr
 from acpoisson.errors import EmptyDomain, OutsideDomain
 from acpoisson.fields import ConstField, CoordField, ExprField
+from acpoisson.lowering import evaluate
 from acpoisson.strata import halton_points
 
 
@@ -33,7 +34,7 @@ def test_varkappa_routes_agree_with_bilinear_term(so3_coupled, rng, pts):
 
 def test_identity_gauge_is_identity(so3_coupled, pts):
     G = ga.GaugeData(mu=(ConstField(0.0), ConstField(0.0)), c=ConstField(0.0))
-    T = ga.gauge_transform(so3_coupled, G)
+    T = ga.family(so3_coupled, G, 1.0)
     assert np.max(np.abs(T.kappa_values(pts) - so3_coupled.kappa_values(pts))) == 0.0
     assert np.max(np.abs(T.conn.gamma_values(pts))) == 0.0
     assert T.beta is so3_coupled.beta
@@ -91,13 +92,18 @@ def test_family_epsilon_zero_is_input(sec5):
     assert ga.family(sec5, G, 0.0) is sec5
 
 
+def _domain_values(triple, gauge, epsilon, p):
+    """The denominator 1 - eps kappa (vk - c) of the eps-member, which is its domain field."""
+    return evaluate([ga.family(triple, gauge, epsilon).domain], p)[0].value
+
+
 def test_domain_indicator(so3_coupled, pts):
     G0 = ga.GaugeData(mu=(ConstField(0.0), ConstField(0.0)), c=ConstField(0.0))
-    assert np.all(ga.domain_indicator(so3_coupled, G0, 1.0, pts) == 1.0)
+    assert np.all(_domain_values(so3_coupled, G0, 1.0, pts) == 1.0)
     # denominators tend to 1 uniformly (linearly in eps) on compact boxes
     G = ga.GaugeData(mu=(ExprField("x2*y3"), ExprField("x1*y1")), c=ConstField(0.0))
     gaps = [
-        float(np.max(np.abs(ga.domain_indicator(so3_coupled, G, eps, pts) - 1.0)))
+        float(np.max(np.abs(_domain_values(so3_coupled, G, eps, pts) - 1.0)))
         for eps in (0.1, 0.01, 0.001)
     ]
     assert gaps[0] < 1.0 and gaps[1] <= 0.15 * gaps[0] and gaps[2] <= 0.15 * gaps[1]
@@ -108,7 +114,7 @@ def test_domain_sign_change_detected():
     T = tr.PoissonTriple(cn.Connection.flat(), ConstField(1.0), tr.VerticalOneForm.zero())
     G = ga.GaugeData(mu=(ConstField(0.0), ConstField(0.0)), c=ExprField("-x1"))
     path = np.stack([np.linspace(0, 2, 21), *([np.zeros(21)] * 4)])
-    d = ga.domain_indicator(T, G, 1.0, path)
+    d = _domain_values(T, G, 1.0, path)
     np.testing.assert_allclose(d, 1.0 - path[0], atol=1e-15)
     signs = np.sign(d)
     assert signs.min() < 0 < signs.max()

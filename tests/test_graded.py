@@ -8,12 +8,10 @@ import pytest
 from acpoisson.errors import DegreeOverflow
 from acpoisson.graded import (
     GradedElement,
-    bigrade_project,
     interior,
     key_factors,
     mono_degree,
     omega_h,
-    omega_total,
     omega_v,
     q_horizontal,
     q_vertical,
@@ -116,7 +114,7 @@ def test_wedge_graded_commutativity(rng):
 
 def test_wedge_degree_overflow():
     with pytest.raises(DegreeOverflow):
-        omega_total().wedge(GradedElement.form({((1,), ()): 1.0}))
+        omega_h().wedge(omega_v()).wedge(GradedElement.form({((1,), ()): 1.0}))
 
 
 def test_chart_constant_pairings():
@@ -191,15 +189,15 @@ def test_projection_partition(rng):
         total = GradedElement.form()
         for p in range(3):
             for q in range(4):
-                total = total + bigrade_project(a, p, q)
+                total = total + a.project(p, q)
         assert total.allclose(a)
 
 
 def test_projection_examples():
     hv = omega_h().wedge(omega_v())
-    assert bigrade_project(hv, 2, 3).allclose(hv)
+    assert hv.project(2, 3).allclose(hv)
     mixed = GradedElement.form({((1,), (1,)): 1.0})
-    assert bigrade_project(mixed, 2, 0).norm() == 0.0
+    assert mixed.project(2, 0).norm() == 0.0
 
 
 def test_frame_coframe_duality():

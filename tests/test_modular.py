@@ -63,9 +63,9 @@ def test_renormalization_random_positive_factors(rng, sec5, pts):
 def test_volume_factor_guard(sec5, pts):
     with pytest.raises(ZeroVolumeFactor):
         mo.renormalization_check(sec5, ExprField("x1"), pts)
-    mo.VolumeFactor(ExprField("1 + x1^2")).check_nonvanishing(pts)
+    mo.modular_direct(sec5, ExprField("1 + x1^2"), pts)
     with pytest.raises(ZeroVolumeFactor):
-        mo.VolumeFactor(ExprField("x1")).check_nonvanishing(pts)
+        mo.modular_direct(sec5, ExprField("x1"), pts)
 
 
 def test_inverse_kappa_renormalization_kills_modular_field(sec5):
@@ -227,7 +227,7 @@ def test_gauge_functions_and_volume_factor_call_no_field_at(so3_coupled, pts, mo
     G = ga.GaugeData(mu=(ExprField("y3*x1"), ExprField("y1 + x2")), c=ExprField("y1^2 + y2^2 + y3^2"), epsilon=0.1)
     ga.varkappa(so3_coupled, G, pts)
     ga.varkappa_intrinsic(so3_coupled, G, pts)
-    ga.domain_indicator(so3_coupled, G, 0.1, pts)
+    ga.family(so3_coupled, G, 0.1, probe=pts)
     ga.upsilon_closedness(G, so3_coupled, pts)
-    mo.VolumeFactor(ExprField("1 + x1^2")).check_nonvanishing(pts)
+    mo.modular_direct(so3_coupled, ExprField("1 + x1^2"), pts)
     assert calls == []

@@ -11,6 +11,7 @@ from acpoisson import strata as st
 from acpoisson import triple as tr
 from acpoisson.errors import DomainError, EmptyBox
 from acpoisson.fields import ConstField, ExprField
+from acpoisson.reports import write_csv
 
 UNIT_BOX = [(0, 1)] * 5
 
@@ -67,12 +68,18 @@ def test_rank_always_even(rng, sec5, wide_pts):
     assert np.all(ranks % 2 == 0)
 
 
+def _point_row(triple, p):
+    """The `strata_columns` row of the one point p, keyed by CSV_HEADER."""
+    columns, _, _ = st.strata_columns(triple, st.as_sample(np.reshape(np.asarray(p, float), (5, 1))))
+    return {key: column[0] for key, column in zip(st.CSV_HEADER, columns)}
+
+
 def test_classify_examples(sec5):
-    assert st.classify_point(sec5, [1, 0, 1, 0, 0]).label == "rank2_vertical"
-    assert st.classify_point(sec5, [0, 0, 0, 0, 0]).label == "rank0"
-    assert st.classify_point(sec5, [0, 0, 1, 0, 0]).label == "rank4"
-    s = st.classify_point(sec5, [0, 0, 1, 0, 0])
-    assert s.rank == 4 and s.kappa == 1.0
+    assert _point_row(sec5, [1, 0, 1, 0, 0])["label"] == "rank2_vertical"
+    assert _point_row(sec5, [0, 0, 0, 0, 0])["label"] == "rank0"
+    assert _point_row(sec5, [0, 0, 1, 0, 0])["label"] == "rank4"
+    s = _point_row(sec5, [0, 0, 1, 0, 0])
+    assert s["rank"] == 4 and s["kappa"] == 1.0
 
 
 def test_classify_deformed_cutoff_family(pts):
@@ -83,36 +90,36 @@ def test_classify_deformed_cutoff_family(pts):
     )
     G = ga.GaugeData(mu=(ExprField("y3"), ConstField(0.0)), c=ConstField(0.0))
     T = ga.family(base, G, 0.05, probe=pts)
-    assert st.classify_point(T, [0.3, 0.2, 1.2, 0.5, 0]).label == "rank2_vertical"
-    assert st.classify_point(T, [0.3, 0.2, 0.5, 0, 0]).label == "rank4"
-    assert st.classify_point(T, [0.3, 0.2, 0, 0, 0]).label == "rank2_horizontal"
+    assert _point_row(T, [0.3, 0.2, 1.2, 0.5, 0])["label"] == "rank2_vertical"
+    assert _point_row(T, [0.3, 0.2, 0.5, 0, 0])["label"] == "rank4"
+    assert _point_row(T, [0.3, 0.2, 0, 0, 0])["label"] == "rank2_horizontal"
 
 
 def test_strata_report_flat_horizontal(pts):
     T = tr.PoissonTriple(cn.Connection.flat(), ConstField(1.0), tr.VerticalOneForm.zero())
     samples = st.SampleSet(pts, "halton", [(-1, 1)] * 5)
-    result = st.strata_report(T, samples)
-    assert result["counts"] == {"rank2_horizontal": pts.shape[1]}
-    assert not result["rank_disagreements"]
+    _, counts, flagged = st.strata_columns(T, samples)
+    assert counts == {"rank2_horizontal": pts.shape[1]}
+    assert flagged.size == 0
 
 
 def test_strata_report_sec5_mixture(sec5):
     samples = st.sample_box([(-2, 2)] * 5, generator="grid", resolution=3)
-    result = st.strata_report(sec5, samples)
-    assert not result["rank_disagreements"]
-    labels = set(result["counts"])
+    columns, counts, flagged = st.strata_columns(sec5, samples)
+    assert flagged.size == 0
+    labels = set(counts)
     assert {"rank4", "rank2_vertical"} <= labels
-    # rows carry the CSV schema fields
-    row = result["rows"][0]
-    assert set(row) == {"point", "kappa", "beta_norm", "rank", "label", "ic1", "ic2", "ic3"}
+    # one column per CSV schema field, one entry per point
+    assert len(columns) == len(st.CSV_HEADER)
+    assert all(len(column) == samples.points.shape[1] for column in columns)
 
 
 def test_formula_label_matches_svd_rank_campaign(rng):
     for k in range(10):
         T = fuzz.random_flat_casimir_triple(rng)
         samples = st.SampleSet(st.halton_points(80, [(-1, 1)] * 5, seed=k), "halton", [(-1, 1)] * 5)
-        result = st.strata_report(T, samples)
-        assert not result["rank_disagreements"]
+        _, _, flagged = st.strata_columns(T, samples)
+        assert flagged.size == 0
 
 
 def test_coupling_indicator_matches_horizontal_rank(rng, sec5, wide_pts):
@@ -125,9 +132,9 @@ def test_coupling_indicator_matches_horizontal_rank(rng, sec5, wide_pts):
 
 def test_csv_roundtrip(tmp_path, sec5):
     samples = st.sample_box([(-2, 2)] * 5, generator="grid", resolution=2)
-    result = st.strata_report(sec5, samples)
+    columns, _, _ = st.strata_columns(sec5, samples)
     path = tmp_path / "strata.csv"
-    st.rows_to_csv(result["rows"], path)
+    write_csv(path, st.CSV_HEADER, columns)
     header = path.read_text().splitlines()[0]
     assert header == "x1,x2,y1,y2,y3,kappa,beta_norm,rank,label,ic1,ic2,ic3"
     assert len(path.read_text().splitlines()) == 33
@@ -215,6 +222,6 @@ def test_strata_never_calls_the_svd(monkeypatch, sec5):
 
     monkeypatch.setattr(np.linalg, "svd", no_svd)
     samples = st.sample_box([(-2, 2)] * 5, generator="grid", resolution=4)
-    result = st.strata_report(sec5, samples)
-    assert not result["rank_disagreements"]
-    assert st.classify_point(sec5, [0, 0, 1, 0, 0]).rank == 4
+    _, _, flagged = st.strata_columns(sec5, samples)
+    assert flagged.size == 0
+    assert _point_row(sec5, [0, 0, 1, 0, 0])["rank"] == 4

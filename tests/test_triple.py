@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
+from hypothesis.extra import numpy as hnp
 
 from acpoisson import calculus as ca
 from acpoisson import connection as cn
@@ -279,6 +282,47 @@ def test_submanifold_checks(so3, sec5):
     rep = tr.submanifold_check(so3, shifted, xs)
     assert not rep.block("vertical-vanishing").passed
     assert rep.block("horizontal-tangency").passed  # flat lifts stay tangent
+
+
+def test_submanifold_check_on_one_point(so3_coupled):
+    # the graph of y1 = x1 tilts tau_1 = dx1 + dy1, so Pi_20-sharp dx^2 = -kappa dx1
+    # lies 1/sqrt(2) kappa from the tangent plane; Pi_20-sharp dx^1 = kappa dx2 is on it
+    section = tr.Section(["x1", "0", "0"])
+    one = tr.submanifold_check(so3_coupled, section, np.array([0.3, -0.2]))
+    batch = tr.submanifold_check(so3_coupled, section, np.array([[0.3], [-0.2]]))
+    tangency = one.block("horizontal-tangency")
+    assert not tangency.passed
+    assert tangency.max_residual == pytest.approx(1.09 / np.sqrt(2), rel=1e-15)
+    for a, b in zip(one.blocks, batch.blocks):
+        assert (a.check_id, a.passed, a.max_residual) == (b.check_id, b.passed, b.max_residual)
+
+
+def _lstsq_distance(vec, slopes):
+    """The per-point least-squares loop that the batched distance replaced, kept as its oracle."""
+    vecs = np.atleast_2d(vec.T).reshape(-1, 5)
+    out = np.zeros(len(vecs))
+    for k in range(len(vecs)):
+        basis = np.zeros((5, 2))
+        basis[0, 0] = basis[1, 1] = 1.0
+        basis[2:] = (slopes[..., k] if slopes.ndim == 3 else slopes).T
+        coef, *_ = np.linalg.lstsq(basis, vecs[k], rcond=None)
+        out[k] = np.linalg.norm(vecs[k] - basis @ coef)
+    return out if vec.ndim == 2 else out[0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(points=hs.sampled_from([(), (1,), (6,)]), exponent=hs.floats(-3, 3), data=hs.data())
+def test_graph_tangent_distance_matches_lstsq(points, exponent, data):
+    # integer entries make equal and parallel slope columns common draws
+    def draw(shape):
+        return data.draw(hnp.arrays(np.int64, shape, elements=hs.integers(-1000, 1000))) / 1000.0
+
+    vec = draw((5,) + points)
+    slopes = 10.0**exponent * draw((2, 3) + points)
+    got = tr._distance_from_graph_tangent(vec, slopes)
+    want = _lstsq_distance(vec, slopes)
+    assert np.shape(got) == np.shape(want)
+    assert np.all(np.abs(got - want) <= 1e-12 * np.linalg.norm(vec, axis=0))
 
 
 def test_submanifold_deformed_family(so3_coupled, pts):
