@@ -130,15 +130,18 @@ def d_components(xi: FieldElement, conn, shifts) -> list[FieldElement]:
     return [outs[sh] for sh in shifts]
 
 
-def cochain_residuals(conn, test: FieldElement, p):
-    """Residual norms of the three coboundary identities of the split d."""
+def cochain_residual_forms(conn, test: FieldElement):
+    """The three coboundary identities of the split d, as forms that vanish when they hold."""
     d10, d01, d2m1 = d_components(test, conn, [(1, 0), (0, 1), (2, -1)])
     d10d10, d01d10 = d_components(d10, conn, [(1, 0), (0, 1)])
     d10d01, d01d01, d2m1d01 = d_components(d01, conn, [(1, 0), (0, 1), (2, -1)])
     (d01d2m1,) = d_components(d2m1, conn, [(0, 1)])
-    r1 = d10d10 + d2m1d01 + d01d2m1
-    r2 = d10d01 + d01d10
-    return tuple(r.norm() for r in evaluate_elements([r1, r2, d01d01], p))
+    return [d10d10 + d2m1d01 + d01d2m1, d10d01 + d01d10, d01d01]
+
+
+def cochain_residuals(conn, test: FieldElement, p):
+    """Residual norms of the three coboundary identities of the split d."""
+    return tuple(r.norm() for r in evaluate_elements(cochain_residual_forms(conn, test), p))
 
 
 # frame conversions ----------------------------------------------------------

@@ -11,6 +11,9 @@ import argparse
 import json
 import math
 import sys
+import warnings
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -28,9 +31,9 @@ from .errors import (
     NESTED_TOO_DEEPLY,
     AcPoissonError,
     BadInput,
+    CutoffNudge,
     DomainError,
-    ModelError,
-    OrderBudgetExceeded,
+    MissingSection,
     ZeroVolumeFactor,
 )
 from .fields import ExprField
@@ -55,8 +58,20 @@ def _document(model: md.ModelFile, report: VerificationReport):
     return doc
 
 
-def _emit(doc, out):
-    """Write a report as JSON; one with a non-finite number is refused before anything is written."""
+def _take_nudges(recorded):
+    """Remove the cutoff nudges from the warnings ``main`` records; return the points they moved."""
+    points = sum(w.message.points for w in recorded if w.category is CutoffNudge)
+    recorded[:] = [w for w in recorded if w.category is not CutoffNudge]
+    return points
+
+
+def _emit(doc, out, recorded):
+    """Write a document as JSON, to ``out`` or stdout; one with a non-finite number is refused
+    before anything is written.  ``recorded`` is the list of warnings ``main`` records for the
+    command: the points its cutoff nudges moved are counted in ``meta.cutoff_nudges``."""
+    nudges = _take_nudges(recorded)
+    if nudges:
+        doc = {**doc, "meta": {**doc.get("meta", {}), "cutoff_nudges": nudges}}
     try:
         text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
     except ValueError:
@@ -68,70 +83,93 @@ def _emit(doc, out):
         print(text)
 
 
+class Block(NamedTuple):
+    """One entry of a command's block table: a per-point residual (or a dict of them, one block
+    ``check_id-key`` each) on a named subset of its sample."""
+
+    check_id: str
+    subset: st.SampleSet
+    residual: Callable  # SampleSet -> one residual per point, or a dict of them
+    tol: float
+    note: str = ""
+    informational: bool = False  # reported, but not part of the verdict
+
+
+def _run_table(report, table):
+    """Evaluate each block's residual on its subset, in table order, into the report."""
+    for b in table:
+        r = b.residual(b.subset)
+        parts = {f"{b.check_id}-{k}": v for k, v in r.items()} if isinstance(r, dict) else {b.check_id: r}
+        for check_id, res in parts.items():
+            report.add(residual_block(check_id, res, b.subset.points, b.tol, b.note, b.informational))
+    return report
+
+
+def _domain_sample(model, triple, n):
+    """The command's one sample, cut to the triple's domain: every block reads its points or a subset."""
+    sample = model.samples(n=n)
+    return sample.subset(triple.domain_mask(sample.points), "domain")
+
+
 def run_check(model: md.ModelFile, n=None, tol=None) -> VerificationReport:
     """The full residual suite for the triple a model file denotes."""
     identity_tol = tol if tol is not None else model.tolerance("identity")
     triple = model.effective_triple()
-    # every block reads the triple's inputs through this one sample and its subsets
-    sample = model.samples(n=n)
-    sample = sample.subset(triple.domain_mask(sample.points), "domain")
-    pts = sample.points
-
+    conn = triple.conn
+    sample = _domain_sample(model, triple, n)
     report = tr.equivalence_check(triple, sample, tol=identity_tol)
     report.name = "check"
 
-    # almost-coupling: the mixed component of the re-bigraded tensor
-    mixed = tr.mixed_residual(ca.coord_to_moving_bivector(triple.pi_coord(), triple.conn), pts)
-    report.add(residual_block("almost-coupling", mixed, pts, identity_tol))
-
+    first60 = sample.subset(slice(60), "first 60 points")
     first200 = sample.subset(slice(200), "first 200 points")
-    sub = first200.points
-    tiny = sample.subset(slice(60), "first 60 points").points
-
-    test_forms = {
-        "fiber-volume": FieldElement.form({((), (1, 2, 3)): 1.0}),
-        "beta": triple.beta.as_form(),
-        "kappa-dx1": FieldElement.form({((1,), ()): triple.kappa}),
-    }
-    worst = np.zeros(tiny.shape[1])
-    for form in test_forms.values():
-        worst = np.maximum(worst, np.max(np.stack(ca.cochain_residuals(triple.conn, form, tiny)), axis=0))
-    report.add(residual_block("cochain-identities", worst, tiny, identity_tol))
-
-    f4 = np.maximum(*cn.f4_residuals(triple.conn, sub))
-    report.add(residual_block("volume-structure-identities", np.atleast_1d(f4), sub, identity_tol))
-
-    th = (cn.theta(triple.conn).at(sub) - cn.theta_from_volume(triple.conn, sub)).norm()
-    rh = (cn.rho(triple.conn).at(sub) - cn.rho_from_volume(triple.conn, sub)).norm()
-    report.add(
-        residual_block("theta-rho-dual-formulas", np.atleast_1d(max(th, rh)), sub, identity_tol)
-    )
-
-    curv = cn.curvature(triple.conn, sub)
-    rc = np.stack([j.value for j in first200.jets(cn.rho_components(triple.conn))])
-    report.add(
-        residual_block(
-            "curvature-commutator-agreement", np.max(np.abs(curv - rc), axis=0), sub, identity_tol
-        )
-    )
-
     coupled = sample.subset(triple.coupling_mask(sample), "coupling")
-    cpts = coupled.points
-    if cpts.shape[1]:
-        report.add(residual_block("structure-preserving-connection", tr.poisson_connection_residual(triple, coupled), cpts, identity_tol))
-        report.add(residual_block("horizontal-beta-compatibility", tr.c2_residual(triple, coupled), cpts, identity_tol))
-        report.add(residual_block("curvature-kappa-compatibility", tr.c3_residual(triple, coupled), cpts, identity_tol))
-        report.add(residual_block("horizontal-cocycle", tr.cocycle_residual(triple, coupled), cpts, identity_tol))
-        report.add(residual_block("curvature-identity", tr.curvature_identity_residual(triple, coupled), cpts, identity_tol))
-        report.add(residual_block("coupling-form-identity", tr.coupling_form_residual(triple, coupled), cpts, 1e-10))
     kv = np.abs(triple.kappa_values(sample))
-    band = kv <= 1e-6 * (1.0 + np.max(kv))
-    if np.any(band):
-        boundary = sample.subset(band, "kappa zero band")
-        report.add(
-            residual_block("boundary-first-variation", tr.c5_residual(triple, boundary), boundary.points, identity_tol)
-        )
-    return report
+    band = sample.subset(kv <= 1e-6 * (1.0 + np.max(kv)), "kappa zero band")
+
+    def almost_coupling(s):
+        # the mixed component of the re-bigraded tensor
+        return tr.mixed_residual(ca.coord_to_moving_bivector(triple.pi_coord(), conn), s.points)
+
+    def cochain_identities(s):
+        test_forms = [
+            FieldElement.form({((), (1, 2, 3)): 1.0}),  # the fiber volume
+            triple.beta.as_form(),
+            FieldElement.form({((1,), ()): triple.kappa}),
+        ]
+        forms = [r for form in test_forms for r in ca.cochain_residual_forms(conn, form)]
+        return tr.coefficient_max(ca.evaluate_elements(forms, s.points), s.points)
+
+    def volume_structure(s):
+        return tr.coefficient_max(ca.evaluate_elements(cn.f4_residual_forms(conn), s.points), s.points)
+
+    def dual_formulas(s):
+        pts = s.points
+        theta = cn.theta(conn).at(pts) - cn.theta_from_volume(conn, pts)
+        return tr.coefficient_max([theta, cn.rho(conn).at(pts) - cn.rho_from_volume(conn, pts)], pts)
+
+    def curvature_commutator(s):
+        rho = np.stack([j.value for j in s.jets(cn.rho_components(conn))])
+        return np.max(np.abs(cn.curvature(conn, s.points) - rho), axis=0)
+
+    table = [
+        Block("almost-coupling", sample, almost_coupling, identity_tol),
+        Block("cochain-identities", first60, cochain_identities, identity_tol),
+        Block("volume-structure-identities", first200, volume_structure, identity_tol),
+        Block("theta-rho-dual-formulas", first200, dual_formulas, identity_tol),
+        Block("curvature-commutator-agreement", first200, curvature_commutator, identity_tol),
+    ]
+    if coupled.points.shape[1]:
+        table += [
+            Block("structure-preserving-connection", coupled, partial(tr.poisson_connection_residual, triple), identity_tol),
+            Block("horizontal-beta-compatibility", coupled, partial(tr.c2_residual, triple), identity_tol),
+            Block("curvature-kappa-compatibility", coupled, partial(tr.c3_residual, triple), identity_tol),
+            Block("horizontal-cocycle", coupled, partial(tr.cocycle_residual, triple), identity_tol),
+            Block("curvature-identity", coupled, partial(tr.curvature_identity_residual, triple), identity_tol),
+            Block("coupling-form-identity", coupled, partial(tr.coupling_form_residual, triple), 1e-10),
+        ]
+    if band.points.shape[1]:
+        table.append(Block("boundary-first-variation", band, partial(tr.c5_residual, triple), identity_tol))
+    return _run_table(report, table)
 
 
 def cmd_check(args):
@@ -139,8 +177,7 @@ def cmd_check(args):
         raise BadInput(f"--tol must be a non-negative number, got {args.tol}")
     model = md.resolve(args.model)
     report = run_check(model, n=args.samples, tol=args.tol)
-    doc = _document(model, report)
-    _emit(doc, args.out)
+    _emit(_document(model, report), args.out, args.recorded)
     return EXIT_OK if report.passed else EXIT_FAIL
 
 
@@ -158,59 +195,41 @@ def cmd_strata(args):
         "rank_disagreements": flagged.size,
         "csv": args.out,
     }
-    print(json.dumps(summary, indent=2, sort_keys=True))
+    _emit(summary, None, args.recorded)
     return EXIT_OK if not flagged.size else EXIT_FAIL
 
 
 def cmd_modular(args):
     model = md.resolve(args.model)
-    triple = model.effective_triple()
-    # every block reads the triple's inputs through this one sample and its subsets
-    sample = model.samples(n=args.samples)
-    sample = sample.subset(triple.domain_mask(sample.points), "domain")
-    pts = sample.points
-    report = VerificationReport(name="modular")
-    report.add(
-        residual_block(
-            "bigraded-vs-direct", mo.bigraded_vs_direct_residual(triple, sample), pts, model.tolerance("oracle")
-        )
-    )
-    a = ExprField("2 + sin(x1)")
-    report.add(
-        residual_block("renormalization-rule", mo.renormalization_check(triple, a, sample), pts, 1e-10)
-    )
-    closed = mo.closedness_check(triple, sample)
-    for key, vals in closed.items():
-        report.add(residual_block(f"closedness-{key}", vals, pts, model.tolerance("identity"), note="informational for non-closed beta"))
-    # the modular field must be an infinitesimal symmetry of the structure
-    lz = pts[:, : min(pts.shape[1], 100)]
-    Z = mo.modular_direct_fields(triple)
-    report.add(
-        residual_block(
-            "modular-field-symmetry",
-            ca.lie_derivative_norm(Z, triple.pi_matrix(), lz),
-            lz,
-            1e-8,
-        )
-    )
     cert = model.certificate_data()
+    if args.certificate and cert is None:
+        raise MissingSection("certificate")
+    triple = model.effective_triple()
+    sample = _domain_sample(model, triple, args.samples)
+    identity_tol = model.tolerance("identity")
+
+    def symmetry(s):
+        # the modular field must be an infinitesimal symmetry of the structure
+        Z = mo.modular_direct_fields(triple)
+        return tr.component_max(ca.lie_derivative_bivector(Z, triple.pi_matrix(), s.points).values())
+
+    table = [
+        Block("bigraded-vs-direct", sample, partial(mo.bigraded_vs_direct_residual, triple), model.tolerance("oracle")),
+        Block("renormalization-rule", sample, partial(mo.renormalization_check, triple, ExprField("2 + sin(x1)")), 1e-10),
+        # beta need not be closed, so its three blocks are reported but do not decide the verdict
+        Block("closedness", sample, partial(mo.closedness_check, triple), identity_tol, "informational for non-closed beta", True),
+        Block("modular-field-symmetry", sample.subset(slice(100), "first 100 points"), symmetry, 1e-8),
+    ]
+    report = _run_table(VerificationReport(name="modular"), table)
     if args.certificate:
-        if cert is None:
-            print("model carries no [certificate] section", file=sys.stderr)
-            return EXIT_INPUT
         # the global check runs the coupling check first and keeps its blocks
         unimod = mo.unimod_coupling_check if cert.K is None else mo.unimod_global_check
-        sub = unimod(triple, cert, sample, tol=model.tolerance("identity"), div_tol=model.tolerance("conservation"))
-        for b in sub.blocks:
-            report.add(b)
+        report.blocks += unimod(triple, cert, sample, tol=identity_tol, div_tol=model.tolerance("conservation")).blocks
     if args.csv:
         header = ["x1", "x2", "y1", "y2", "y3", "Z_x1", "Z_x2", "Z_y1", "Z_y2", "Z_y3"]
-        write_csv(args.csv, header, [*pts, *mo.modular_direct(triple, None, sample)])
-    doc = _document(model, report)
-    _emit(doc, args.out)
-    # closedness blocks are informational: beta need not be closed
-    hard = [b for b in report.blocks if not b.check_id.startswith("closedness-")]
-    return EXIT_OK if all(b.passed for b in hard) else EXIT_FAIL
+        write_csv(args.csv, header, [*sample.points, *mo.modular_direct(triple, None, sample)])
+    _emit(_document(model, report), args.out, args.recorded)
+    return EXIT_OK if report.passed else EXIT_FAIL
 
 
 def cmd_gauge(args):
@@ -226,13 +245,10 @@ def cmd_gauge(args):
         raise BadInput(f"epsilon values must be finite, got {eps_values}")
     model = md.resolve(args.model)
     if model.gauge is None:
-        print("model has no [gauge] section to sweep", file=sys.stderr)
-        return EXIT_INPUT
+        raise MissingSection("gauge")
     if not eps_values:
-        print("give --epsilon or --sweep", file=sys.stderr)
-        return EXIT_INPUT
+        raise BadInput("give --epsilon or --sweep")
     os.makedirs(args.outdir, exist_ok=True)
-    overall = EXIT_OK
     summary = []
     for eps in eps_values:
         variant = model.with_gauge_epsilon(eps)
@@ -240,12 +256,10 @@ def cmd_gauge(args):
         md.save(variant, path)
         report = run_check(variant)
         rpath = os.path.join(args.outdir, f"{variant.name}.report.json")
-        _emit(_document(variant, report), rpath)
+        _emit(_document(variant, report), rpath, args.recorded)
         summary.append({"epsilon": eps, "model_file": path, "report": rpath, "verdict": "pass" if report.passed else "fail"})
-        if not report.passed:
-            overall = EXIT_FAIL
-    print(json.dumps({"model": model.name, "sweep": summary}, indent=2, sort_keys=True))
-    return overall
+    _emit({"model": model.name, "sweep": summary}, None, args.recorded)
+    return EXIT_OK if all(s["verdict"] == "pass" for s in summary) else EXIT_FAIL
 
 
 def cmd_flow(args):
@@ -254,8 +268,7 @@ def cmd_flow(args):
     except ValueError:
         raise BadInput(f"--p0 needs numbers, got {args.p0!r}") from None
     if len(p0) != 5:
-        print("--p0 needs five comma-separated coordinates", file=sys.stderr)
-        return EXIT_INPUT
+        raise BadInput("--p0 needs five comma-separated coordinates")
     if not all(math.isfinite(v) for v in p0):
         raise BadInput(f"--p0 coordinates must be finite, got {args.p0!r}")
     if not (math.isfinite(args.dt) and args.dt > 0):
@@ -267,18 +280,11 @@ def cmd_flow(args):
     traj = fl.integrate(triple, ExprField(args.hamiltonian), p0, args.dt, args.steps)
     casimirs = [ExprField(c) for c in (args.casimir or [])]
     volume = ExprField(args.volume_factor) if args.volume_factor else None
-    report = fl.conservation_report(
-        triple,
-        traj,
-        casimirs=casimirs,
-        volume_factor=volume,
-        f_tol=model.tolerance("conservation"),
-        casimir_tol=model.tolerance("conservation"),
-        div_tol=model.tolerance("conservation"),
-    )
+    tol = model.tolerance("conservation")
+    report = fl.conservation_report(triple, traj, casimirs, volume, f_tol=tol, casimir_tol=tol, div_tol=tol)
     if args.csv:
         fl.trajectory_to_csv(traj, casimirs, args.csv)
-    _emit(_document(model, report), args.out)
+    _emit(_document(model, report), args.out, args.recorded)
     return EXIT_OK if report.passed else EXIT_FAIL
 
 
@@ -356,6 +362,9 @@ def cmd_selftest(args):
         ok &= bool(np.array_equal(np.asarray(A), np.asarray(A2)))
     item("horizontal-rank invariance under connection shifts", ok)
 
+    nudges = _take_nudges(args.recorded)
+    if nudges:
+        print(f"cutoff nudges: {nudges}")
     print(("selftest passed" if not failures else f"selftest FAILED: {failures}"))
     return EXIT_OK if not failures else EXIT_FAIL
 
@@ -417,13 +426,23 @@ def main(argv=None):
     parser = build_parser()
     # argparse exits 2 on usage errors, matching the input-error contract
     args = parser.parse_args(argv)
+    # cutoff nudges are counted, not shown; their filter goes first, so python -W cannot change the count
+    try:
+        with warnings.catch_warnings(record=True) as args.recorded:  # read by _emit
+            warnings.simplefilter("always", CutoffNudge)
+            return _run(args)
+    finally:
+        for w in args.recorded:  # any other warning is shown as it would have been, also after a crash
+            if w.category is not CutoffNudge:
+                warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+
+
+def _run(args):
+    """Run a command; an error ends in one stderr line and its exit code."""
     try:
         # overflow and NaN surface as verdicts or as a DomainError, not as numpy warnings
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             return args.func(args)
-    except (ModelError, OrderBudgetExceeded) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INPUT
     except (DomainError, ZeroVolumeFactor) as err:
         print(f"numeric error: {err}", file=sys.stderr)
         return EXIT_NUMERIC

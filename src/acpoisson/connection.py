@@ -166,11 +166,13 @@ def curvature(conn: Connection, p):
     return comm[2:]
 
 
-def f4_residuals(conn: Connection, p):
-    """Residuals of d_{1,0}Omega_V = theta ^ Omega_V and d_{2,-1}Omega_V = Omega_H ^ rho."""
+def f4_residual_forms(conn: Connection):
+    """d_{1,0}Omega_V - theta ^ Omega_V and d_{2,-1}Omega_V - Omega_H ^ rho: both vanish."""
     vol_v = FieldElement.form(omega_v().coeffs)
     lhs1, lhs2 = ca.d_components(vol_v, conn, [(1, 0), (2, -1)])
-    rhs1 = theta(conn).wedge(vol_v)
-    rhs2 = FieldElement.form(omega_h().coeffs).wedge(rho(conn))
-    r1, r2 = ca.evaluate_elements([lhs1 - rhs1, lhs2 - rhs2], p)
-    return r1.norm(), r2.norm()
+    return [lhs1 - theta(conn).wedge(vol_v), lhs2 - FieldElement.form(omega_h().coeffs).wedge(rho(conn))]
+
+
+def f4_residuals(conn: Connection, p):
+    """Residual norms of d_{1,0}Omega_V = theta ^ Omega_V and d_{2,-1}Omega_V = Omega_H ^ rho."""
+    return tuple(r.norm() for r in ca.evaluate_elements(f4_residual_forms(conn), p))

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception and warning types shared across the package."""
 
 # how a RecursionError from parsing or walking a deep expression is reported
 NESTED_TOO_DEEPLY = "an expression is nested too deeply for the recursion limit"
@@ -133,3 +133,11 @@ class EmptyBox(AcPoissonError):
 
 class BadInput(AcPoissonError):
     """A size, step, coordinate or tolerance outside its valid range."""
+
+
+class CutoffNudge(RuntimeWarning):
+    """The cutoff guard moved ``points`` arguments off the branch point t = 1."""
+
+    def __init__(self, message, points):
+        super().__init__(message)
+        self.points = points

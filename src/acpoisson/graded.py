@@ -177,10 +177,7 @@ class GradedElement:
 
     def norm(self):
         """Max absolute coefficient (over batch entries as well)."""
-        worst = 0.0
-        for c in self.coeffs.values():
-            worst = max(worst, float(np.max(np.abs(c))) if np.ndim(c) else abs(float(c)))
-        return worst
+        return max([0.0, *(float(np.max(np.abs(c))) for c in self.coeffs.values())])
 
     def allclose(self, other, tol=1e-12):
         keys = set(self.coeffs) | set(other.coeffs)

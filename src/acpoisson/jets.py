@@ -13,7 +13,7 @@ import warnings
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import CutoffNudge, DomainError
 
 NVARS = 5
 
@@ -228,12 +228,8 @@ def _cutoff(v):
     t = np.array(v, dtype=float)
     near = np.abs(t - 1.0) <= CUTOFF_GUARD
     if near.any():
-        warnings.warn(
-            "cutoff evaluated within 1e-9 of the branch point t=1; "
-            "argument perturbed by 1e-6",
-            RuntimeWarning,
-            stacklevel=4,
-        )
+        msg = "cutoff evaluated within 1e-9 of the branch point t=1; argument perturbed by 1e-6"
+        warnings.warn(CutoffNudge(msg, int(near.sum())), stacklevel=4)
         below = t < 1.0
         t = np.where(near & below, 1.0 - CUTOFF_NUDGE, t)
         t = np.where(near & ~below, 1.0 + CUTOFF_NUDGE, t)

@@ -12,6 +12,8 @@ Sections:
                   n = <int>; seed = <int>; resolution = <int>
     [tolerances]  identity, oracle, conservation, fd = <reals>    (optional)
 
+Any other section or key, and a section or key given twice, is refused.
+
 A model with a [gauge] block denotes the deformation-family member at the
 recorded epsilon; commands apply the gauge before checking, so sweep outputs
 round-trip as ordinary model files.
@@ -48,6 +50,19 @@ DEFAULT_SAMPLING = {
 }
 
 _GAMMA_KEYS = [f"g{i}_{a}" for i in (1, 2) for a in (1, 2, 3)]
+
+# the keys each section accepts; any other section or key is refused
+_SECTION_KEYS = {
+    "model": ("name",),
+    "connection": tuple(_GAMMA_KEYS),
+    "kappa": ("expr",),
+    "beta": ("b1", "b2", "b3"),
+    "gauge": ("mu1", "mu2", "c", "epsilon"),
+    "certificate": ("h", "k", "kappa0"),
+    "sampling": ("box", "generator", "n", "seed", "resolution"),
+    "tolerances": tuple(DEFAULT_TOLERANCES),
+}
+_EXPRESSION_SECTIONS = {"connection", "kappa", "beta", "gauge", "certificate"}  # all but [gauge] epsilon
 
 
 @dataclass
@@ -134,19 +149,19 @@ def _check_expr(text, section, key, line):
         raise ModelParseError(f"[{section}] {key}: {err}", line=line) from err
     except RecursionError as err:
         raise ModelParseError(f"[{section}] {key}: {NESTED_TOO_DEEPLY}", line=line) from err
-    return text
 
 
 def loads(text: str) -> ModelFile:
     sections = {}
     current = None
-    lines_of = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("#") or line.startswith(";"):
+        if not line or line.startswith(("#", ";")):
             continue
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1].strip().lower()
+            if current not in _SECTION_KEYS:
+                raise ModelParseError(f"unknown section [{current}] (want {', '.join(_SECTION_KEYS)})", line=lineno)
             if current in sections:
                 raise ModelParseError(f"duplicate section [{current}]", line=lineno)
             sections[current] = {}
@@ -156,43 +171,34 @@ def loads(text: str) -> ModelFile:
         if "=" not in line:
             raise ModelParseError(f"expected 'key = value', got '{line}'", line=lineno)
         key, _, value = line.partition("=")
-        key = key.strip().lower()
-        sections[current][key] = value.strip()
-        lines_of[(current, key)] = lineno
+        key, value = key.strip().lower(), value.strip()
+        if key not in _SECTION_KEYS[current]:
+            want = ", ".join(_SECTION_KEYS[current])
+            raise ModelParseError(f"[{current}] unknown key '{key}' (want {want})", line=lineno)
+        if key in sections[current]:
+            raise ModelParseError(f"[{current}] duplicate key '{key}'", line=lineno)
+        if current in _EXPRESSION_SECTIONS and key != "epsilon":
+            _check_expr(value, current, key, lineno)
+        sections[current][key] = value
 
-    def want(section):
+    def want(section, keys):
         if section not in sections:
             raise MissingSection(section)
-        return sections[section]
+        for key in keys:
+            if key not in sections[section]:
+                raise ModelParseError(f"[{section}] needs key '{key}'")
+        return [sections[section][key] for key in keys]
 
     name = sections.get("model", {}).get("name", "unnamed")
-
-    gamma = [["0"] * 3, ["0"] * 3]
     conn = sections.get("connection", {})
-    for key, value in conn.items():
-        if key not in _GAMMA_KEYS:
-            raise ModelParseError(f"[connection] unknown key '{key}' (want g1_1 .. g2_3)")
-        i, a = int(key[1]), int(key[3])
-        gamma[i - 1][a - 1] = _check_expr(value, "connection", key, lines_of.get(("connection", key)))
-
-    kappa_sec = want("kappa")
-    if "expr" not in kappa_sec:
-        raise ModelParseError("[kappa] needs key 'expr'")
-    kappa = _check_expr(kappa_sec["expr"], "kappa", "expr", lines_of.get(("kappa", "expr")))
-
-    beta_sec = want("beta")
-    beta = []
-    for key in ("b1", "b2", "b3"):
-        if key not in beta_sec:
-            raise ModelParseError(f"[beta] needs key '{key}'")
-        beta.append(_check_expr(beta_sec[key], "beta", key, lines_of.get(("beta", key))))
+    gamma = [[conn.get(f"g{i}_{a}", "0") for a in (1, 2, 3)] for i in (1, 2)]
+    (kappa,) = want("kappa", ["expr"])
+    beta = want("beta", ["b1", "b2", "b3"])
 
     gauge = None
     if "gauge" in sections:
         g = sections["gauge"]
-        gauge = {}
-        for key in ("mu1", "mu2", "c"):
-            gauge[key] = _check_expr(g.get(key, "0"), "gauge", key, lines_of.get(("gauge", key)))
+        gauge = {key: g.get(key, "0") for key in ("mu1", "mu2", "c")}
         try:
             gauge["epsilon"] = float(g.get("epsilon", "0"))
         except ValueError as err:
@@ -202,14 +208,7 @@ def loads(text: str) -> ModelFile:
 
     certificate = None
     if "certificate" in sections:
-        c = sections["certificate"]
-        certificate = {}
-        for key in ("h", "k", "kappa0"):
-            if key in c:
-                out_key = "K" if key == "k" else key
-                certificate[out_key] = _check_expr(
-                    c[key], "certificate", key, lines_of.get(("certificate", key))
-                )
+        certificate = {"K" if key == "k" else key: value for key, value in sections["certificate"].items()}
 
     sampling = dict(DEFAULT_SAMPLING)
     if "sampling" in sections:
@@ -221,10 +220,10 @@ def loads(text: str) -> ModelFile:
             if gen not in ("halton", "grid"):
                 raise ModelParseError(f"[sampling] unknown generator '{gen}'")
             sampling["generator"] = gen
-        for key, cast in (("n", int), ("seed", int), ("resolution", int)):
+        for key in ("n", "seed", "resolution"):
             if key in s:
                 try:
-                    sampling[key] = cast(s[key])
+                    sampling[key] = int(s[key])
                 except ValueError as err:
                     raise ModelParseError(f"[sampling] {key}: {err}") from err
         if sampling["seed"] < 0:
@@ -233,8 +232,6 @@ def loads(text: str) -> ModelFile:
     tolerances = dict(DEFAULT_TOLERANCES)
     if "tolerances" in sections:
         for key, value in sections["tolerances"].items():
-            if key not in DEFAULT_TOLERANCES:
-                raise ModelParseError(f"[tolerances] unknown key '{key}'")
             try:
                 tolerances[key] = float(value)
             except ValueError as err:

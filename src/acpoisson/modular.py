@@ -130,14 +130,9 @@ def closedness_check(triple: tr.PoissonTriple, p):
     """Residuals (|d_(0,1)beta|, theta-coefficients-Casimir, |d_(1,0)theta|)."""
     sample = st.as_sample(p)
     bj = sample.jets(triple.beta.comps, 1)
-    dbeta = 0.0
-    for a in range(3):
-        for b in range(a + 1, 3):
-            dbeta = np.maximum(dbeta, np.abs(bj[b].grad[Y_SLOTS[a]] - bj[a].grad[Y_SLOTS[b]]))
+    dbeta = tr.component_max([bj[b].grad[Y_SLOTS[a]] - bj[a].grad[Y_SLOTS[b]] for a, b in ((0, 1), (0, 2), (1, 2))])
     thf = _theta_fields(triple.conn)
-    th_cas = 0.0
-    for f in thf:
-        th_cas = np.maximum(th_cas, tr.vertical_casimir_residual(triple.beta, f, sample))
+    th_cas = tr.component_max([tr.vertical_casimir_residual(triple.beta, f, sample) for f in thf])
     h1, h2 = _values(sample, [ca.hor_apply(triple.conn, 1, thf[1]), ca.hor_apply(triple.conn, 2, thf[0])])
     dtheta = np.abs(h1 - h2)
     return {"dbeta": dbeta, "theta_casimir": th_cas, "dtheta": dtheta}
@@ -162,11 +157,7 @@ def invariant_divergence_residual(triple: tr.PoissonTriple, density, p, hamilton
     """Max over test Hamiltonians of |div_(density)(X_F)| at p."""
     hams = hamiltonians if hamiltonians is not None else test_hamiltonians()
     sample = st.as_sample(p)
-    worst = 0.0
-    for F in hams:
-        X = tr.hamiltonian_field(triple, F)
-        worst = np.maximum(worst, np.abs(ca.divergence(X, sample, density)))
-    return worst
+    return tr.component_max(ca.divergence(tr.hamiltonian_field(triple, F), sample, density) for F in hams)
 
 
 def unimod_coupling_check(

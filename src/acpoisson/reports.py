@@ -19,6 +19,7 @@ class CheckBlock:
     worst_point: list | None = None
     n_samples: int = 0
     note: str = ""
+    informational: bool = False  # reported, but not part of the report's verdict
 
     def to_dict(self):
         return {
@@ -46,7 +47,7 @@ class VerificationReport:
 
     @property
     def passed(self):
-        return all(b.passed for b in self.blocks) and not self.disagreements
+        return all(b.passed or b.informational for b in self.blocks) and not self.disagreements
 
     def block(self, check_id):
         for b in self.blocks:
@@ -64,23 +65,19 @@ class VerificationReport:
         }
 
 
-def residual_block(check_id, residuals, points, tol, note="") -> CheckBlock:
-    """Summarize a per-point residual array into a check block."""
-    residuals = np.atleast_1d(np.asarray(residuals, dtype=float))
+def residual_block(check_id, residuals, points, tol, note="", informational=False) -> CheckBlock:
+    """Summarize a residual array with one entry per point of ``points`` (5, n) into a check block."""
+    residuals = np.asarray(residuals, dtype=float)
     pts = np.asarray(points)
-    worst_point = None
-    if residuals.size and pts.ndim == 2 and pts.shape[1] == residuals.size:
-        worst_point = pts[:, int(np.argmax(residuals))].tolist()
-    return CheckBlock(
-        check_id=check_id,
-        max_residual=float(residuals.max()) if residuals.size else 0.0,
-        mean_residual=float(residuals.mean()) if residuals.size else 0.0,
-        tol=float(tol),
-        passed=bool(residuals.size == 0 or residuals.max() <= tol),
-        worst_point=worst_point,
-        n_samples=int(residuals.size),
-        note=note,
-    )
+    if residuals.shape != pts.shape[1:2]:
+        raise ValueError(f"{check_id}: residuals of shape {residuals.shape} for points of shape {pts.shape}")
+    pts, residuals = pts.reshape(len(pts), -1), residuals.reshape(-1)  # one point (5,) counts as (5, 1)
+    if not residuals.size:
+        return CheckBlock(check_id, 0.0, 0.0, float(tol), True, None, 0, note, informational)
+    worst = int(np.argmax(residuals))  # the first NaN, if there is one
+    top = float(residuals[worst])
+    mean = float(residuals.mean())
+    return CheckBlock(check_id, top, mean, float(tol), top <= tol, pts[:, worst].tolist(), residuals.size, note, informational)
 
 
 _BARE = re.compile(r'[^,"\r\n]+\Z')  # a cell csv.writer leaves unquoted

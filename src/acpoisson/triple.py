@@ -9,6 +9,8 @@ the verification suite.
 
 from __future__ import annotations
 
+from functools import reduce
+
 import numpy as np
 
 from . import calculus as ca
@@ -142,10 +144,7 @@ def _scaled_tol(kappa_values):
 
 def mixed_residual(mov: FieldElement, p):
     """Pointwise max |coefficient| of the mixed (1,1) component of a moving-frame bivector."""
-    mixed = np.zeros(np.shape(np.asarray(p)[0]))
-    for jet in evaluate(mov.project(1, 1).coeffs.values(), p):
-        mixed = np.maximum(mixed, np.abs(jet.value))
-    return mixed
+    return coefficient_max([mov.project(1, 1).at(p)], p)
 
 
 def recover_triple(pi: FieldElement, conn: cn.Connection, probe=None):
@@ -181,12 +180,17 @@ def jacobiator(triple: PoissonTriple, p):
 
 
 def jacobiator_norm(triple: PoissonTriple, p):
-    return _component_max(jacobiator(triple, p))
+    return component_max(jacobiator(triple, p).values())
 
 
-def _component_max(comps):
-    """Pointwise max |component| of a dict of component values."""
-    return np.max(np.stack([np.abs(v) for v in comps.values()]), axis=0)
+def component_max(values, shape=()):
+    """Pointwise max |value| over component arrays, one at a time; zeros of ``shape`` when there are none."""
+    return reduce(np.maximum, map(np.abs, values), np.zeros(shape))
+
+
+def coefficient_max(elements, p):
+    """Pointwise max |coefficient| over graded elements evaluated at the points p."""
+    return component_max((c for e in elements for c in e.coeffs.values()), np.shape(np.asarray(p)[0]))
 
 
 def _input_jets(triple: PoissonTriple, sample):
@@ -232,19 +236,13 @@ def ic_residuals(triple: PoissonTriple, p):
 
 def ic_norm(triple: PoissonTriple, p):
     r = ic_residuals(triple, p)
-    return np.max(
-        np.stack([r["ic1"], r["ic2"].max(axis=(0, 1)), r["ic3"].max(axis=0)]), axis=0
-    )
+    return component_max([r["ic1"], *r["ic2"].reshape((6,) + r["ic1"].shape), *r["ic3"]])
 
 
 def verdict_scale(triple: PoissonTriple, p):
     """1 + max magnitude of the kappa/beta/gamma 1-jets at p."""
     bj, kj, gv = _input_jets(triple, st.as_sample(p))
-    mags = []
-    for jet in [kj, *bj, *gv[0], *gv[1]]:
-        mags.append(np.abs(jet.value))
-        mags.append(np.max(np.abs(jet.grad), axis=0))
-    return 1.0 + np.max(np.stack(mags), axis=0)
+    return 1.0 + component_max(v for jet in [kj, *bj, *gv[0], *gv[1]] for v in [jet.value, *jet.grad])
 
 
 def equivalence_check(triple: PoissonTriple, samples, tol=1e-9) -> VerificationReport:
@@ -361,11 +359,8 @@ def poisson_connection_residual(triple: PoissonTriple, p):
 
 def _lie_residual(conn, pb, points):
     """Max over i in {1, 2} of |L_{hor_i} P_beta| at points, for any kappa."""
-    worst = 0.0
-    for i in (1, 2):
-        comps = ca.lie_derivative_bivector(cn.horizontal_lift(i, conn), pb, points)
-        worst = np.maximum(worst, _component_max(comps))
-    return worst
+    lies = (ca.lie_derivative_bivector(cn.horizontal_lift(i, conn), pb, points) for i in (1, 2))
+    return component_max(v for comps in lies for v in comps.values())
 
 
 def cocycle_residual(triple: PoissonTriple, p):
@@ -375,7 +370,7 @@ def cocycle_residual(triple: PoissonTriple, p):
     qh = ca.moving_to_coord_bivector(
         FieldElement.multivector({((1, 2), ()): -1.0}), triple.conn
     )
-    return _component_max(ca.schouten_bivectors(qh, triple.p_beta_matrix(), sample.points))
+    return component_max(ca.schouten_bivectors(qh, triple.p_beta_matrix(), sample.points).values())
 
 
 def curvature_identity_residual(triple: PoissonTriple, p):
@@ -409,11 +404,11 @@ def _cross_magnitude(u, v):
 
 
 def c2_residual(triple: PoissonTriple, p):
-    """|d_{1,0} beta + beta ^ theta| componentwise max at p."""
+    """|d_{1,0} beta + beta ^ theta|, max over components at each point of p."""
     beta_form = triple.beta.as_form()
-    d10 = ca.d_component(beta_form, triple.conn, (1, 0))
-    th = cn.theta(triple.conn)
-    return (d10 + beta_form.wedge(th)).at(st.as_sample(p).points).norm()
+    residual = ca.d_component(beta_form, triple.conn, (1, 0)) + beta_form.wedge(cn.theta(triple.conn))
+    pts = st.as_sample(p).points
+    return coefficient_max([residual.at(pts)], pts)
 
 
 def c3_residual(triple: PoissonTriple, p):
@@ -430,14 +425,13 @@ def c3_residual(triple: PoissonTriple, p):
     dinv = -kj.grad[2:] / k2  # vertical gradient of 1/kappa
     bv = triple.beta.values(sample)
     rho_v = np.stack([j.value for j in sample.jets(cn.rho_components(triple.conn))])
+
+    def ratio(a, b, c, sign):
+        ab, ba = dinv[a] * bv[b], dinv[b] * bv[a]
+        return (ab - ba + sign * rho_v[c]) / (1.0 + np.abs(ab) + np.abs(ba) + np.abs(rho_v[c]))
+
     # (0,2) pairs (a,b) with the matching rho component carrying -eps_{abc}
-    pairs = [(1, 2, 0, -1.0), (0, 2, 1, 1.0), (0, 1, 2, -1.0)]
-    worst = 0.0
-    for a, b, c, sign in pairs:
-        wedge_ab = dinv[a] * bv[b] - dinv[b] * bv[a]
-        scale = 1.0 + np.abs(dinv[a] * bv[b]) + np.abs(dinv[b] * bv[a]) + np.abs(rho_v[c])
-        worst = np.maximum(worst, np.abs(wedge_ab + sign * rho_v[c]) / scale)
-    return worst
+    return component_max(ratio(*pair) for pair in [(1, 2, 0, -1.0), (0, 2, 1, 1.0), (0, 1, 2, -1.0)])
 
 
 def c5_residual(triple: PoissonTriple, p):
@@ -456,14 +450,9 @@ def coupling_form_residual(triple: PoissonTriple, p):
     sample = st.as_sample(p)
     sigma = coupling_form(triple, sample)
     kv = triple.kappa_values(sample)
-    worst = 0.0
     pi20 = GradedElement.multivector({((1, 2), ()): kv})
-    for i, alpha_key in ((1, ((1,), ())), (2, ((2,), ()))):
-        alpha = GradedElement.form({alpha_key: np.ones_like(kv)})
-        v = interior(alpha, pi20)
-        res = interior(v, sigma) + alpha
-        worst = np.maximum(worst, res.norm())
-    return worst
+    alphas = [GradedElement.form({key: np.ones_like(kv)}) for key in (((1,), ()), ((2,), ()))]
+    return coefficient_max([interior(interior(alpha, pi20), sigma) + alpha for alpha in alphas], sample.points)
 
 
 # constructors and submanifold checks -------------------------------------------

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -284,3 +285,70 @@ def test_check_exits_2_on_a_model_expression_it_cannot_read(kappa, message, tmp_
 def test_an_output_that_cannot_be_written_exits_2(argv, message, tmp_path):
     (tmp_path / "taken").write_text("a file, not a directory\n")
     _assert_one_line_exit_2(_run_in(tmp_path, argv), message)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (_with(FLOW, "--p0", "0,0,1"), "--p0 needs five comma-separated coordinates"),
+        (["modular", "sec5_example", "--certificate"], "model file is missing required section [certificate]"),
+        (["gauge", "sec5_example", "--epsilon", "0.1"], "model file is missing required section [gauge]"),
+        (["gauge", "br3_unimodular"], "give --epsilon or --sweep"),
+    ],
+)
+def test_every_exit_2_message_is_one_error_line(argv, message, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert _exit_and_message(argv, capsys) == (2, [f"error: {message}"])
+    assert list(tmp_path.iterdir()) == []
+
+
+CUTOFF_MODEL = "[model]\nname = cut\n\n[kappa]\nexpr = {}\n\n[beta]\nb1 = 0\nb2 = 0\nb3 = 0\n"
+
+
+def _subprocess_cli(argv, cwd, python_flags=()):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    cmd = [sys.executable, *python_flags, "-m", "acpoisson", *argv]
+    return subprocess.run(cmd, capture_output=True, text=True, env=env, cwd=cwd)
+
+
+def test_a_cutoff_nudge_is_counted_in_the_report_not_printed(tmp_path):
+    # the 3-point grid puts x1 = 0, the cutoff's branch point t = x1 + 1 = 1, on the sample
+    model = tmp_path / "cut.ini"
+    model.write_text(CUTOFF_MODEL.format("cutoff(x1 + 1)"))
+    proc = _subprocess_cli(["strata", str(model), "--grid", "3", "--out", "s.csv"], tmp_path)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert json.loads(proc.stdout)["meta"]["cutoff_nudges"] >= 1
+
+
+def test_the_cutoff_nudge_count_does_not_depend_on_warning_filters(tmp_path):
+    model = tmp_path / "cut.ini"
+    model.write_text(CUTOFF_MODEL.format("cutoff(x1 + 1)"))
+    argv = ["strata", str(model), "--grid", "3", "--out", "s.csv"]
+    plain = _subprocess_cli(argv, tmp_path)
+    for flag in ("ignore::RuntimeWarning", "error"):
+        filtered = _subprocess_cli(argv, tmp_path, python_flags=["-W", flag])
+        assert (filtered.returncode, filtered.stdout, filtered.stderr) == (0, plain.stdout, "")
+
+
+def test_other_warnings_are_shown_when_a_command_crashes(monkeypatch):
+    def crash(args):
+        warnings.warn("held until the command ends", UserWarning)
+        raise ValueError("unexpected")
+
+    monkeypatch.setattr(cli, "cmd_check", crash)
+    with pytest.warns(UserWarning, match="held until"), pytest.raises(ValueError):
+        cli.main(["check", "flat_so3"])
+
+
+def test_a_cutoff_nudge_before_a_domain_error_leaves_one_stderr_line(tmp_path):
+    model = tmp_path / "cut.ini"
+    model.write_text(CUTOFF_MODEL.format("cutoff(x1 + 1) / x1"))
+    proc = _subprocess_cli(["strata", str(model), "--grid", "3", "--out", "s.csv"], tmp_path)
+    assert proc.returncode == 3
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("numeric error: division by zero")
+
+
+def test_a_report_without_cutoff_nudges_has_no_count(tmp_path, capsys):
+    assert cli.main(["check", "flat_so3", "--samples", "20"]) == 0
+    assert "cutoff_nudges" not in capsys.readouterr().out

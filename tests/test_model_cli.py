@@ -260,3 +260,124 @@ def test_readme_model_file_example_loads():
     assert model.name == "sec5_example"
     assert model.gauge is not None and model.certificate_data() is not None
     assert model.sampling["generator"] == "halton"
+
+
+MINIMAL = "[model]\nname = m\n\n[kappa]\nexpr = 1 + y1^2\n\n[beta]\nb1 = y1\nb2 = 0\nb3 = 0\n"
+
+
+@pytest.mark.parametrize(
+    "extra, line, message",
+    [
+        ("[beta]\nb1 = y1\n", None, "duplicate section [beta]"),
+        ("[sampling]\nn = 10\nn = 20\n", 14, "[sampling] duplicate key 'n'"),
+        ("[gauge]\nmu1 = y3\neps = 0.1\n", 14, "[gauge] unknown key 'eps' (want mu1, mu2, c, epsilon)"),
+        ("[sampling]\ngenerater = grid\n", 13, "[sampling] unknown key 'generater'"),
+        ("[certificate]\nkappa = 1\n", 13, "[certificate] unknown key 'kappa'"),
+        ("[tolerances]\nidentity = 1e-9\nIdentity = 1e-8\n", 14, "[tolerances] duplicate key 'identity'"),
+        ("[kapa]\nexpr = 1\n", 12, "unknown section [kapa]"),
+    ],
+)
+def test_parser_refuses_duplicate_and_unknown_keys_and_sections(extra, line, message):
+    with pytest.raises(ModelParseError) as err:
+        md.loads(MINIMAL + "\n" + extra)
+    if line is not None:
+        assert err.value.line == line
+    assert message in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("b1 = y1\n", "b1 = y1\nb1 = 0\n", "line 9: [beta] duplicate key 'b1'"),
+        ("b3 = 0\n", "b3 = 0\nb4 = 0\n", "line 11: [beta] unknown key 'b4' (want b1, b2, b3)"),
+        ("name = m\n", "name = m\nversion = 2\n", "line 3: [model] unknown key 'version' (want name)"),
+        ("[kappa]", "[kapa]", "line 4: unknown section [kapa]"),
+    ],
+)
+def test_cli_exits_2_on_a_refused_model_line(old, new, message, tmp_path, capsys):
+    path = tmp_path / "m.ini"
+    path.write_text(MINIMAL.replace(old, new))
+    assert cli.main(["check", str(path), "--samples", "10"]) == 2
+    (err,) = capsys.readouterr().err.splitlines()
+    assert err.startswith(f"error: {message}")
+
+
+def test_every_key_the_writer_emits_reads_back(tmp_path):
+    # dumps writes every section and key a gauge sweep member carries
+    model = md.resolve("br3_unimodular").with_gauge_epsilon(0.1)
+    model.tolerances["fd"] = 1e-4
+    assert md.dumps(md.loads(md.dumps(model))) == md.dumps(model)
+
+
+# the subset each block names, by the command that reports it
+CHECK_SUBSETS = {
+    "integrability": "domain",
+    "jacobiator": "domain",
+    "almost-coupling": "domain",
+    "cochain-identities": "first 60",
+    "volume-structure-identities": "first 200",
+    "theta-rho-dual-formulas": "first 200",
+    "curvature-commutator-agreement": "first 200",
+    **{
+        check: "coupling"
+        for check in (
+            "structure-preserving-connection",
+            "horizontal-beta-compatibility",
+            "curvature-kappa-compatibility",
+            "horizontal-cocycle",
+            "curvature-identity",
+            "coupling-form-identity",
+        )
+    },
+    "boundary-first-variation": "kappa zero band",
+}
+MODULAR_SUBSETS = {
+    "bigraded-vs-direct": "domain",
+    "renormalization-rule": "domain",
+    "closedness-dbeta": "domain",
+    "closedness-theta_casimir": "domain",
+    "closedness-dtheta": "domain",
+    "modular-field-symmetry": "first 100",
+    "theta-exactness": "coupling",
+    "h-casimir": "coupling",
+    "invariant-volume-divergence": "coupling",
+    "kappa-factorization": "coupling",
+    "K-casimir-on-zero-set": "kappa zero set",
+    "global-volume-divergence": "domain",
+}
+
+
+def _subset_sizes(model, n=None):
+    """Point counts of the subsets a command's blocks name, from the masks themselves."""
+    triple = model.effective_triple()
+    pts = model.samples(n=n).points
+    pts = pts[:, triple.domain_mask(pts)]
+    n = pts.shape[1]
+    kv = np.abs(triple.kappa_values(pts))
+    coupled = int(np.count_nonzero(triple.coupling_mask(pts)))
+    return {
+        "domain": n,
+        "first 60": min(n, 60),
+        "first 100": min(n, 100),
+        "first 200": min(n, 200),
+        "coupling": coupled,
+        "kappa zero set": n - coupled,
+        "kappa zero band": int(np.count_nonzero(kv <= 1e-6 * (1.0 + kv.max()))),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(md.BUILTIN_MODELS))
+def test_every_block_reports_the_points_of_the_subset_it_names(name, tmp_path):
+    model = md.resolve(name)
+    certificate = model.certificate is not None
+    runs = [
+        (["check", name, "--samples", "500"], CHECK_SUBSETS, _subset_sizes(model, 500)),
+        (["modular", name, *(["--certificate"] if certificate else [])], MODULAR_SUBSETS, _subset_sizes(model)),
+    ]
+    for argv, subsets, sizes in runs:
+        out = tmp_path / f"{argv[0]}.json"
+        assert cli.main([*argv, "--out", str(out)]) == 0
+        for block in json.loads(out.read_text())["checks"]:
+            assert block["n_samples"] == sizes[subsets[block["check"]]], (argv[0], block["check"])
+            # a worst point is reported whenever there was a point to evaluate
+            assert (block["worst_point"] is None) == (block["n_samples"] == 0), (argv[0], block["check"])

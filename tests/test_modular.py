@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from acpoisson import calculus as ca
+from acpoisson import cli
 from acpoisson import connection as cn
 from acpoisson import fuzz
 from acpoisson import gauge as ga
@@ -9,6 +12,7 @@ from acpoisson import modular as mo
 from acpoisson import triple as tr
 from acpoisson.errors import MissingCertificate, ZeroVolumeFactor
 from acpoisson.fields import ConstField, ExprField
+from acpoisson.reports import VerificationReport, residual_block
 from acpoisson.strata import halton_points
 
 
@@ -231,3 +235,31 @@ def test_gauge_functions_and_volume_factor_call_no_field_at(so3_coupled, pts, mo
     ga.upsilon_closedness(G, so3_coupled, pts)
     mo.modular_direct(so3_coupled, ExprField("1 + x1^2"), pts)
     assert calls == []
+
+
+def test_informational_closedness_blocks_do_not_decide_the_verdict(tmp_path, capsys):
+    # beta = y2 eta^1 is not closed, so closedness-dbeta fails, but it is informational
+    path = tmp_path / "nonclosed.ini"
+    path.write_text("[model]\nname = nonclosed\n\n[kappa]\nexpr = 1 + y1^2\n\n[beta]\nb1 = y2\nb2 = 0\nb3 = 0\n")
+    code = cli.main(["modular", str(path), "--samples", "50"])
+    doc = json.loads(capsys.readouterr().out)
+    verdicts = {b["check"]: b["verdict"] for b in doc["checks"]}
+    assert verdicts["closedness-dbeta"] == "fail"
+    assert all(v == "pass" for check, v in verdicts.items() if check != "closedness-dbeta")
+    assert doc["verdict"] == "pass" and code == 0
+    assert all("informational" not in b for b in doc["checks"])
+
+
+def test_an_informational_block_is_kept_out_of_the_report_verdict():
+    report = VerificationReport(name="r")
+    report.add(residual_block("loose", np.array([1.0]), np.zeros((5, 1)), 0.5, informational=True))
+    assert report.passed
+    report.add(residual_block("strict", np.array([1.0]), np.zeros((5, 1)), 0.5))
+    assert not report.passed
+
+
+def test_a_residual_block_refuses_residuals_that_are_not_one_per_point():
+    with pytest.raises(ValueError):
+        residual_block("scalar", 1.0, np.zeros((5, 3)), 0.5)
+    block = residual_block("one point", 2.0, np.arange(5.0), 0.5)
+    assert (block.n_samples, block.worst_point) == (1, [0.0, 1.0, 2.0, 3.0, 4.0])
