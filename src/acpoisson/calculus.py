@@ -11,6 +11,8 @@ coordinate-frame conversions (hor_i = d/dx_i - gamma_i^a d/dy_a).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DomainError, ZeroVolumeFactor
@@ -222,12 +224,16 @@ class CoordVector:
         self._lowered = None  # the compiled function; False when the graph cannot be lowered
 
     def values(self, p):
-        p = as_points(p)
         if self._lowered is None:
             self._lowered = lower(self.comps) or False
+        p = np.asarray(p, dtype=float)
         if self._lowered:
+            # one point runs as five Python floats, checked here without numpy
+            point = p.tolist() if p.shape == (5,) else None
             try:
-                return np.array(self._lowered(p))
+                if point is not None and all(map(math.isfinite, point)):
+                    return self._lowered(point)
+                return self._lowered(as_points(p))
             except DomainError:
                 pass  # the jet path raises it again, tagged
         return np.stack([jet.value for jet in evaluate(self.comps, p)])

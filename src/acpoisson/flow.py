@@ -7,6 +7,8 @@ step-halving rerun provides the error estimate.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import calculus as ca
@@ -14,7 +16,7 @@ from . import strata as st
 from . import triple as tr
 from .errors import BadInput, DomainError
 from .fields import as_field
-from .reports import CheckBlock, VerificationReport, write_csv
+from .reports import CheckBlock, VerificationReport, residual_block, write_csv
 
 # most RK4 steps in one trajectory, checked before its (5, steps + 1) states
 # are allocated; the step-halving rerun takes twice as many
@@ -22,9 +24,15 @@ MAX_FLOW_STEPS = 10**6
 
 
 class Trajectory:
-    """Uniform-step trajectory of a Hamiltonian flow."""
+    """Uniform-step trajectory of a Hamiltonian flow.
 
-    def __init__(self, times, states, hamiltonian, dt, truncated=False, halving_error=None):
+    A truncated trajectory keeps the states before the step that failed, so
+    that step's index is ``n_steps``; ``cause`` is the message of its
+    :class:`~acpoisson.errors.DomainError`.
+    """
+
+    def __init__(self, times, states, hamiltonian, dt, truncated=False, halving_error=None,
+                 rhs_evaluations=0, cause=None):
         self.times = times
         self.states = states  # (5, n_steps+1)
         self.sample = st.as_sample(states)  # every field along the path is read through it
@@ -32,6 +40,8 @@ class Trajectory:
         self.dt = dt
         self.truncated = truncated
         self.halving_error = halving_error
+        self.rhs_evaluations = rhs_evaluations  # right-hand-side calls, the halving rerun's included
+        self.cause = cause
 
     @property
     def n_steps(self):
@@ -45,28 +55,37 @@ def _check_steps(n):
 
 def _finite(p):
     """``p`` itself; an RK4 stage that left the finite range raises :class:`DomainError`."""
-    if not np.isfinite(p).all():
+    # one point is checked as five Python floats, without a numpy reduction
+    if not (all(map(math.isfinite, p.tolist())) if p.ndim == 1 else np.isfinite(p).all()):
         raise DomainError("an RK4 stage left the finite range")
     return p
 
 
 def _rk4_path(rhs, p0, dt, n):
     """RK4 from a point (5,) or a batch (5, m): the states, shape ``p0.shape + (n + 1,)``,
-    and None, or the states before the step a :class:`DomainError` cut, and that error."""
+    and None, or the states before the step a :class:`DomainError` cut, and that error;
+    then the number of ``rhs`` calls made."""
     states = np.zeros(p0.shape + (n + 1,))
     states[..., 0] = p0
     p = np.array(p0, dtype=float)
+    calls = 0
+
+    def f(q):
+        nonlocal calls
+        calls += 1
+        return rhs(q)
+
     for k in range(n):
         try:
-            k1 = rhs(p)
-            k2 = rhs(_finite(p + 0.5 * dt * k1))
-            k3 = rhs(_finite(p + 0.5 * dt * k2))
-            k4 = rhs(_finite(p + dt * k3))
+            k1 = f(p)
+            k2 = f(_finite(p + 0.5 * dt * k1))
+            k3 = f(_finite(p + 0.5 * dt * k2))
+            k4 = f(_finite(p + dt * k3))
             p = _finite(p + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
         except DomainError as err:
-            return states[..., : k + 1], err
+            return states[..., : k + 1], err, calls
         states[..., k + 1] = p
-    return states, None
+    return states, None, calls
 
 
 def integrate_batch(triple: tr.PoissonTriple, F, p0s, dt, n):
@@ -79,7 +98,7 @@ def integrate_batch(triple: tr.PoissonTriple, F, p0s, dt, n):
     """
     _check_steps(n)
     X = tr.hamiltonian_field(triple, as_field(F))
-    states, error = _rk4_path(X.values, np.asarray(p0s, dtype=float), dt, n)
+    states, error, _ = _rk4_path(X.values, np.asarray(p0s, dtype=float), dt, n)
     if error is not None:
         raise error
     return states
@@ -93,14 +112,16 @@ def integrate(triple: tr.PoissonTriple, F, p0, dt, n, halving_check=True) -> Tra
     F = as_field(F)
     X = tr.hamiltonian_field(triple, F)
     p0 = np.asarray(p0, dtype=float)
-    states, error = _rk4_path(X.values, p0, dt, n)
+    states, error, calls = _rk4_path(X.values, p0, dt, n)
     halving = None
     if halving_check and error is None:
-        fine, fine_error = _rk4_path(X.values, p0, dt / 2.0, 2 * n)
+        fine, fine_error, fine_calls = _rk4_path(X.values, p0, dt / 2.0, 2 * n)
+        calls += fine_calls
         if fine_error is None:
             halving = float(np.max(np.abs(states[:, -1] - fine[:, -1])))
     times = np.arange(states.shape[1]) * dt
-    return Trajectory(times, states, F, dt, truncated=error is not None, halving_error=halving)
+    return Trajectory(times, states, F, dt, truncated=error is not None, halving_error=halving,
+                      rhs_evaluations=calls, cause=None if error is None else str(error))
 
 
 def conservation_report(
@@ -112,15 +133,18 @@ def conservation_report(
     casimir_tol=1e-6,
     div_tol=1e-6,
 ) -> VerificationReport:
-    """Drift of the Hamiltonian, of Casimirs, kappa-sign constancy, divergence."""
+    """Drift of the Hamiltonian, of Casimirs, kappa-sign constancy, divergence.
+
+    A drift block holds the drift at each state; ``meta`` holds the
+    right-hand-side call count and, for a truncated flow, its step and cause.
+    """
     report = VerificationReport(name="conservation")
     sample = traj.sample
     n_samples = sample.points.shape[1]
     fields = [traj.hamiltonian, *(as_field(c) for c in casimirs)]
     for i, jet in enumerate(sample.jets(fields)):
         check_id, tol = ("hamiltonian-drift", f_tol) if i == 0 else (f"casimir-{i}-drift", casimir_tol)
-        drift = float(np.max(np.abs(jet.value - jet.value[0])))
-        report.add(CheckBlock(check_id, drift, drift, tol, drift <= tol, n_samples=n_samples))
+        report.add(residual_block(check_id, np.abs(jet.value - jet.value[0]), sample.points, tol))
     # kappa must not change sign along a flow started off its zero set
     kv = triple.kappa_values(sample)
     tol = triple.kappa_tol(sample)
@@ -155,7 +179,11 @@ def conservation_report(
         )
     if traj.halving_error is not None:
         report.meta["halving_error"] = traj.halving_error
+    report.meta["rhs_evaluations"] = traj.rhs_evaluations
     report.meta["truncated"] = traj.truncated
+    if traj.truncated:
+        report.meta["truncated_at_step"] = traj.n_steps
+        report.meta["truncation_cause"] = traj.cause
     return report
 
 

@@ -14,11 +14,15 @@
   k)`` is the parent's derivative slot ``k`` (``(k, j)`` for a partial of a
   partial).  The emitter gives each node the highest order any use needs and
   writes one line per needed (node, slot) pair, in dependency order, sharing
-  lines that repeat.  Each line performs the jets' numpy operation on
-  operands of the same shape, through the value-level rules of
-  :mod:`~acpoisson.jets`, and nothing is skipped: ``0*x`` and ``x + 0`` are
-  computed as written, because skipping them could flip the sign of a zero or
-  lose a NaN.
+  lines that repeat; constants are operands, not lines.  Each line performs
+  the jets' operation, and a chain-rule line calls the value-level rule of
+  :mod:`~acpoisson.jets` at its node's order.  Nothing is skipped: ``0*x``
+  and ``x + 0`` are computed as written, because skipping them could flip the
+  sign of a zero or lose a NaN.  A batch runs on arrays shaped as the jets
+  shape them.  One point runs on Python floats, whose ``+ - *`` are the same
+  IEEE double operations as numpy's; each rule still takes a numpy scalar and
+  its results convert back exactly, so the values are bit-identical to the
+  jets either way.  Nothing is cached beyond the compiled function itself.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ import functools
 import numpy as np
 
 from .fields import BinOp, Call, Const, Neg, Num, PartialField, Pow, Var, as_points
-from .jets import BUILTIN_RULES, Jet, powi_rule, reciprocal_rule
+from .jets import BUILTIN_RULES, NVARS, Jet, powi_rule, reciprocal_rule
 
 # jets carry derivatives up to the Hessian
 MAX_ORDER = 2
@@ -41,19 +45,23 @@ class NotLowerable(Exception):
     """A field holds a node the lowering cannot express."""
 
 
+_NODES = frozenset({Num, Const, Var, Neg, Pow, BinOp, Call})
+
+
 def _locate(field):
     """``(node, derivative slot prefix)`` of a field: a partial is a slot of its parent's node."""
     prefix = ()
     while True:
-        if type(field) is PartialField:
+        kind = type(field)
+        if kind is PartialField:
             prefix = (field.k, *prefix)
             field = field.parent
-        elif type(field) is Pow and field.exponent == 1:
+        elif kind is Pow and field.exponent == 1:
             field = field.base  # the jet path returns the base's jet itself
-        elif isinstance(field, (Num, Const, Var, Neg, Pow, BinOp, Call)):
+        elif kind in _NODES:
             return field, prefix
         else:
-            raise NotLowerable(f"cannot lower a {type(field).__name__}")
+            raise NotLowerable(f"cannot lower a {kind.__name__}")
 
 
 def _parts(node):
@@ -61,30 +69,33 @@ def _parts(node):
 
     ``a/b`` is ``a * rec(b)``, the reciprocal being the tuple ``("rec", *reference of b)``;
     ``a^0`` is ``one``, the constant 1, which still evaluates ``a``."""
-    if type(node) is tuple:
-        return "rec", None, (node[1:],)
-    if isinstance(node, (Num, Const)):
+    kind = type(node)
+    if kind is BinOp:
+        a, b = _locate(node.left), _locate(node.right)
+        if node.op == "/":
+            return "mul", None, (a, (("rec", *b), ()))
+        return _ARITH[node.op], None, (a, b)
+    if kind is Num or kind is Const:
         return "const", node.value.hex(), ()
-    if type(node) is Var:
+    if kind is Var:
         return "var", node.k, ()
-    if type(node) is Neg:
+    if kind is tuple:
+        return "rec", None, (node[1:],)
+    if kind is Neg:
         return "neg", None, (_locate(node.arg),)
-    if type(node) is Pow:
+    if kind is Pow:
         return ("one" if node.exponent == 0 else "pow"), node.exponent, (_locate(node.base),)
-    if isinstance(node, Call):
-        return "call", node.func, (_locate(node.arg),)
-    a, b = _locate(node.left), _locate(node.right)
-    if node.op == "/":
-        return "mul", None, (a, (("rec", *b), ()))
-    return _ARITH[node.op], None, (a, b)
+    return "call", node.func, (_locate(node.arg),)
 
 
 # line operations ---------------------------------------------------------------
 #
 # A line is ``(targets, op, operands)``: ``op`` is a tuple ``(kind, *params)``
-# and the operands are temps.  ``C`` and ``P`` read the constants and points;
-# rules return ``(f, d1, d2)`` and a one-target line keeps ``f``.  Every other
-# kind is a pure expression, given here as text.
+# and an operand is a temp or the name of a function argument: a coordinate
+# ``p0``..``p4`` or a constant ``k0``, ``k1``, ...  ``C`` gives a constant the
+# batch shape; a rule line calls its rule at the line's order and keeps its
+# first order + 1 results.  Every other kind is a pure expression, given here
+# as text.
 
 _EXPRESSIONS = {
     "neg": "-{}",
@@ -106,32 +117,31 @@ class _Emitter:
     def __init__(self):
         self.order = {}  # node -> highest derivative order needed
         self.parts = {}  # node -> _parts(node)
-        self.consts = []
-        self.const_names = {}  # hex of the constant -> temp
-        self.names = {}  # (node, slot) -> temp
-        self.rule_out = {}  # node -> (f, d1, d2) temps
+        self.consts = {}  # hex of the constant -> its argument name
+        self.names = {}  # (node, slot) -> operand
+        self.rule_out = {}  # node -> (f, d1, d2) operands, None above the node's order
         self.lines = []  # (targets, op, operands)
         self.known = {}  # (op, number of targets, *operands) -> targets
         self.ntemps = 0
 
     def need(self, ref, order=0):
         node, prefix = ref
-        order += len(prefix)
-        if order > MAX_ORDER:
-            raise NotLowerable("derivative order beyond the jet budget")
+        if prefix:
+            order += len(prefix)
+            if order > MAX_ORDER:
+                raise NotLowerable("derivative order beyond the jet budget")
         if order <= self.order.get(node, -1):
             return
         self.order[node] = order
-        kind, _, children = self.parts[node] = _parts(node)
+        parts = self.parts.get(node)
+        if parts is None:
+            parts = self.parts[node] = _parts(node)
+        kind, _, children = parts
         for child in children:
             # a^0 only evaluates a
             self.need(child, 0 if kind == "one" else order)
 
     # emission ------------------------------------------------------------------
-
-    def temp(self):
-        self.ntemps += 1
-        return self.ntemps - 1
 
     def line(self, op, operands, ntargets=1):
         # lines are pure, so one that repeats an earlier line reuses its
@@ -140,25 +150,28 @@ class _Emitter:
         key = (op, ntargets, *operands)
         targets = self.known.get(key)
         if targets is None:
-            targets = self.known[key] = [self.temp() for _ in range(ntargets)]
+            first = self.ntemps
+            targets = self.known[key] = [first] if ntargets == 1 else list(range(first, first + ntargets))
+            self.ntemps += ntargets
             self.lines.append((targets, op, operands))
         return targets[0] if ntargets == 1 else targets
 
     def const(self, c):
-        name = self.const_names.get(c)
+        name = self.consts.get(c)
         if name is None:
-            name = self.const_names[c] = self.line(("C", len(self.consts)), ())
-            self.consts.append(float.fromhex(c))
+            name = self.consts[c] = f"k{len(self.consts)}"
         return name
 
     def get(self, ref, slot=()):
         node, prefix = ref
-        slot = prefix + slot
-        name = self.names.get((node, slot))
+        if prefix:
+            slot = prefix + slot
+        key = (node, slot)
+        name = self.names.get(key)
         if name is None:
-            if slot:
+            if slot and (node, ()) not in self.names:
                 self.get((node, ()))  # the value first, as the jet path does
-            name = self.names[(node, slot)] = self.emit(node, slot)
+            name = self.names[key] = self.emit(node, slot)
         return name
 
     def emit(self, node, slot):
@@ -168,7 +181,7 @@ class _Emitter:
             return self.const(_ZERO if slot else param)
         if kind == "var":
             if not slot:
-                return self.line(("P", param), ())
+                return f"p{param}"
             return self.const(_ONE if slot == (param,) else _ZERO)
         if kind == "neg":
             return self.line(("neg",), (get(children[0], slot),))
@@ -201,98 +214,81 @@ class _Emitter:
         out = self.rule_out.get(node)
         if out is None:
             order = self.order[node]
-            if kind == "rec":
-                op = ("rec",)
-            elif kind == "pow":
-                op = ("powi", param, order)
-            else:
-                op = ("call", param)
             x = self.get(x)
-            if order == 0:
-                out = (self.line(op, (x,)), None, None)
-            else:
-                out = tuple(self.line(op, (x,), ntargets=3))
-            self.rule_out[node] = out
+            if type(x) is str and x[0] == "k":
+                # a constant argument takes the batch shape, as the jets give it
+                x = self.line(("C", x), ())
+            targets = self.line((kind, param, order), (x,), ntargets=order + 1)
+            out = self.rule_out[node] = (*(targets if order else [targets]), None, None)[:3]
         return out
 
 
 def _emit(fields):
-    """Lines, output temps and constants of every field's value."""
+    """Lines, output operands and constants of every field's value."""
     emitter = _Emitter()
     refs = [_locate(f) for f in fields]
     for ref in refs:
         emitter.need(ref)
     outputs = [emitter.get(ref) for ref in refs]
-    return emitter.lines, outputs, emitter.consts
-
-
-def _dying(lines, outputs):
-    """Per line, the temps read or written there and never read after it."""
-    last = {}
-    for i, (targets, _, operands) in enumerate(lines):
-        for t in targets:
-            last[t] = i
-        for t in operands:
-            last[t] = i
-    for t in outputs:
-        last[t] = len(lines)
-    dead = [[] for _ in lines]
-    for t, i in last.items():
-        if i < len(lines):
-            dead[i].append(t)
-    return dead
+    return emitter.lines, outputs, [float.fromhex(c) for c in emitter.consts]
 
 
 # compiled text ---------------------------------------------------------------------
 
+_RULE_CALLS = {
+    "rec": "reciprocal_rule(A({x}), {order})",
+    "pow": "powi_rule(A({x}), {param}, {order})",
+    "call": "RULES[{param!r}](A({x}), {order})",
+}
+# the results a rule line keeps, by its order, each passed through V
+_RULE_RESULTS = ("V({}[0])", "map(V, {}[:2])", "map(V, {})")
 
-def _text(op, names, ntargets):
+
+def _text(op, names):
     kind = op[0]
     if kind == "C":
-        return f"C(K[{op[1]}])"
-    if kind == "P":
-        return f"P[{op[1]}]"
+        return f"C({op[1]})"
     if kind in _EXPRESSIONS:
         return _EXPRESSIONS[kind].format(*names)
-    if kind == "rec":
-        call = f"reciprocal_rule({names[0]})"
-    elif kind == "powi":
-        call = f"powi_rule({names[0]}, {op[1]}, {op[2]})"
-    else:
-        call = f"RULES[{op[1]!r}]({names[0]})"
-    return call if ntargets == 3 else call + "[0]"
+    _, param, order = op
+    call = _RULE_CALLS[kind].format(x=names[0], param=param, order=order)
+    return _RULE_RESULTS[order].format(call)
 
 
-def _source(lines, outputs):
-    """Function text; a temp's name is reused once its value is dead."""
-    dying = _dying(lines, outputs)
-    free, name, count = [], {}, 0
-    body = []
-    for (targets, op, operands), dead in zip(lines, dying):
-        text = _text(op, [name[t] for t in operands], len(targets))
-        for t in operands:
-            if t in dead and t in name:
-                free.append(name.pop(t))
-        names = []
+def _source(lines, outputs, nconsts):
+    """Function text, written in one backward pass over the lines.
+
+    Going backwards, a temp's first read is its last use: it takes a free name
+    there, and gives the name back where it is written, for an earlier temp to
+    reuse.  A target never read is named ``_``.
+    """
+    name, free = {}, []
+
+    def take(t):
+        if type(t) is str:  # an argument
+            return t
+        if t not in name:
+            name[t] = free.pop() if free else f"t{len(name) + len(free)}"
+        return name[t]
+
+    body = [f"    return {', '.join(map(take, outputs))},"]
+    for targets, op, operands in reversed(lines):
+        written = []
         for t in targets:
-            if t in dead:
-                names.append("_")  # never read
-                continue
-            if free:
-                name[t] = free.pop()
-            else:
-                name[t] = f"t{count}"
-                count += 1
-            names.append(name[t])
-        body.append(f"    {', '.join(names)} = {text}")
-    body.append(f"    return {', '.join(name[t] for t in outputs)}")
-    return "def lowered(P, C):\n" + "\n".join(body) + "\n"
+            written.append(name.pop(t, "_"))
+            if written[-1] != "_":
+                free.append(written[-1])
+        body.append(f"    {', '.join(written)} = {_text(op, [take(t) for t in operands])}")
+    params = [*(f"p{k}" for k in range(NVARS)), "C", "A", "V", *(f"k{i}" for i in range(nconsts))]
+    body.append(f"def lowered({', '.join(params)}):")
+    return "\n".join(reversed(body)) + "\n"
 
 
 def lower(comps):
-    """Compile component fields into ``f(points) -> tuple of values``, or None.
+    """Compile component fields into ``f(points) -> (len(comps),) + batch shape values``, or None.
 
-    ``points`` must already be validated (``fields.as_points``).  The result
+    ``points`` is one point as a list of five finite Python floats, or a
+    batch (5, ...) already validated by ``fields.as_points``.  The result
     raises :class:`~acpoisson.errors.DomainError` untagged where the jet path
     raises it tagged with the failing subexpression.
     """
@@ -300,23 +296,33 @@ def lower(comps):
         lines, outputs, consts = _emit(comps)
     except (NotLowerable, RecursionError):
         return None
-    text = _source(lines, outputs)
-    scope = {"K": tuple(consts), "RULES": BUILTIN_RULES,
-             "powi_rule": powi_rule, "reciprocal_rule": reciprocal_rule}
-    exec(compile(text, "<lowered vector field>", "exec"), scope)
-    return functools.partial(_call, scope["lowered"])
+    scope = {"RULES": BUILTIN_RULES, "powi_rule": powi_rule, "reciprocal_rule": reciprocal_rule}
+    exec(compile(_source(lines, outputs, len(consts)), "<lowered vector field>", "exec"), scope)
+    # a batch reads each constant as a 0-d array, which numpy multiplies from
+    # either side as fast as an array; one point reads Python floats
+    return functools.partial(_call, scope["lowered"], tuple(consts), tuple(map(np.asarray, consts)))
 
 
-def _call(fn, points):
-    """Run a compiled function with points and constants shaped as the jets shape them."""
+def _same(v):
+    return v
+
+
+def _call(fn, consts, batch_consts, points):
+    """Run a compiled function on one point or a batch; values come out as the jets give them."""
+    if type(points) is list:
+        # at one point the lines run on Python floats: + - * round as on numpy
+        # scalars.  A rule takes a numpy scalar, for its domain check, and its
+        # results turn back into Python floats exactly; powi_rule makes its own
+        # 0-d array, as the jets hold
+        return np.array(fn(*points, np.float64, np.float64, float, *consts))
     shape = points.shape[1:]
-    if shape:
-        # constants take the batch shape, as Jet.constant gives them, and rows
-        # are contiguous like the copies Jet.coordinate makes
-        return fn(np.ascontiguousarray(points), functools.partial(np.full, shape))
-    # at one point the values are numpy scalars where jets hold 0-d arrays:
-    # + - * / round alike on both, and powi_rule makes its own 0-d array
-    return fn(points, np.float64)
+    # rows are contiguous like the copies Jet.coordinate makes, and a constant
+    # rule argument is full like a Jet.constant; a constant component broadcasts
+    values = fn(*np.ascontiguousarray(points), functools.partial(np.full, shape), _same, _same, *batch_consts)
+    out = np.empty((len(values),) + shape)
+    for row, v in zip(out, values):
+        row[...] = v
+    return out
 
 
 # the memoized jet walk --------------------------------------------------------------

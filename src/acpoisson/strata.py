@@ -29,11 +29,14 @@ _NEAR = LABELS.index("near_boundary")
 def _radical_inverse(indices, base):
     out = np.zeros(indices.shape, dtype=float)
     f = 1.0 / base
-    i = indices.astype(np.int64).copy()
-    while np.any(i > 0):
-        out += f * (i % base)
-        i //= base
+    i = indices.astype(np.int64)
+    # one pass per base-`base` digit of the largest index, counted in integers
+    top = int(i.max()) if i.size else 0
+    while top > 0:
+        i, digit = np.divmod(i, base)
+        out += f * digit
         f /= base
+        top //= base
     return out
 
 

@@ -179,3 +179,62 @@ def test_csv_reads_the_fields_the_report_evaluated(so3, tmp_path, monkeypatch):
     assert walks == []
     lines = (tmp_path / "traj.csv").read_text().splitlines()
     assert lines[0] == "t,x1,x2,y1,y2,y3,F,casimir_1,casimir_2" and len(lines) == 7
+
+
+def test_drift_blocks_hold_the_drift_at_each_state(so3):
+    F = ExprField("y1^2/2 + y2^2/3 + y3^2/4")
+    traj = fl.integrate(so3, F, [0, 0, 1.0, 0.7, -0.4], dt=0.05, n=40)
+    report = fl.conservation_report(so3, traj, casimirs=[ExprField(CASIMIR)])
+    for check_id, field in (("hamiltonian-drift", F), ("casimir-1-drift", ExprField(CASIMIR))):
+        values = field.at(traj.states, 0).value
+        drift = np.abs(values - values[0])
+        block = report.block(check_id)
+        assert block.n_samples == 41
+        assert block.max_residual == np.max(drift) and block.mean_residual == np.mean(drift)
+        assert block.worst_point == traj.states[:, np.argmax(drift)].tolist()
+
+
+def test_report_meta_counts_rhs_calls_with_the_halving_rerun(so3):
+    traj = fl.integrate(so3, ExprField("y3"), [0, 0, 1, 0, 0], dt=1e-2, n=30)
+    meta = fl.conservation_report(so3, traj).meta
+    assert meta["rhs_evaluations"] == 4 * 30 + 4 * 60
+    assert meta["truncated"] is False and "truncated_at_step" not in meta
+    traj = fl.integrate(so3, ExprField("y3"), [0, 0, 1, 0, 0], dt=1e-2, n=30, halving_check=False)
+    assert fl.conservation_report(so3, traj).meta["rhs_evaluations"] == 4 * 30
+
+
+def test_truncated_report_names_its_step_and_subexpression():
+    T = tr.PoissonTriple(
+        cn.Connection.flat(), ConstField(0.0), tr.VerticalOneForm(["0", "1", "0"])
+    )
+    F = ExprField("0 - y3 - 0.001*ln(y1)")
+    traj = fl.integrate(T, F, [0, 0, 0.5, 0, 0], dt=0.01, n=200, halving_check=False)
+    meta = fl.conservation_report(T, traj).meta
+    assert meta["truncated"] is True
+    assert meta["truncated_at_step"] == traj.n_steps
+    assert meta["truncation_cause"] == "ln of a non-positive value in 'ln(y1)'"
+    # every step before the cut made its four calls, the cut one fewer
+    assert 4 * traj.n_steps < meta["rhs_evaluations"] <= 4 * traj.n_steps + 4
+
+
+def test_one_point_stage_overflow_truncates_at_the_same_step():
+    from acpoisson import model as md
+
+    triple = md.resolve("sec5_example").effective_triple()
+    F = ExprField("y1^2*y2^2*y3^2")
+    X = tr.hamiltonian_field(triple, F)
+    with np.errstate(over="ignore", invalid="ignore"):
+        traj = fl.integrate(triple, F, [0.1, 0.2, 1.5, 1.0, 0.5], dt=0.1, n=200)
+        # the compiled right-hand side itself runs into the infinities at the last state
+        p, dt = traj.states[:, -1], 0.1
+        k1 = X.values(p)
+        k2 = X.values(p + 0.5 * dt * k1)
+        stages = [k1, k2]
+        if np.isfinite(p + 0.5 * dt * k2).all():
+            stages.append(X.values(p + 0.5 * dt * k2))
+    assert X._lowered
+    assert not all(np.isfinite(k).all() for k in stages)
+    # the step the single-point flow was cut at before it ran on Python floats
+    assert traj.truncated and traj.n_steps == 7
+    assert traj.cause == "an RK4 stage left the finite range"
+    assert traj.halving_error is None

@@ -22,6 +22,31 @@ def test_grid_sampling():
     assert set(np.unique(s.points)) == {0.0, 1.0}
 
 
+def _radical_inverse_digit_loop(indices, base):
+    """The reference generator: one digit per pass while any index is left."""
+    out = np.zeros(indices.shape, dtype=float)
+    f = 1.0 / base
+    i = indices.astype(np.int64).copy()
+    while np.any(i > 0):
+        out += f * (i % base)
+        i //= base
+        f /= base
+    return out
+
+
+@pytest.mark.parametrize(
+    "n, seed",
+    [(1, 0), (1, 2**40), (7, 3), (100, 999999), (600, 0), (1000, 2**40), (10**4, 12345), (5 * 10**5, 0)],
+)
+def test_halton_points_match_the_digit_loop_bit_for_bit(n, seed):
+    box = [(-1.0, 1.0)] * 2 + [(-1.2, 1.2)] * 3
+    idx = np.arange(seed + 1, seed + n + 1)
+    expected = np.stack(
+        [lo + (hi - lo) * _radical_inverse_digit_loop(idx, base) for (lo, hi), base in zip(box, st.HALTON_BASES)]
+    )
+    assert st.halton_points(n, box, seed).tobytes() == expected.tobytes()
+
+
 def test_halton_deterministic():
     a = st.sample_box(UNIT_BOX, generator="halton", n=100)
     b = st.sample_box(UNIT_BOX, generator="halton", n=100)
