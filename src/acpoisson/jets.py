@@ -246,6 +246,11 @@ def _cutoff(v, order):
     Points inside the guard band around t = 1 are nudged off the branch point.
     A single value takes the guard and the branch on a Python float and then
     the numpy scalar operations a 0-d batch takes, so it gives the same bits.
+    A one-point batch of shape (1,) runs the array operations instead: its
+    value and first derivative are the same bits as a single value's, but
+    ``u**4`` and ``u**3`` of the second derivative can differ in the last bit
+    (numpy's scalar and array powers round differently), so an order-2 jet at
+    a point of shape (5,) and at the same point of shape (5, 1) may differ.
     """
     t = np.array(v, dtype=float)
     if t.ndim == 0:

@@ -12,22 +12,39 @@
   straight-line Python function, which ``CoordVector.values`` keeps because
   the RK4 right-hand side calls it hundreds of times.  ``PartialField(parent,
   k)`` is the parent's derivative slot ``k`` (``(k, j)`` for a partial of a
-  partial).  The emitter gives each node the highest order any use needs and
-  writes one line per needed (node, slot) pair, in dependency order, sharing
-  lines that repeat; constants are operands, not lines.  Each line performs
-  the jets' operation, and a chain-rule line calls the value-level rule of
-  :mod:`~acpoisson.jets` at its node's order.  Nothing is skipped: ``0*x``
-  and ``x + 0`` are computed as written, because skipping them could flip the
-  sign of a zero or lose a NaN.  A batch runs on arrays shaped as the jets
-  shape them.  One point runs on Python floats, whose ``+ - *`` are the same
-  IEEE double operations as numpy's; each rule still takes a numpy scalar and
-  its results convert back exactly, so the values are bit-identical to the
-  jets either way.  Nothing is cached beyond the compiled function itself.
+  partial).  The emitter writes one line per needed (node, slot) pair, in
+  dependency order, sharing lines that repeat; the slots of the variables a
+  node does not contain are one computation, written once.  Constants are
+  operands, not lines.  Each line performs the jets' operation, and a
+  chain-rule line calls the value-level rule of :mod:`~acpoisson.jets` at
+  the highest order any slot of its node reads.
+
+  A pure line (``+ - *``) whose result is the same double at every finite
+  point is not written: it becomes that constant, as activity analysis drops
+  passive work in AD (Griewank & Walther, ch. 6-7).  The fold knows an
+  operand as an exact constant, a coordinate (finite: ``values`` checks the
+  point), a zero of unknown sign Z, or unknown (any other line's result, which
+  may have overflowed, and ``0*inf`` is NaN).  Constant ``+ - *`` constant
+  is the Python-float result, when finite; ``(±0)*x`` is Z for ``x`` a
+  coordinate, a finite constant or Z; ``Z + c`` is ``c`` for a finite ``c``
+  other than zero, ``Z + (+0)`` is ``+0``, and ``Z + (-0)``, ``Z + Z`` and
+  ``-Z`` are Z; ``a - b`` is ``a + (-b)``.  These are IEEE 754 identities, so
+  no zero changes sign; nothing else is folded.  A first-derivative product
+  line with one all-constant product folds that product alone.  A pure line
+  no line reads is dropped.  A rule line is never folded or dropped, since it
+  may raise a domain error or count a cutoff nudge.
+
+  A batch runs on arrays shaped as the jets shape them.  One point runs on
+  Python floats, whose ``+ - *`` are the same IEEE double operations as
+  numpy's; each rule still takes a numpy scalar and its results convert back
+  exactly, so the values are bit-identical to the jets either way.  Nothing
+  is cached beyond the compiled function itself.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -38,7 +55,10 @@ from .jets import BUILTIN_RULES, NVARS, Jet, powi_rule, reciprocal_rule
 MAX_ORDER = 2
 
 _ARITH = {"+": "add", "-": "sub", "*": "mul"}
-_ZERO, _ONE = (0.0).hex(), (1.0).hex()
+_COORDS = tuple(f"p{k}" for k in range(NVARS))
+# the variable index that stands for every variable a node does not contain;
+# _parts sets its bit in every mask
+_ABSENT = NVARS
 
 
 class NotLowerable(Exception):
@@ -65,45 +85,90 @@ def _locate(field):
 
 
 def _parts(node):
-    """``(kind, parameter, child references)`` of a node, as the jets compute it.
+    """``(kind, parameter, child references, variable mask)`` of a node, as the jets compute it.
 
     ``a/b`` is ``a * rec(b)``, the reciprocal being the tuple ``("rec", *reference of b)``;
     ``a^0`` is ``one``, the constant 1, which still evaluates ``a``."""
     kind = type(node)
+    if kind is tuple:
+        return "rec", None, (node[1:],), node[1].mask | 1 << _ABSENT
+    mask = node.mask | 1 << _ABSENT
     if kind is BinOp:
         a, b = _locate(node.left), _locate(node.right)
         if node.op == "/":
-            return "mul", None, (a, (("rec", *b), ()))
-        return _ARITH[node.op], None, (a, b)
+            return "mul", None, (a, (("rec", *b), ())), mask
+        return _ARITH[node.op], None, (a, b), mask
     if kind is Num or kind is Const:
-        return "const", node.value.hex(), ()
+        return "const", node.value, (), mask
     if kind is Var:
-        return "var", node.k, ()
-    if kind is tuple:
-        return "rec", None, (node[1:],)
+        return "var", node.k, (), mask
     if kind is Neg:
-        return "neg", None, (_locate(node.arg),)
+        return "neg", None, (_locate(node.arg),), mask
     if kind is Pow:
-        return ("one" if node.exponent == 0 else "pow"), node.exponent, (_locate(node.base),)
-    return "call", node.func, (_locate(node.arg),)
+        return ("one" if node.exponent == 0 else "pow"), node.exponent, (_locate(node.base),), mask
+    return "call", node.func, (_locate(node.arg),), mask
+
+
+# folding -------------------------------------------------------------------------
+#
+# The abstract value of an operand is a float (an exact finite constant),
+# _COORD, _Z or None (unknown); a line whose value is a float becomes that
+# constant.  The rules are those of the module docstring.
+
+_COORD, _Z = "coordinate", "zero of unknown sign"
+
+
+def _mul(u, v):
+    if u is None or v is None:
+        return None
+    if type(u) is float and type(v) is float:
+        r = u * v
+        return r if math.isfinite(r) else None
+    if u is _Z or v is _Z or u == 0.0 or v == 0.0:
+        return _Z  # a zero times a finite value or a zero
+    return None
+
+
+def _add(u, v):
+    if type(u) is float and type(v) is float:
+        r = u + v
+        return r if math.isfinite(r) else None
+    if v is _Z:
+        u, v = v, u
+    if u is not _Z or v is None or v is _COORD:
+        return None
+    if v is _Z or v != 0.0:
+        return v  # Z + Z is a zero; Z + c is c
+    # Z + (+0) is +0 whatever Z's sign; Z + (-0) keeps Z's sign
+    return _Z if math.copysign(1.0, v) < 0.0 else 0.0
+
+
+def _neg(u):
+    if type(u) is float:
+        return -u
+    return _Z if u is _Z else None
 
 
 # line operations ---------------------------------------------------------------
 #
-# A line is ``(targets, op, operands)``: ``op`` is a tuple ``(kind, *params)``
-# and an operand is a temp or the name of a function argument: a coordinate
-# ``p0``..``p4`` or a constant ``k0``, ``k1``, ...  ``C`` gives a constant the
-# batch shape; a rule line calls its rule at the line's order and keeps its
-# first order + 1 results.  Every other kind is a pure expression, given here
-# as text.
+# A line is ``(targets, op, operands)``: an operand is a temp or the name of a
+# function argument, a coordinate ``p0``..``p4`` or a constant ``k0``, ``k1``,
+# ...  A pure line has one target and an op from _EXPRESSIONS, given here as
+# text; ``C`` gives a constant the batch shape.  A rule line's op is a tuple
+# ``(kind, param, order)``: it calls its rule at that order and keeps its first
+# order + 1 results.
 
 _EXPRESSIONS = {
+    "C": "C({})",
     "neg": "-{}",
     "add": "{} + {}",
     "sub": "{} - {}",
     "mul": "{} * {}",
-    # first derivative slot of a product
+    # first derivative slot of a product, and the same with one all-constant
+    # product folded into a constant
     "dmul": "{} * {} + {} * {}",
+    "cdmul": "{} + {} * {}",
+    "dmulc": "{} * {} + {}",
     # Hessian slots of a product and of a chain rule: np.einsum builds each
     # outer-product entry as 0.0 + x*y, so a -0.0 product enters as +0.0
     "hmul": "{} * {} + {} * {} + ({} * {} + 0.0) + ({} * {} + 0.0)",
@@ -112,55 +177,44 @@ _EXPRESSIONS = {
 
 
 class _Emitter:
-    """Derivative orders per node, then one line per needed (node, slot) in dependency order."""
+    """One line per needed (node, slot), in dependency order; a line of a proven double is a constant."""
 
     def __init__(self):
-        self.order = {}  # node -> highest derivative order needed
         self.parts = {}  # node -> _parts(node)
         self.consts = {}  # hex of the constant -> its argument name
+        self.values = []  # the constants' values, by argument number
+        self.abstract = dict.fromkeys(_COORDS, _COORD)  # operand -> abstract value
         self.names = {}  # (node, slot) -> operand
-        self.rule_out = {}  # node -> (f, d1, d2) operands, None above the node's order
+        self.rules = {}  # chain-rule node -> [index of its rule line, highest order read, first target]
         self.lines = []  # (targets, op, operands)
-        self.known = {}  # (op, number of targets, *operands) -> targets
+        self.known = {}  # (op, *operands) -> the temp of a pure line
         self.ntemps = 0
-
-    def need(self, ref, order=0):
-        node, prefix = ref
-        if prefix:
-            order += len(prefix)
-            if order > MAX_ORDER:
-                raise NotLowerable("derivative order beyond the jet budget")
-        if order <= self.order.get(node, -1):
-            return
-        self.order[node] = order
-        parts = self.parts.get(node)
-        if parts is None:
-            parts = self.parts[node] = _parts(node)
-        kind, _, children = parts
-        for child in children:
-            # a^0 only evaluates a
-            self.need(child, 0 if kind == "one" else order)
-
-    # emission ------------------------------------------------------------------
-
-    def line(self, op, operands, ntargets=1):
-        # lines are pure, so one that repeats an earlier line reuses its
-        # result: the derivative slots of a term in variables it does not
-        # contain are all the same computation on zeros
-        key = (op, ntargets, *operands)
-        targets = self.known.get(key)
-        if targets is None:
-            first = self.ntemps
-            targets = self.known[key] = [first] if ntargets == 1 else list(range(first, first + ntargets))
-            self.ntemps += ntargets
-            self.lines.append((targets, op, operands))
-        return targets[0] if ntargets == 1 else targets
+        self.zero, self.one = self.const(0.0), self.const(1.0)
 
     def const(self, c):
-        name = self.consts.get(c)
+        key = c.hex()
+        name = self.consts.get(key)
         if name is None:
-            name = self.consts[c] = f"k{len(self.consts)}"
+            name = self.consts[key] = f"k{len(self.values)}"
+            self.values.append(c)
+            if math.isfinite(c):
+                self.abstract[name] = c
         return name
+
+    def line(self, op, operands, folded=None):
+        """The operand of a pure line's result: a constant when ``folded`` is one."""
+        if type(folded) is float:
+            return self.const(folded)
+        # lines are pure, so one that repeats an earlier line reuses its result
+        key = (op, *operands)
+        t = self.known.get(key)
+        if t is None:
+            t = self.known[key] = self.ntemps
+            self.ntemps += 1
+            self.lines.append(((t,), op, operands))
+            if folded is _Z:
+                self.abstract[t] = _Z
+        return t
 
     def get(self, ref, slot=()):
         node, prefix = ref
@@ -168,69 +222,114 @@ class _Emitter:
             slot = prefix + slot
         key = (node, slot)
         name = self.names.get(key)
-        if name is None:
-            if slot and (node, ()) not in self.names:
+        if name is not None:
+            return name
+        parts = self.parts.get(node)
+        if parts is None:
+            parts = self.parts[node] = _parts(node)
+        kind, param = parts[0], parts[1]
+        # leaves write no line
+        if kind == "var":
+            name = self.names[key] = (self.one if slot == (param,) else self.zero) if slot else _COORDS[param]
+            return name
+        if kind == "const":
+            name = self.names[key] = self.zero if slot else self.const(param)
+            return name
+        if slot:
+            # the slots of the variables a node does not contain are one
+            # computation, written once as the slot of variable _ABSENT
+            mask, k = parts[3], slot[0]
+            if len(slot) == 1:
+                same = slot if mask >> k & 1 else (_ABSENT,)
+            elif len(slot) == 2:
+                j = slot[1]
+                same = (k if mask >> k & 1 else _ABSENT, j if mask >> j & 1 else _ABSENT)
+            else:
+                raise NotLowerable("derivative order beyond the jet budget")
+            if same != slot:
+                name = self.names[key] = self.get((node, ()), same)
+                return name
+            if (node, ()) not in self.names:
                 self.get((node, ()))  # the value first, as the jet path does
-            name = self.names[key] = self.emit(node, slot)
+        name = self.names[key] = self.emit(node, parts, slot)
         return name
 
-    def emit(self, node, slot):
-        kind, param, children = self.parts[node]
+    def emit(self, node, parts, slot):
+        kind, param, children, _ = parts
         get = self.get
-        if kind == "const":
-            return self.const(_ZERO if slot else param)
-        if kind == "var":
-            if not slot:
-                return f"p{param}"
-            return self.const(_ONE if slot == (param,) else _ZERO)
-        if kind == "neg":
-            return self.line(("neg",), (get(children[0], slot),))
-        if kind in ("add", "sub"):
-            return self.line((kind,), (get(children[0], slot), get(children[1], slot)))
+        abstract = self.abstract.get
         if kind == "mul":
             a, b = children
             if not slot:
-                return self.line(("mul",), (get(a), get(b)))
+                a, b = get(a), get(b)
+                return self.line("mul", (a, b), _mul(abstract(a), abstract(b)))
             ops = (get(a, slot), get(b), get(b, slot), get(a))
+            left, right = _mul(abstract(ops[0]), abstract(ops[1])), _mul(abstract(ops[2]), abstract(ops[3]))
             if len(slot) == 1:
-                return self.line(("dmul",), ops)
+                folded = _add(left, right)
+                if folded is None and (type(left) is float) != (type(right) is float):
+                    # one all-constant product is a constant operand
+                    if type(left) is float:
+                        return self.line("cdmul", (self.const(left), ops[2], ops[3]))
+                    return self.line("dmulc", (ops[0], ops[1], self.const(right)))
+                return self.line("dmul", ops, folded)
             k, j = slot
             ops += (get(a, (k,)), get(b, (j,)), get(b, (k,)), get(a, (j,)))
-            return self.line(("hmul",), ops)
+            v = [abstract(x) for x in ops[4:]]
+            folded = _add(_add(_add(left, right), _add(_mul(v[0], v[1]), 0.0)), _add(_mul(v[2], v[3]), 0.0))
+            return self.line("hmul", ops, folded)
+        if kind == "add" or kind == "sub":
+            a, b = get(children[0], slot), get(children[1], slot)
+            u, v = abstract(a), abstract(b)
+            return self.line(kind, (a, b), _add(u, v if kind == "add" else _neg(v)))
         x = children[0]
+        if kind == "neg":
+            x = get(x, slot)
+            return self.line("neg", (x,), _neg(abstract(x)))
         if kind == "one":
             get(x)
-            return self.const(_ZERO if slot else _ONE)
-        # chain-rule nodes: rec, pow, call
-        f, d1, d2 = self.rule(node, kind, param, x)
+            return self.zero if slot else self.one
+        # chain-rule nodes: rec, pow, call.  Their lines never fold, since the
+        # rule's results are unknown
+        rule = self.rules.get(node)
+        if rule is None:
+            rule = self.rule(node, kind, param, x)
+        f = rule[2]
         if not slot:
             return f
+        if rule[1] < len(slot):
+            rule[1] = len(slot)
         if len(slot) == 1:
-            return self.line(("mul",), (d1, get(x, slot)))
+            return self.line("mul", (f + 1, get(x, slot)))
         k, j = slot
-        return self.line(("hchain",), (d1, get(x, slot), d2, get(x, (k,)), get(x, (j,))))
+        return self.line("hchain", (f + 1, get(x, slot), f + 2, get(x, (k,)), get(x, (j,))))
 
     def rule(self, node, kind, param, x):
-        out = self.rule_out.get(node)
-        if out is None:
-            order = self.order[node]
-            x = self.get(x)
-            if type(x) is str and x[0] == "k":
-                # a constant argument takes the batch shape, as the jets give it
-                x = self.line(("C", x), ())
-            targets = self.line((kind, param, order), (x,), ntargets=order + 1)
-            out = self.rule_out[node] = (*(targets if order else [targets]), None, None)[:3]
-        return out
+        """Emit a chain-rule node's rule line, whose order is the highest slot read of it."""
+        x = self.get(x)
+        if type(x) is str and x[0] == "k":
+            # a constant argument takes the batch shape, as the jets give it
+            x = self.line("C", (x,))
+        first = self.ntemps
+        self.ntemps += MAX_ORDER + 1
+        rule = self.rules[node] = [len(self.lines), 0, first]
+        self.lines.append((range(first, first + MAX_ORDER + 1), (kind, param), (x,)))
+        return rule
+
+    def finish(self):
+        """Give each rule line the order of the highest slot read of its node."""
+        lines = self.lines
+        for i, order, _ in self.rules.values():
+            targets, (kind, param), operands = lines[i]
+            lines[i] = (targets[: order + 1], (kind, param, order), operands)
+        return lines
 
 
 def _emit(fields):
     """Lines, output operands and constants of every field's value."""
     emitter = _Emitter()
-    refs = [_locate(f) for f in fields]
-    for ref in refs:
-        emitter.need(ref)
-    outputs = [emitter.get(ref) for ref in refs]
-    return emitter.lines, outputs, [float.fromhex(c) for c in emitter.consts]
+    outputs = [emitter.get(_locate(f)) for f in fields]
+    return emitter.finish(), outputs, emitter.values
 
 
 # compiled text ---------------------------------------------------------------------
@@ -244,23 +343,14 @@ _RULE_CALLS = {
 _RULE_RESULTS = ("V({}[0])", "map(V, {}[:2])", "map(V, {})")
 
 
-def _text(op, names):
-    kind = op[0]
-    if kind == "C":
-        return f"C({op[1]})"
-    if kind in _EXPRESSIONS:
-        return _EXPRESSIONS[kind].format(*names)
-    _, param, order = op
-    call = _RULE_CALLS[kind].format(x=names[0], param=param, order=order)
-    return _RULE_RESULTS[order].format(call)
-
-
 def _source(lines, outputs, nconsts):
     """Function text, written in one backward pass over the lines.
 
     Going backwards, a temp's first read is its last use: it takes a free name
     there, and gives the name back where it is written, for an earlier temp to
-    reuse.  A target never read is named ``_``.
+    reuse.  A pure line whose result is never read is dropped.  A rule line
+    stays, because it may raise a domain error or warn of a cutoff nudge; a
+    result of it never read is named ``_``.
     """
     name, free = {}, []
 
@@ -273,13 +363,21 @@ def _source(lines, outputs, nconsts):
 
     body = [f"    return {', '.join(map(take, outputs))},"]
     for targets, op, operands in reversed(lines):
+        if type(op) is str:
+            target = name.pop(targets[0], None)
+            if target is not None:
+                free.append(target)
+                body.append(f"    {target} = {_EXPRESSIONS[op].format(*map(take, operands))}")
+            continue
         written = []
         for t in targets:
             written.append(name.pop(t, "_"))
             if written[-1] != "_":
                 free.append(written[-1])
-        body.append(f"    {', '.join(written)} = {_text(op, [take(t) for t in operands])}")
-    params = [*(f"p{k}" for k in range(NVARS)), "C", "A", "V", *(f"k{i}" for i in range(nconsts))]
+        kind, param, order = op
+        call = _RULE_CALLS[kind].format(x=take(operands[0]), param=param, order=order)
+        body.append(f"    {', '.join(written)} = {_RULE_RESULTS[order].format(call)}")
+    params = [*_COORDS, "C", "A", "V", *(f"k{i}" for i in range(nconsts))]
     body.append(f"def lowered({', '.join(params)}):")
     return "\n".join(reversed(body)) + "\n"
 

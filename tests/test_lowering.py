@@ -8,12 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from acpoisson import fuzz
+from acpoisson import lowering
 from acpoisson import model as md
 from acpoisson import modular as mo
 from acpoisson import triple as tr
 from acpoisson.calculus import CoordVector
 from acpoisson.errors import DomainError
-from acpoisson.fields import ConstField, ExprField, Field
+from acpoisson.fields import BinOp, ConstField, ExprField, Field, Num, Var
+from acpoisson.jets import BUILTIN_RULES
 from acpoisson.lowering import lower
 
 MODELS = sorted(md.BUILTIN_MODELS)
@@ -46,25 +48,55 @@ def _triple(source, rng):
     return md.resolve(source).effective_triple()
 
 
+def flow_hamiltonian(rng):
+    """The shape of Hamiltonian the RK4 flow benchmark integrates: degree-1 terms behind "0 +"."""
+
+    def poly(terms):
+        return ("0 + " + fuzz.random_poly_expr(rng, degree=1, terms=terms)).replace("+ -", "- ")
+
+    return f"{poly(3)} + ({poly(2)})*({poly(2)})"
+
+
+# Hamiltonians whose compiled lines multiply by signed zeros or overflow
+FOLDED_HAMILTONIANS = ["0*y1 - 0*y2 + y3*0", "-0.0*y1 + y2*(-0.0)", "1e308*y1*y2*1e308"]
+# signed zeros and exact values, where a wrong fold flips a sign
+EXACT_COORDINATES = np.array([0.0, -0.0, 0.5, -0.5, 1.0, -1.0])
+
 seeds = st.integers(0, 2**32 - 1)
+hamiltonians = st.sampled_from(["smooth", "flow", *FOLDED_HAMILTONIANS])
+coordinates = st.sampled_from(["uniform", "exact"])
 
 
-@settings(max_examples=40, deadline=None)
-@given(seed=seeds, source=st.sampled_from(SOURCES), shape=st.sampled_from(SHAPES))
-def test_hamiltonian_field_matches_jets(seed, source, shape):
+def _hamiltonian(kind, rng):
+    if kind == "smooth":
+        return fuzz.random_smooth_expr(rng)
+    return flow_hamiltonian(rng) if kind == "flow" else kind
+
+
+def _points(kind, rng, shape):
+    return rng.uniform(-1, 1, shape) if kind == "uniform" else rng.choice(EXACT_COORDINATES, shape)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=seeds, source=st.sampled_from(SOURCES), shape=st.sampled_from(SHAPES),
+    hamiltonian=hamiltonians, coords=coordinates,
+)
+def test_hamiltonian_field_matches_jets(seed, source, shape, hamiltonian, coords):
     rng = np.random.default_rng(seed)
     triple = _triple(source, rng)
-    F = ExprField(fuzz.random_smooth_expr(rng))
-    assert_compiled_matches_jets(tr.hamiltonian_field(triple, F), rng.uniform(-1, 1, shape))
+    F = ExprField(_hamiltonian(hamiltonian, rng))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert_compiled_matches_jets(tr.hamiltonian_field(triple, F), _points(coords, rng, shape))
 
 
-@settings(max_examples=20, deadline=None)
-@given(seed=seeds, source=st.sampled_from(SOURCES), shape=st.sampled_from(SHAPES))
-def test_modular_fields_match_jets(seed, source, shape):
+@settings(max_examples=30, deadline=None)
+@given(seed=seeds, source=st.sampled_from(SOURCES), shape=st.sampled_from(SHAPES), coords=coordinates)
+def test_modular_fields_match_jets(seed, source, shape, coords):
     # partials of partials (Hessian slots) and divisions by a volume factor
     rng = np.random.default_rng(seed)
     triple = _triple(source, rng)
-    p = rng.uniform(-1, 1, shape)
+    p = _points(coords, rng, shape)
     assert_compiled_matches_jets(mo.modular_direct_fields(triple), p)
     a = ExprField("2 + sin(x1)")
     assert_compiled_matches_jets(mo.modular_direct_fields(triple, a), p)
@@ -75,6 +107,8 @@ def test_modular_fields_match_jets(seed, source, shape):
     [
         ("1/(y1-0.3)", 0.3, "division by zero in '1.0 / (y1 - 0.3)'"),
         ("ln(y1)", -0.5, "ln of a non-positive value in 'ln(y1)'"),
+        # a rule line whose result no line reads still runs
+        ("y1*y2 + ln(y1)^0", -0.5, "ln of a non-positive value in 'ln(y1)'"),
     ],
 )
 @pytest.mark.parametrize("shape", SHAPES)
@@ -100,6 +134,26 @@ def test_cutoff_guard_band_gives_same_values_and_warning(so3):
     assert X._lowered
     assert caught["compiled"] == caught["jets"]
     assert any("branch point" in message for _, message in caught["jets"][1])
+
+
+def test_unread_cutoff_still_warns(so3):
+    # cutoff(y3)^0 reads no result of its rule line, which must still nudge and warn
+    X = tr.hamiltonian_field(so3, ExprField("y1*y2 + cutoff(y3)^0"))
+    p = np.array([0.1, 0.2, 0.3, -0.3, 1.0])
+
+    def group(q):
+        return np.stack([jet.value for jet in lowering.evaluate(X.comps, q)])
+
+    caught = {}
+    for path, fn in (("compiled", X.values), ("group jets", group)):
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            caught[path] = (fn(p).tobytes(), [(w.category, str(w.message)) for w in record])
+    assert X._lowered
+    # one nudge, as the group jet walk gives it
+    assert caught["compiled"] == caught["group jets"]
+    assert len(caught["compiled"][1]) == 1 and "branch point" in caught["compiled"][1][0][1]
+    assert_compiled_matches_jets(X, p)
 
 
 def test_pinned_power_point(so3):
@@ -159,3 +213,124 @@ def test_a_vector_field_is_lowered_once(so3):
     compiled = X._lowered
     X.values(np.zeros((5, 7)))
     assert X._lowered is compiled
+
+
+# folding ---------------------------------------------------------------------------
+
+Z, COORD = lowering._Z, lowering._COORD
+_mul, _add, _neg = lowering._mul, lowering._add, lowering._neg
+
+# (rule, abstract value, what the lowering makes of it, the IEEE arithmetic it
+# stands for at a zero z and a finite coordinate p): a float is the one double
+# the line gives at every finite point; Z a zero whose sign the point decides,
+# so the line stays; None an unknown value, so the line stays
+FOLD_RULES = [
+    ("2.5 * -3.0", _mul(2.5, -3.0), -7.5, lambda z, p: 2.5 * -3.0),
+    ("0.5 - 0.25", _add(0.5, _neg(0.25)), 0.25, lambda z, p: 0.5 - 0.25),
+    ("-0.0 * 2.0", _mul(-0.0, 2.0), -0.0, lambda z, p: -0.0 * 2.0),
+    ("0 * p", _mul(0.0, COORD), Z, lambda z, p: 0.0 * p),
+    ("p * -0.0", _mul(COORD, -0.0), Z, lambda z, p: p * -0.0),
+    ("Z * 3.0", _mul(Z, 3.0), Z, lambda z, p: z * 3.0),
+    ("Z * Z", _mul(Z, Z), Z, lambda z, p: z * z),
+    ("0*p + 1.5", _add(_mul(0.0, COORD), 1.5), 1.5, lambda z, p: 0.0 * p + 1.5),
+    ("1.5 - 0*p", _add(1.5, _neg(_mul(0.0, COORD))), 1.5, lambda z, p: 1.5 - 0.0 * p),
+    ("0*p + 0.0", _add(_mul(0.0, COORD), 0.0), 0.0, lambda z, p: 0.0 * p + 0.0),
+    ("0*p - (-0.0)", _add(_mul(0.0, COORD), _neg(-0.0)), 0.0, lambda z, p: 0.0 * p - -0.0),
+    ("0*p + (-0.0)", _add(_mul(0.0, COORD), -0.0), Z, lambda z, p: 0.0 * p + -0.0),
+    ("Z + Z", _add(Z, Z), Z, lambda z, p: z + 0.0 * p),
+    ("-Z", _neg(Z), Z, lambda z, p: -z),
+    ("0 * intermediate", _mul(0.0, None), None, None),
+    ("Z + p", _add(Z, COORD), None, None),
+    ("p + 0.0", _add(COORD, 0.0), None, None),
+    ("2.0 * p", _mul(2.0, COORD), None, None),
+    ("1e308 * 1e308", _mul(1e308, 1e308), None, None),
+    ("-p", _neg(COORD), None, None),
+]
+
+
+@pytest.mark.parametrize("rule, got, expected, arithmetic", FOLD_RULES, ids=[row[0] for row in FOLD_RULES])
+def test_fold_rules(rule, got, expected, arithmetic):
+    if type(expected) is float:
+        assert type(got) is float and got.hex() == expected.hex()
+    else:
+        assert got is expected
+    # a folded row holds in IEEE arithmetic for both signs of zero and a
+    # spread of finite coordinates
+    if arithmetic is not None:
+        for p in (0.0, -0.0, 1e-300, -2.5, 1e300, -1.7976931348623157e308):
+            for z in (0.0, -0.0):
+                value = arithmetic(z, p)
+                if expected is Z:
+                    assert value == 0.0
+                else:
+                    assert value.hex() == expected.hex()
+
+
+def _partial(left, right, k):
+    """Slot k of the unfolded product left*right, which the lowering writes as a product-rule line."""
+    return BinOp("*", left, right).partial(k)
+
+
+# (graph, point): each line a wrong fold would change
+FOLD_CASES = [
+    # 0*y1 + (-0.0): the sign of y1 decides
+    ("0*p + (-0.0)", _partial(Num(-0.0), Var(2), 2), [0.0, 0.0, 0.5, 0.0, 0.0], False),
+    ("0*p + (-0.0)", _partial(Num(-0.0), Var(2), 2), [0.0, 0.0, -0.5, 0.0, 0.0], True),
+    # 0*y2 + 0*y1, a zero whose sign the point decides
+    ("Z + Z", ExprField("y1*y2").partial(0), [0.0, 0.0, -0.5, -0.5, 0.0], True),
+    ("Z + Z", ExprField("y1*y2").partial(0), [0.0, 0.0, 0.5, -0.5, 0.0], False),
+    # 0*y3 + 0*(y1 + y2), where y1 + y2 overflows to inf and 0*inf is NaN
+    ("0 * intermediate", _partial(ExprField("y1 + y2"), Var(4), 0), [0.0, 0.0, 1e308, 1e308, 1.0], None),
+]
+
+
+@pytest.mark.parametrize("rule, field, p, negative", FOLD_CASES, ids=[case[0] for case in FOLD_CASES])
+def test_fold_cases_match_jets(rule, field, p, negative):
+    X = CoordVector([field, 0.0, 0.0, 0.0, 0.0])
+    p = np.array(p)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert_compiled_matches_jets(X, p)
+        assert_compiled_matches_jets(X, p[:, None])
+        value = X.values(p)[0]
+    if negative is None:
+        assert np.isnan(value)
+    else:
+        assert value == 0.0 and bool(np.signbit(value)) is negative
+
+
+def _line_count(X):
+    lines, outputs, consts = lowering._emit(X.comps)
+    text = lowering._source(lines, outputs, len(consts))
+    return sum(1 for line in text.splitlines()[1:] if not line.lstrip().startswith("return"))
+
+
+@pytest.mark.parametrize("model, most", [("flat_so3", 41), ("br3_unimodular", 59)])
+@pytest.mark.parametrize("seed", [1, 7, 14, 21])
+def test_flow_graph_line_count(model, most, seed):
+    # the unfolded graphs took 80 and 98 lines; folding leaves 36-41 and 53-59
+    rng = np.random.default_rng([seed, 1])
+    X = tr.hamiltonian_field(md.resolve(model).effective_triple(), ExprField(flow_hamiltonian(rng)))
+    assert _line_count(X) <= most
+
+
+def test_each_vector_field_compiles_its_own_function(so3):
+    # nothing is cached across vector fields: the same triple and F compile twice
+    F = ExprField("y1*y2 + 0.3*y3^2")
+    fields = [tr.hamiltonian_field(so3, F) for _ in range(2)]
+    for X in fields:
+        X.values([0.0, 0.0, 0.1, 0.2, 0.3])
+    first, second = (X._lowered.args[0] for X in fields)
+    assert first is not second and first.__code__ is not second.__code__
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_RULES))
+def test_one_point_and_one_point_batch_agree_to_order_one(name, rng):
+    # a point of shape (5,) and the same point as a sample of shape (5, 1)
+    # give the same values and gradients; order-2 cutoff Hessians may differ
+    # in the last bit (see jets._cutoff)
+    arg = "1.5 + y1" if name in ("ln", "sqrt") else "y1"
+    F = ExprField(f"{name}({arg})*y2 + y3")
+    for p in rng.uniform(-1, 1, (200, 5)):
+        point, batch = F.at(p, 1), F.at(p[:, None], 1)
+        assert point.value.tobytes() == batch.value[..., 0].tobytes()
+        assert point.grad.tobytes() == batch.grad[..., 0].tobytes()
