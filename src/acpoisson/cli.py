@@ -13,7 +13,6 @@ import math
 import sys
 import warnings
 from functools import partial
-from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -38,7 +37,7 @@ from .errors import (
 )
 from .fields import ExprField
 from .lowering import evaluate
-from .reports import VerificationReport, residual_block, write_csv
+from .reports import Block, VerificationReport, residual_block, run_table, write_csv  # noqa: F401 (residual_block re-exported)
 
 EXIT_OK, EXIT_FAIL, EXIT_INPUT, EXIT_NUMERIC = 0, 1, 2, 3
 
@@ -83,32 +82,10 @@ def _emit(doc, out, recorded):
         print(text)
 
 
-class Block(NamedTuple):
-    """One entry of a command's block table: a per-point residual (or a dict of them, one block
-    ``check_id-key`` each) on a named subset of its sample."""
-
-    check_id: str
-    subset: st.SampleSet
-    residual: Callable  # SampleSet -> one residual per point, or a dict of them
-    tol: float
-    note: str = ""
-    informational: bool = False  # reported, but not part of the verdict
-
-
-def _run_table(report, table):
-    """Evaluate each block's residual on its subset, in table order, into the report."""
-    for b in table:
-        r = b.residual(b.subset)
-        parts = {f"{b.check_id}-{k}": v for k, v in r.items()} if isinstance(r, dict) else {b.check_id: r}
-        for check_id, res in parts.items():
-            report.add(residual_block(check_id, res, b.subset.points, b.tol, b.note, b.informational))
-    return report
-
-
 def _domain_sample(model, triple, n):
     """The command's one sample, cut to the triple's domain: every block reads its points or a subset."""
     sample = model.samples(n=n)
-    return sample.subset(triple.domain_mask(sample.points), "domain")
+    return sample.subset(triple.domain_mask(sample), "domain")
 
 
 def run_check(model: md.ModelFile, n=None, tol=None) -> VerificationReport:
@@ -169,7 +146,7 @@ def run_check(model: md.ModelFile, n=None, tol=None) -> VerificationReport:
         ]
     if band.points.shape[1]:
         table.append(Block("boundary-first-variation", band, partial(tr.c5_residual, triple), identity_tol))
-    return _run_table(report, table)
+    return run_table(report, table)
 
 
 def cmd_check(args):
@@ -220,11 +197,10 @@ def cmd_modular(args):
         Block("closedness", sample, partial(mo.closedness_check, triple), identity_tol, "informational for non-closed beta", True),
         Block("modular-field-symmetry", sample.subset(slice(100), "first 100 points"), symmetry, 1e-8),
     ]
-    report = _run_table(VerificationReport(name="modular"), table)
+    report = run_table(VerificationReport(name="modular"), table)
     if args.certificate:
-        # the global check runs the coupling check first and keeps its blocks
-        unimod = mo.unimod_coupling_check if cert.K is None else mo.unimod_global_check
-        report.blocks += unimod(triple, cert, sample, tol=identity_tol, div_tol=model.tolerance("conservation")).blocks
+        # built after the table above has run: the coupling cut then reads kappa's held 1-jets
+        run_table(report, mo.certificate_table(triple, cert, sample, identity_tol, model.tolerance("conservation")))
     if args.csv:
         header = ["x1", "x2", "y1", "y2", "y3", "Z_x1", "Z_x2", "Z_y1", "Z_y2", "Z_y3"]
         write_csv(args.csv, header, [*sample.points, *mo.modular_direct(triple, None, sample)])
@@ -369,8 +345,17 @@ def cmd_selftest(args):
     return EXIT_OK if not failures else EXIT_FAIL
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage error is one ``error:`` line on stderr and exit 2."""
+
+    def error(self, message):
+        if message.endswith("expected one argument"):  # "argument --opt: expected one argument"
+            message += f" (write a value that starts with '-' as {message.split()[1].rstrip(':')}=VALUE)"
+        self.exit(EXIT_INPUT, f"error: {self.prog}: {message}\n")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="acpoisson",
         description="verification toolkit for fibered-chart Poisson structures",
     )
@@ -424,7 +409,7 @@ def build_parser():
 
 def main(argv=None):
     parser = build_parser()
-    # argparse exits 2 on usage errors, matching the input-error contract
+    # a usage error exits 2, matching the input-error contract
     args = parser.parse_args(argv)
     # cutoff nudges are counted, not shown; their filter goes first, so python -W cannot change the count
     try:

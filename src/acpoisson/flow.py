@@ -16,7 +16,7 @@ from . import strata as st
 from . import triple as tr
 from .errors import BadInput, DomainError
 from .fields import as_field
-from .reports import CheckBlock, VerificationReport, residual_block, write_csv
+from .reports import Block, VerificationReport, run_table, write_csv
 
 # most RK4 steps in one trajectory, checked before its (5, steps + 1) states
 # are allocated; the step-halving rerun takes twice as many
@@ -135,48 +135,39 @@ def conservation_report(
 ) -> VerificationReport:
     """Drift of the Hamiltonian, of Casimirs, kappa-sign constancy, divergence.
 
-    A drift block holds the drift at each state; ``meta`` holds the
-    right-hand-side call count and, for a truncated flow, its step and cause.
+    Each block holds one residual per state.  ``meta`` holds the right-hand-side
+    call count, ``|integral of div dt|`` along the path (``divergence_integral``)
+    and, for a truncated flow, its step and cause.
     """
     report = VerificationReport(name="conservation")
     sample = traj.sample
-    n_samples = sample.points.shape[1]
     fields = [traj.hamiltonian, *(as_field(c) for c in casimirs)]
-    for i, jet in enumerate(sample.jets(fields)):
-        check_id, tol = ("hamiltonian-drift", f_tol) if i == 0 else (f"casimir-{i}-drift", casimir_tol)
-        report.add(residual_block(check_id, np.abs(jet.value - jet.value[0]), sample.points, tol))
-    # kappa must not change sign along a flow started off its zero set
-    kv = triple.kappa_values(sample)
-    tol = triple.kappa_tol(sample)
-    signs = np.sign(kv[np.abs(kv) > tol])
-    crossings = int(np.sum(signs[1:] != signs[:-1])) if signs.size else 0
-    report.add(
-        CheckBlock(
-            "kappa-sign-constancy",
-            float(crossings),
-            float(crossings),
-            0.0,
-            crossings == 0,
-            n_samples=n_samples,
-            note="number of sign changes of kappa along the path",
-        )
-    )
+    values = [jet.value for jet in sample.jets(fields)]  # one walk for all of them
+    table = [
+        Block("hamiltonian-drift" if i == 0 else f"casimir-{i}-drift", sample,
+              lambda s, v=v: np.abs(v - v[0]), f_tol if i == 0 else casimir_tol)
+        for i, v in enumerate(values)
+    ]
+
+    def sign_changes(s):
+        # kappa must not change sign along a flow started off its zero set
+        off = np.flatnonzero(triple.coupling_mask(s))
+        signs = np.sign(triple.kappa_values(s)[off])
+        changes = np.zeros(s.points.shape[1])
+        changes[off[1:][signs[1:] != signs[:-1]]] = 1.0
+        return changes
+
+    table.append(Block("kappa-sign-constancy", sample, sign_changes, 0.0,
+                       "1 at each state where kappa's sign differs from the previous state's off its zero band"))
     if volume_factor is not None:
-        X = tr.hamiltonian_field(triple, traj.hamiltonian)
-        div = ca.divergence(X, sample, as_field(volume_factor))
-        accumulated = float(np.abs(np.sum(div) * traj.dt))
-        worst = float(np.max(np.abs(div)))
-        report.add(
-            CheckBlock(
-                "invariant-volume-divergence",
-                worst,
-                accumulated,
-                div_tol,
-                worst <= div_tol,
-                n_samples=n_samples,
-                note="mean field holds the accumulated integral of div along the path",
-            )
-        )
+
+        def divergence(s):
+            div = ca.divergence(tr.hamiltonian_field(triple, traj.hamiltonian), s, as_field(volume_factor))
+            report.meta["divergence_integral"] = float(np.abs(np.sum(div) * traj.dt))
+            return np.abs(div)
+
+        table.append(Block("invariant-volume-divergence", sample, divergence, div_tol))
+    run_table(report, table)
     if traj.halving_error is not None:
         report.meta["halving_error"] = traj.halving_error
     report.meta["rhs_evaluations"] = traj.rhs_evaluations

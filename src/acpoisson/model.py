@@ -21,6 +21,7 @@ round-trip as ordinary model files.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,14 +92,13 @@ class ModelFile:
             epsilon=float(self.gauge.get("epsilon", 0.0)),
         )
 
-    def effective_triple(self, epsilon=None) -> tr.PoissonTriple:
+    def effective_triple(self) -> tr.PoissonTriple:
         """The triple the file denotes: base, gauged when a [gauge] block exists."""
         base = self.base_triple()
         g = self.gauge_data()
         if g is None:
             return base
-        eps = g.epsilon if epsilon is None else float(epsilon)
-        return ga.family(base, g, eps, probe=self.samples().points)
+        return ga.family(base, g, g.epsilon, probe=self.samples().points)
 
     def certificate_data(self) -> mo.UnimodularityCertificate | None:
         if self.certificate is None:
@@ -125,18 +125,10 @@ class ModelFile:
     def with_gauge_epsilon(self, epsilon) -> "ModelFile":
         if self.gauge is None:
             raise MissingSection("gauge")
-        g = dict(self.gauge)
-        g["epsilon"] = float(epsilon)
-        return ModelFile(
-            name=f"{self.name}_eps{epsilon:g}".replace("-", "m").replace(".", "p"),
-            gamma=[list(r) for r in self.gamma],
-            kappa=self.kappa,
-            beta=list(self.beta),
-            gauge=g,
-            certificate=None if self.certificate is None else dict(self.certificate),
-            sampling=dict(self.sampling),
-            tolerances=dict(self.tolerances),
-        )
+        variant = copy.deepcopy(self)
+        variant.name = f"{self.name}_eps{epsilon:g}".replace("-", "m").replace(".", "p")
+        variant.gauge["epsilon"] = float(epsilon)
+        return variant
 
 
 # parsing ----------------------------------------------------------------------

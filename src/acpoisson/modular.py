@@ -14,6 +14,7 @@ optional Casimir factor kappa0) are verified, never solved for.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from .calculus import Y_SLOTS, CoordVector
 from .errors import MissingCertificate, ZeroVolumeFactor
 from .fields import Call, ConstField, CoordField, ExprField, Field, as_field
 from .lowering import evaluate
-from .reports import VerificationReport, residual_block
+from .reports import Block, VerificationReport, run_table
 
 
 @dataclass
@@ -160,26 +161,51 @@ def invariant_divergence_residual(triple: tr.PoissonTriple, density, p, hamilton
     return tr.component_max(ca.divergence(tr.hamiltonian_field(triple, F), sample, density) for F in hams)
 
 
+def coupling_table(triple: tr.PoissonTriple, cert: UnimodularityCertificate, sample, tol=1e-9, div_tol=1e-6):
+    """Blocks of the coupling-domain criterion: theta exact, h a Casimir, volume invariant."""
+    if cert is None or cert.h is None:
+        raise MissingCertificate("the coupling-domain check needs a primitive h")
+    coupled = sample.subset(triple.coupling_mask(sample), "coupling")
+    thf = _theta_fields(triple.conn)
+    exactness = [thf[i - 1] + ca.hor_apply(triple.conn, i, cert.h) for i in (1, 2)]
+    density = Call("exp", cert.h) / triple.kappa
+    return [
+        Block("theta-exactness", coupled, lambda s: np.max(np.abs(_values(s, exactness)), axis=0), tol),
+        Block("h-casimir", coupled, partial(tr.vertical_casimir_residual, triple.beta, cert.h), tol),
+        Block("invariant-volume-divergence", coupled, partial(invariant_divergence_residual, triple, density), div_tol),
+    ]
+
+
+def certificate_table(triple: tr.PoissonTriple, cert: UnimodularityCertificate, sample, tol=1e-9, div_tol=1e-6):
+    """The coupling-domain blocks, then, for a certificate with a factor K, those of the
+    global criterion: kappa factorization, K Casimir on the zero set, invariance."""
+    table = coupling_table(triple, cert, sample, tol, div_tol)
+    if cert.K is None:
+        return table
+    mask = triple.coupling_mask(sample)
+    kappa0 = cert.kappa0 if cert.kappa0 is not None else ConstField(1.0)
+    factor = Call("exp", cert.h) * kappa0 * cert.K
+
+    def factorization(s):
+        # read on the whole sample, where K must not vanish, and cut to the coupling domain
+        if np.any(_values(sample, [cert.K])[0] == 0.0):
+            raise ZeroVolumeFactor("certificate factor K vanishes on the sample set")
+        return np.abs(triple.kappa_values(sample) - _values(sample, [factor])[0])[mask]
+
+    table.append(Block("kappa-factorization", sample.subset(mask, "coupling"), factorization, tol))
+    if np.any(~mask):
+        zero_set = sample.subset(~mask, "kappa zero set")
+        table.append(Block("K-casimir-on-zero-set", zero_set, partial(tr.vertical_casimir_residual, triple.beta, cert.K), tol))
+    density = ConstField(1.0) / cert.K
+    return table + [Block("global-volume-divergence", sample, partial(invariant_divergence_residual, triple, density), div_tol)]
+
+
 def unimod_coupling_check(
     triple: tr.PoissonTriple, cert: UnimodularityCertificate, pts, tol=1e-9, div_tol=1e-6
 ) -> VerificationReport:
     """Coupling-domain criterion: theta exact, h a Casimir, volume invariant."""
-    if cert is None or cert.h is None:
-        raise MissingCertificate("the coupling-domain check needs a primitive h")
-    sample = st.as_sample(pts)
-    sample = sample.subset(triple.coupling_mask(sample), "coupling")
-    pts = sample.points
-    report = VerificationReport(name="unimodularity-coupling")
-    thf = _theta_fields(triple.conn)
-    resid = [thf[i - 1] + ca.hor_apply(triple.conn, i, cert.h) for i in (1, 2)]
-    exact = np.max(np.abs(_values(sample, resid)), axis=0)
-    report.add(residual_block("theta-exactness", exact, pts, tol))
-    h_cas = tr.vertical_casimir_residual(triple.beta, cert.h, sample)
-    report.add(residual_block("h-casimir", h_cas, pts, tol))
-    density = Call("exp", cert.h) / triple.kappa
-    div = invariant_divergence_residual(triple, density, sample)
-    report.add(residual_block("invariant-volume-divergence", div, pts, div_tol))
-    return report
+    table = coupling_table(triple, cert, st.as_sample(pts), tol, div_tol)
+    return run_table(VerificationReport(name="unimodularity-coupling"), table)
 
 
 def unimod_global_check(
@@ -188,22 +214,5 @@ def unimod_global_check(
     """Global criterion: coupling check, kappa factorization, K Casimir, invariance."""
     if cert is None or cert.K is None:
         raise MissingCertificate("the global check needs a factor K")
-    sample = st.as_sample(pts)
-    report = unimod_coupling_check(triple, cert, sample, tol=tol, div_tol=div_tol)
-    report.name = "unimodularity-global"
-    kv = triple.kappa_values(sample)
-    mask = triple.coupling_mask(sample)
-    kappa0 = cert.kappa0 if cert.kappa0 is not None else ConstField(1.0)
-    factor = Call("exp", cert.h) * kappa0 * cert.K
-    (K_vals,) = _values(sample, [cert.K])
-    if np.any(K_vals == 0.0):
-        raise ZeroVolumeFactor("certificate factor K vanishes on the sample set")
-    fact_res = np.abs(kv - _values(sample, [factor])[0])[mask]
-    report.add(residual_block("kappa-factorization", fact_res, sample.subset(mask, "coupling").points, tol))
-    if np.any(~mask):
-        zero_set = sample.subset(~mask, "kappa zero set")
-        k_cas = tr.vertical_casimir_residual(triple.beta, cert.K, zero_set)
-        report.add(residual_block("K-casimir-on-zero-set", k_cas, zero_set.points, tol))
-    div = invariant_divergence_residual(triple, ConstField(1.0) / cert.K, sample)
-    report.add(residual_block("global-volume-divergence", div, sample.points, div_tol))
-    return report
+    table = certificate_table(triple, cert, st.as_sample(pts), tol, div_tol)
+    return run_table(VerificationReport(name="unimodularity-global"), table)

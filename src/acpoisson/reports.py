@@ -1,12 +1,24 @@
-"""Verification report containers, JSON-friendly and deterministic."""
+"""Verification report containers, JSON-friendly and deterministic.
+
+Every report block is a per-point residual on a named sample, stated as a
+:class:`Block` table entry; :func:`run_table` turns each into a
+:class:`CheckBlock` through :func:`residual_block`.  The one block built
+outside a table is ``triple.equivalence_check``'s ``jacobiator``: its verdict
+reads a tolerance scaled at each point by 1 + jet magnitudes, which the
+reported ``tol`` does not show.
+"""
 
 from __future__ import annotations
 
 import csv
 import re
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .strata import SampleSet
 
 
 @dataclass
@@ -78,6 +90,28 @@ def residual_block(check_id, residuals, points, tol, note="", informational=Fals
     top = float(residuals[worst])
     mean = float(residuals.mean())
     return CheckBlock(check_id, top, mean, float(tol), top <= tol, pts[:, worst].tolist(), residuals.size, note, informational)
+
+
+class Block(NamedTuple):
+    """One entry of a block table: a per-point residual (or a dict of them, one block
+    ``check_id-key`` each) on a named subset of a sample."""
+
+    check_id: str
+    subset: SampleSet
+    residual: Callable  # SampleSet -> one residual per point, or a dict of them
+    tol: float
+    note: str = ""
+    informational: bool = False  # reported, but not part of the verdict
+
+
+def run_table(report: VerificationReport, table) -> VerificationReport:
+    """Evaluate each block's residual on its subset, in table order, into the report."""
+    for b in table:
+        r = b.residual(b.subset)
+        parts = {f"{b.check_id}-{k}": v for k, v in r.items()} if isinstance(r, dict) else {b.check_id: r}
+        for check_id, res in parts.items():
+            report.add(residual_block(check_id, res, b.subset.points, b.tol, b.note, b.informational))
+    return report
 
 
 _BARE = re.compile(r'[^,"\r\n]+\Z')  # a cell csv.writer leaves unquoted

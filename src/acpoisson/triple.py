@@ -27,7 +27,7 @@ from .errors import (
 from .fields import ConstField, as_field, is_zero
 from .graded import GradedElement, interior
 from .lowering import evaluate
-from .reports import VerificationReport, residual_block
+from .reports import Block, VerificationReport, residual_block, run_table
 
 
 class VerticalOneForm:
@@ -132,9 +132,10 @@ class PoissonTriple:
         return np.abs(kv) > _scaled_tol(kv)
 
     def domain_mask(self, p):
+        sample = st.as_sample(p)
         if self.domain is None:
-            return np.ones(np.shape(np.asarray(p)[0]), dtype=bool)
-        return np.abs(evaluate([self.domain], p)[0].value) > 1e-9
+            return np.ones(np.shape(sample.points[0]), dtype=bool)
+        return np.abs(sample.jets([self.domain])[0].value) > 1e-9
 
 
 def _scaled_tol(kappa_values):
@@ -249,7 +250,7 @@ def equivalence_check(triple: PoissonTriple, samples, tol=1e-9) -> VerificationR
     """Pointwise agreement of the integrability verdict and the Jacobiator verdict."""
     sample = st.as_sample(samples)
     if sample.points.ndim == 2:
-        sample = sample.subset(triple.domain_mask(sample.points), "domain")
+        sample = sample.subset(triple.domain_mask(sample), "domain")
     pts = sample.points
     ic = ic_norm(triple, sample)
     jac = jacobiator_norm(triple, pts)
@@ -482,28 +483,27 @@ def _refuse(error, residual, pts):
 
 def submanifold_check(triple: PoissonTriple, section: Section, xs, tol=1e-9) -> VerificationReport:
     """Check the graph of a section for the invariance + vertical-vanishing pair."""
-    pts = section.graph_points(xs)
-    kv = triple.kappa_values(pts)
-    gv = triple.conn.gamma_values(pts)  # (2, 3, n)
-    # tangent frame of the graph: tau_i = dx_i + ds^a/dx_i dy_a
-    slope_jets = evaluate(section.comps, pts, 1)
-    slopes = np.stack([np.stack([j.grad[i] for j in slope_jets]) for i in range(2)])  # (2, 3, n)
-    res1 = np.zeros(np.shape(kv))
-    for i in (1, 2):
-        # Pi_20-sharp dx^i: kappa hor_2 for i=1, -kappa hor_1 for i=2
-        j = 2 if i == 1 else 1
-        sign = 1.0 if i == 1 else -1.0
-        vec = np.zeros((5,) + np.shape(kv))
-        vec[j - 1] = sign * kv
-        for a in range(3):
-            vec[2 + a] = -sign * kv * gv[j - 1, a]
-        res1 = np.maximum(res1, _distance_from_graph_tangent(vec, slopes))
-    pb_vals = np.abs(triple.beta.values(pts))
-    res2 = np.max(pb_vals, axis=0)
-    report = VerificationReport(name="poisson-submanifold")
-    report.add(residual_block("horizontal-tangency", res1, pts, tol))
-    report.add(residual_block("vertical-vanishing", res2, pts, tol))
-    return report
+    graph = st.as_sample(section.graph_points(xs))
+
+    def horizontal_tangency(s):
+        kv = triple.kappa_values(s)
+        gv = triple.conn.gamma_values(s.points)  # (2, 3, n)
+        # tangent frame of the graph: tau_i = dx_i + ds^a/dx_i dy_a
+        slope_jets = evaluate(section.comps, s.points, 1)
+        slopes = np.stack([np.stack([j.grad[i] for j in slope_jets]) for i in range(2)])  # (2, 3, n)
+        res = np.zeros(np.shape(kv))
+        for j, sign in ((2, 1.0), (1, -1.0)):  # Pi_20-sharp dx^1 = kappa hor_2, dx^2 = -kappa hor_1
+            vec = np.zeros((5,) + np.shape(kv))
+            vec[j - 1] = sign * kv
+            vec[2:] = -sign * kv * gv[j - 1]
+            res = np.maximum(res, _distance_from_graph_tangent(vec, slopes))
+        return res
+
+    table = [
+        Block("horizontal-tangency", graph, horizontal_tangency, tol),
+        Block("vertical-vanishing", graph, lambda s: np.max(np.abs(triple.beta.values(s)), axis=0), tol),
+    ]
+    return run_table(VerificationReport(name="poisson-submanifold"), table)
 
 
 def _distance_from_graph_tangent(vec, slopes):

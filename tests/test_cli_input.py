@@ -352,3 +352,29 @@ def test_a_cutoff_nudge_before_a_domain_error_leaves_one_stderr_line(tmp_path):
 def test_a_report_without_cutoff_nudges_has_no_count(tmp_path, capsys):
     assert cli.main(["check", "flat_so3", "--samples", "20"]) == 0
     assert "cutoff_nudges" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check"],
+        [],
+        ["bogus"],
+        ["check", "flat_so3", "--samples", "x"],
+        ["flow", "flat_so3", "--hamiltonian", "-y1*y2", "--p0", "0,0,1,0,0", "--dt", "0.01", "--steps", "3"],
+    ],
+)
+def test_a_usage_error_is_one_error_line_and_exit_2(argv, tmp_path):
+    proc = _subprocess_cli(argv, tmp_path)
+    assert proc.returncode == 2 and proc.stdout == ""
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("error: ")
+
+
+def test_a_value_that_starts_with_a_dash_is_named_in_the_option_equals_form(tmp_path):
+    argv = ["flow", "flat_so3", "--hamiltonian", "-y1*y2", "--p0", "0,0,1,0,0", "--dt", "0.01", "--steps", "3"]
+    proc = _subprocess_cli(argv, tmp_path)
+    assert "--hamiltonian=" in proc.stderr
+    argv[2:4] = ["--hamiltonian=-y1*y2"]
+    proc = _subprocess_cli(argv, tmp_path)
+    assert proc.returncode == 0 and proc.stderr == ""

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from acpoisson import calculus as ca
 from acpoisson import connection as cn
 from acpoisson import flow as fl
 from acpoisson import triple as tr
@@ -119,6 +120,22 @@ def test_divergence_accumulation_with_certificate_volume():
     report = fl.conservation_report(T, traj, volume_factor=ConstField(1.0), div_tol=1e-6)
     block = report.block("invariant-volume-divergence")
     assert block.passed and block.mean_residual <= 1e-6
+    # the block holds |div| at each state; the accumulated integral is in meta
+    div = ca.divergence(tr.hamiltonian_field(T, traj.hamiltonian), traj.sample, ConstField(1.0))
+    assert block.n_samples == traj.n_steps + 1 and block.mean_residual == np.mean(np.abs(div))
+    assert report.meta["divergence_integral"] == abs(np.sum(div) * traj.dt) <= 1e-6
+
+
+def test_kappa_sign_block_marks_each_state_where_the_sign_changes():
+    # kappa = y1 on a flow that moves y1 from -0.5 through its zero set at unit speed
+    T = tr.PoissonTriple(cn.Connection.flat(), ExprField("y1"), tr.VerticalOneForm(["0", "0", "1"]))
+    traj = fl.integrate(T, ExprField("0 - y2"), [0, 0, -0.5, 0, 0], dt=0.1, n=10, halving_check=False)
+    np.testing.assert_allclose(traj.states[2], np.arange(11) * 0.1 - 0.5, atol=1e-12)
+    block = fl.conservation_report(T, traj).block("kappa-sign-constancy")
+    # state 5 sits in kappa's zero band, so state 6 is the one off-band state whose sign differs
+    assert not block.passed and block.max_residual == 1.0
+    assert block.n_samples == 11 and block.mean_residual == 1.0 / 11
+    assert block.worst_point == traj.states[:, 6].tolist()
 
 
 def test_batch_domain_error_raises_with_its_subexpression():

@@ -1,4 +1,5 @@
 import json
+from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -370,14 +371,22 @@ def _subset_sizes(model, n=None):
 def test_every_block_reports_the_points_of_the_subset_it_names(name, tmp_path):
     model = md.resolve(name)
     certificate = model.certificate is not None
-    runs = [
-        (["check", name, "--samples", "500"], CHECK_SUBSETS, _subset_sizes(model, 500)),
-        (["modular", name, *(["--certificate"] if certificate else [])], MODULAR_SUBSETS, _subset_sizes(model)),
+    flow = [
+        "flow", name, "--hamiltonian", "y1^2/2 + y2^2/3 + 0.1*x1*y1", "--p0", "0.1,0.2,0.3,0.4,0.5",
+        "--dt", "0.01", "--steps", "40", "--casimir", "y1^2 + y2^2 + y3^2", "--volume-factor", "1",
     ]
-    for argv, subsets, sizes in runs:
+    runs = [
+        (["check", name, "--samples", "500"], CHECK_SUBSETS, _subset_sizes(model, 500), (0,)),
+        (["modular", name, *(["--certificate"] if certificate else [])], MODULAR_SUBSETS, _subset_sizes(model), (0,)),
+        # every flow block reads the trajectory's n_steps + 1 = 41 states; a drift may fail on a non-Casimir
+        (flow, defaultdict(lambda: "trajectory"), {"trajectory": 41}, (0, 1)),
+    ]
+    for argv, subsets, sizes, codes in runs:
         out = tmp_path / f"{argv[0]}.json"
-        assert cli.main([*argv, "--out", str(out)]) == 0
-        for block in json.loads(out.read_text())["checks"]:
+        assert cli.main([*argv, "--out", str(out)]) in codes
+        report = json.loads(out.read_text())
+        assert not report.get("meta", {}).get("truncated")
+        for block in report["checks"]:
             assert block["n_samples"] == sizes[subsets[block["check"]]], (argv[0], block["check"])
             # a worst point is reported whenever there was a point to evaluate
             assert (block["worst_point"] is None) == (block["n_samples"] == 0), (argv[0], block["check"])

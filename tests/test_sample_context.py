@@ -80,7 +80,8 @@ def test_verdict_routes_meet_only_in_the_inputs(name, monkeypatch):
     report = tr.equivalence_check(triple, sample)
     assert report.passed
     held = {id(f) for f in sample._jets}
-    assert {id(f) for f in inputs} <= held <= {id(f) for f in integrability_route}
+    domain = [] if triple.domain is None else [triple.domain]  # the domain cut reads through the sample too
+    assert {id(f) for f in [*inputs, *domain]} <= held <= {id(f) for f in [*integrability_route, *domain]}
 
 
 def test_subset_keeps_the_sample_when_nothing_is_dropped():
