@@ -223,20 +223,34 @@ class CoordVector:
         self.comps = [as_field(c) for c in comps]
         self._lowered = None  # the compiled function; False when the graph cannot be lowered
 
-    def values(self, p):
+    def values(self, p, floats=False):
+        """The components at ``p``, a point (5,) or a batch (5, ...), as an array.
+
+        With ``floats``, ``p`` is one point as a sequence of five Python floats
+        and the values come back as a tuple of Python floats, the same doubles.
+        """
         if self._lowered is None:
             self._lowered = lower(self.comps) or False
+        if floats:
+            return self._at_point(p)
         p = np.asarray(p, dtype=float)
+        if p.shape == (5,):
+            return np.array(self._at_point(p.tolist()))
         if self._lowered:
-            # one point runs as five Python floats, checked here without numpy
-            point = p.tolist() if p.shape == (5,) else None
             try:
-                if point is not None and all(map(math.isfinite, point)):
-                    return self._lowered(point)
                 return self._lowered(as_points(p))
             except DomainError:
                 pass  # the jet path raises it again, tagged
         return np.stack([jet.value for jet in evaluate(self.comps, p)])
+
+    def _at_point(self, point):
+        # one point runs as five Python floats, checked here without numpy
+        if self._lowered and all(map(math.isfinite, point)):
+            try:
+                return self._lowered(point)
+            except DomainError:
+                pass  # the jet path raises it again, tagged
+        return tuple(jet.value.item() for jet in evaluate(self.comps, np.array(point, dtype=float)))
 
     def jets(self, p):
         jets = evaluate(self.comps, p, 1)

@@ -53,35 +53,63 @@ def _check_steps(n):
         raise BadInput(f"step count {n} is negative or more than {MAX_FLOW_STEPS}")
 
 
-def _finite(p):
-    """``p`` itself; an RK4 stage that left the finite range raises :class:`DomainError`."""
-    # one point is checked as five Python floats, without a numpy reduction
-    if not (all(map(math.isfinite, p.tolist())) if p.ndim == 1 else np.isfinite(p).all()):
+def _step(p, h, k):
+    """``p + h * k`` on a batch; an RK4 stage that left the finite range raises :class:`DomainError`."""
+    q = p + h * k
+    if not np.isfinite(q).all():
         raise DomainError("an RK4 stage left the finite range")
-    return p
+    return q
 
 
-def _rk4_path(rhs, p0, dt, n):
-    """RK4 from a point (5,) or a batch (5, m): the states, shape ``p0.shape + (n + 1,)``,
-    and None, or the states before the step a :class:`DomainError` cut, and that error;
-    then the number of ``rhs`` calls made."""
+def _slope(k1, k2, k3, k4):
+    return k1 + 2 * k2 + 2 * k3 + k4
+
+
+def _step_floats(p, h, k):
+    """``_step`` on one point held as five Python floats: the same double operations."""
+    a0, a1, a2, a3, a4 = p
+    b0, b1, b2, b3, b4 = k
+    q = [a0 + h * b0, a1 + h * b1, a2 + h * b2, a3 + h * b3, a4 + h * b4]
+    if not all(map(math.isfinite, q)):
+        raise DomainError("an RK4 stage left the finite range")
+    return q
+
+
+def _slope_floats(k1, k2, k3, k4):
+    return [a + 2 * b + 2 * c + d for a, b, c, d in zip(k1, k2, k3, k4)]
+
+
+def _rk4_path(X, p0, dt, n):
+    """RK4 of the vector field ``X`` from a point (5,) or a batch (5, m).
+
+    Returns the states, shape ``p0.shape + (n + 1,)``, and None, or the states
+    before the step a :class:`DomainError` cut, and that error; then the number
+    of right-hand-side calls made.  A batch runs on its (5, m) array.  One
+    point runs as five Python floats, which ``X.values`` takes and gives back
+    without numpy: each stage is the batch expression's double operations in
+    its order, ``p + (dt / 6) * (k1 + 2*k2 + 2*k3 + k4)`` included, so one
+    point gives the bits of the same point as a one-column batch.
+    """
     states = np.zeros(p0.shape + (n + 1,))
     states[..., 0] = p0
-    p = np.array(p0, dtype=float)
+    floats = p0.ndim == 1
+    p, step, slope = (p0.tolist(), _step_floats, _slope_floats) if floats else (p0, _step, _slope)
+    values = X.values
+    half, sixth = 0.5 * dt, dt / 6.0
     calls = 0
 
     def f(q):
         nonlocal calls
         calls += 1
-        return rhs(q)
+        return values(q, floats)
 
     for k in range(n):
         try:
             k1 = f(p)
-            k2 = f(_finite(p + 0.5 * dt * k1))
-            k3 = f(_finite(p + 0.5 * dt * k2))
-            k4 = f(_finite(p + dt * k3))
-            p = _finite(p + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
+            k2 = f(step(p, half, k1))
+            k3 = f(step(p, half, k2))
+            k4 = f(step(p, dt, k3))
+            p = step(p, sixth, slope(k1, k2, k3, k4))
         except DomainError as err:
             return states[..., : k + 1], err, calls
         states[..., k + 1] = p
@@ -98,7 +126,7 @@ def integrate_batch(triple: tr.PoissonTriple, F, p0s, dt, n):
     """
     _check_steps(n)
     X = tr.hamiltonian_field(triple, as_field(F))
-    states, error, _ = _rk4_path(X.values, np.asarray(p0s, dtype=float), dt, n)
+    states, error, _ = _rk4_path(X, np.asarray(p0s, dtype=float), dt, n)
     if error is not None:
         raise error
     return states
@@ -112,10 +140,10 @@ def integrate(triple: tr.PoissonTriple, F, p0, dt, n, halving_check=True) -> Tra
     F = as_field(F)
     X = tr.hamiltonian_field(triple, F)
     p0 = np.asarray(p0, dtype=float)
-    states, error, calls = _rk4_path(X.values, p0, dt, n)
+    states, error, calls = _rk4_path(X, p0, dt, n)
     halving = None
     if halving_check and error is None:
-        fine, fine_error, fine_calls = _rk4_path(X.values, p0, dt / 2.0, 2 * n)
+        fine, fine_error, fine_calls = _rk4_path(X, p0, dt / 2.0, 2 * n)
         calls += fine_calls
         if fine_error is None:
             halving = float(np.max(np.abs(states[:, -1] - fine[:, -1])))

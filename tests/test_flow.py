@@ -4,6 +4,8 @@ import pytest
 from acpoisson import calculus as ca
 from acpoisson import connection as cn
 from acpoisson import flow as fl
+from acpoisson import fuzz
+from acpoisson import model as md
 from acpoisson import triple as tr
 from acpoisson.errors import DomainError
 from acpoisson.fields import ConstField, ExprField
@@ -255,3 +257,28 @@ def test_one_point_stage_overflow_truncates_at_the_same_step():
     assert traj.truncated and traj.n_steps == 7
     assert traj.cause == "an RK4 stage left the finite range"
     assert traj.halving_error is None
+
+
+def _flow_hamiltonian(rng):
+    """The flow benchmark's shape of Hamiltonian: degree-1 terms behind "0 +"."""
+
+    def poly(terms):
+        return ("0 + " + fuzz.random_poly_expr(rng, degree=1, terms=terms)).replace("+ -", "- ")
+
+    return f"{poly(3)} + ({poly(2)})*({poly(2)})"
+
+
+@pytest.mark.parametrize("model", sorted(md.BUILTIN_MODELS))
+@pytest.mark.parametrize("kind", ["flow", "smooth"])
+@pytest.mark.parametrize("seed", range(6))
+def test_one_point_flow_equals_a_one_column_batch(model, kind, seed):
+    # one point runs its RK4 stages on Python floats, a batch on arrays: the
+    # same double operations in the same order give the same states
+    rng = np.random.default_rng([seed, 22])
+    triple = md.resolve(model).effective_triple()
+    F = ExprField(_flow_hamiltonian(rng) if kind == "flow" else fuzz.random_smooth_expr(rng))
+    p0 = rng.uniform(-0.5, 0.5, 5)
+    traj = fl.integrate(triple, F, p0, 0.01, 12, halving_check=False)
+    assert not traj.truncated
+    batch = fl.integrate_batch(triple, F, p0[:, None], 0.01, 12)
+    assert traj.states.tobytes() == batch[:, 0].tobytes()

@@ -31,6 +31,8 @@ CASES = {
     **{f"strata_{m}": (["strata", m, "--grid", "3", "--out", "out.csv"], 0) for m in MODELS},
     "modular_br3_unimodular": (["modular", "br3_unimodular", "--certificate", "--csv", "out.csv"], 0),
     "flow_flat_so3": (FLOW, 0),
+    # kappa is a cutoff of squares, so this flow runs the cutoff rule line
+    "flow_br3_unimodular": (["flow", "br3_unimodular", *FLOW[2:]], 0),
     "selftest": (["selftest"], 0),
 }
 

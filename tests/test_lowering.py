@@ -1,5 +1,6 @@
 """The compiled ``CoordVector.values`` against the jet path, byte for byte."""
 
+import ast
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from acpoisson import cli
 from acpoisson import fuzz
 from acpoisson import lowering
 from acpoisson import model as md
@@ -15,7 +17,7 @@ from acpoisson import triple as tr
 from acpoisson.calculus import CoordVector
 from acpoisson.errors import DomainError
 from acpoisson.fields import BinOp, ConstField, ExprField, Field, Num, Var
-from acpoisson.jets import BUILTIN_RULES
+from acpoisson.jets import BUILTIN_RULES, powi_rule
 from acpoisson.lowering import lower
 
 MODELS = sorted(md.BUILTIN_MODELS)
@@ -57,8 +59,11 @@ def flow_hamiltonian(rng):
     return f"{poly(3)} + ({poly(2)})*({poly(2)})"
 
 
-# Hamiltonians whose compiled lines multiply by signed zeros or overflow
-FOLDED_HAMILTONIANS = ["0*y1 - 0*y2 + y3*0", "-0.0*y1 + y2*(-0.0)", "1e308*y1*y2*1e308"]
+# Hamiltonians whose compiled lines multiply by signed zeros, overflow or square
+FOLDED_HAMILTONIANS = [
+    "0*y1 - 0*y2 + y3*0", "-0.0*y1 + y2*(-0.0)", "1e308*y1*y2*1e308",
+    "(1e200*y1)^2 - y2^2*y3", "(-0.0*y1)^2 + (0*y2)^2", "y1^2/2 + y2^2/3 + y3^2/4",
+]
 # signed zeros and exact values, where a wrong fold flips a sign
 EXACT_COORDINATES = np.array([0.0, -0.0, 0.5, -0.5, 1.0, -1.0])
 
@@ -334,3 +339,96 @@ def test_one_point_and_one_point_batch_agree_to_order_one(name, rng):
         point, batch = F.at(p, 1), F.at(p[:, None], 1)
         assert point.value.tobytes() == batch.value[..., 0].tobytes()
         assert point.grad.tobytes() == batch.grad[..., 0].tobytes()
+
+
+# squares and written-in-place lines -------------------------------------------------
+
+# doubles where a square's rounding, overflow, underflow or sign is at an edge
+SQUARE_EDGES = [0.0, -0.0, 5e-324, -5e-324, 1e-160, -1e-160, 1.3407807929942596e154,
+                -1.3407807929942596e154, 1e200, -1e200, np.inf, -np.inf, np.nan]
+
+
+def _square_inputs():
+    rng = np.random.default_rng(20261019)
+    # random bit patterns cover subnormals, NaN payloads and every exponent
+    bits = rng.integers(0, 2**63, 400, dtype=np.uint64) | rng.choice(np.array([0, 2**63], dtype=np.uint64), 400)
+    return np.concatenate([SQUARE_EDGES, bits.view(np.float64), rng.uniform(-2.0, 2.0, 100)])
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+@pytest.mark.parametrize("kind", ["numpy scalar", "0-d array", "1-d array"])
+def test_a_square_is_a_product_byte_for_byte(kind, order):
+    # the lowering writes x^2 as the pure lines x*x, 2.0*x and 2.0, which is
+    # exact because numpy computes v**2 as v*v on every kind of input
+    values = _square_inputs()
+    inputs = {"numpy scalar": list(map(np.float64, values)), "0-d array": list(map(np.asarray, values)),
+              "1-d array": [values]}[kind]
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        for v in inputs:
+            got = powi_rule(v, 2, order)
+            want = (v * v, 2.0 * v, np.full(np.shape(v), 2.0))
+            for k in range(3):
+                if k > order:
+                    assert got[k] is None
+                else:
+                    assert np.asarray(got[k]).tobytes() == np.asarray(want[k]).tobytes(), (kind, order, k, v)
+            if np.ndim(v) == 0:
+                # the one-point path squares the Python float
+                assert np.float64(float(v) * float(v)).tobytes() == np.asarray(got[0]).tobytes()
+
+
+# each operator's operands grouped on the right: written in place, a line keeps
+# its parentheses where Python would group it otherwise
+GROUPED_HAMILTONIANS = [
+    "y1*(y2*(y3*x1)) - y2*(y3 - (y1 - x2)) + (y1 - y2)*(y3 + x1)",
+    "-(y1*y2)*y3 + y1 - (y2 + y3)*-(x1*y2) + y2*y3*(x2 - y1*y3)",
+]
+
+
+@pytest.mark.parametrize("hamiltonian", GROUPED_HAMILTONIANS)
+@pytest.mark.parametrize("source", SOURCES)
+def test_lines_written_in_place_keep_their_grouping(hamiltonian, source):
+    rng = np.random.default_rng(17)
+    X = tr.hamiltonian_field(_triple(source, rng), ExprField(hamiltonian))
+    for shape in SHAPES:
+        assert_compiled_matches_jets(X, rng.uniform(-1, 1, shape))
+
+
+def _compiled_statements(X):
+    lines, outputs, consts = lowering._emit(X.comps)
+    function = ast.parse(lowering._source(lines, outputs, len(consts))).body[0]
+    return len(lines), len(function.body) - 1  # the return is not counted
+
+
+@pytest.mark.parametrize("model, lines, statements", [("flat_so3", 49, 8), ("br3_unimodular", 67, 11)])
+@pytest.mark.parametrize("seed", [1, 7, 14, 21])
+def test_flow_graph_compiled_size(model, lines, statements, seed):
+    # squares are pure lines and a line read once is written where it is read:
+    # 36-41 and 53-59 lines compile to 6-8 and 8-11 statements over seeds 1-40
+    rng = np.random.default_rng([seed, 1])
+    X = tr.hamiltonian_field(md.resolve(model).effective_triple(), ExprField(flow_hamiltonian(rng)))
+    emitted, written = _compiled_statements(X)
+    assert emitted <= lines and written <= statements
+
+
+LONG_HAMILTONIANS = {
+    # 300 terms: sum and derivative chains far longer than 200 lines
+    "sum": " + ".join(f"{k % 7 + 1}/64*y{k % 3 + 1}*y{(k + 1) % 3 + 1}*x{k % 2 + 1}" for k in range(300)),
+    # 120 products of sums, each inside the next: written in place without a
+    # bound, the derivative lines nest 474 parentheses deep
+    "nested": "".join(f"y{k % 3 + 1}*(0.5 + " for k in range(120)) + "x1" + ")" * 120,
+}
+
+
+@pytest.mark.parametrize("shape", sorted(LONG_HAMILTONIANS))
+def test_a_long_hamiltonian_lowers_below_the_nesting_limit(shape, tmp_path, monkeypatch):
+    # CPython's parser allows 200 nested parentheses; a line written in place
+    # is bounded, so the lowering compiles and matches the jets
+    H = LONG_HAMILTONIANS[shape]
+    X = tr.hamiltonian_field(md.resolve("flat_so3").effective_triple(), ExprField(H))
+    rng = np.random.default_rng(300)
+    for points in SHAPES:
+        assert_compiled_matches_jets(X, rng.uniform(-1, 1, points))
+    monkeypatch.chdir(tmp_path)
+    argv = ["flow", "flat_so3", f"--hamiltonian={H}", "--p0", "0.1,0.2,0.3,0.4,0.5", "--dt", "0.001", "--steps", "5"]
+    assert cli.main(argv) == 0
