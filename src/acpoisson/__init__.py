@@ -32,9 +32,6 @@ from .errors import (
     ModelParseError,
     NonIntegerExponent,
     NotAlmostCoupling,
-    NotCasimir,
-    NotFlat,
-    NotPoissonConnection,
     OrderBudgetExceeded,
     OutsideCouplingDomain,
     OutsideDomain,
@@ -50,7 +47,7 @@ from .fields import (
     as_field,
     finite_difference_check,
 )
-from .gauge import GaugeData, family, scale, varkappa
+from .gauge import GaugeData, family, varkappa
 from .graded import GradedElement, interior
 from .model import ModelFile, load, loads, resolve, save
 from .modular import UnimodularityCertificate, modular_bigraded, modular_direct
@@ -63,10 +60,8 @@ from .strata import (
 )
 from .triple import (
     PoissonTriple,
-    Section,
     VerticalOneForm,
     equivalence_check,
-    flat_triple,
     hamiltonian_field,
     ic_residuals,
     jacobiator,

@@ -81,30 +81,6 @@ class MissingCertificate(AcPoissonError):
     """A unimodularity check was invoked without the data it verifies."""
 
 
-class NotFlat(AcPoissonError):
-    def __init__(self, residual, point):
-        self.residual = residual
-        self.point = point
-        super().__init__(f"connection has curvature (max residual {residual:.3e} at {point})")
-
-
-class NotPoissonConnection(AcPoissonError):
-    def __init__(self, residual, point):
-        self.residual = residual
-        self.point = point
-        super().__init__(
-            f"horizontal lifts do not preserve the vertical structure "
-            f"(max residual {residual:.3e} at {point})"
-        )
-
-
-class NotCasimir(AcPoissonError):
-    def __init__(self, residual, point):
-        self.residual = residual
-        self.point = point
-        super().__init__(f"function is not a Casimir (max residual {residual:.3e} at {point})")
-
-
 class ModelError(AcPoissonError):
     """Base class for model-file problems."""
 

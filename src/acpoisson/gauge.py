@@ -1,4 +1,4 @@
-"""Gauge deformations of Poisson triples and the scaling symmetry.
+"""Gauge deformations of Poisson triples.
 
 A gauge datum is a horizontal 1-form mu = mu_i dx^i and a function c that is a
 Casimir of the vertical structure.  The induced transformation shifts the
@@ -20,7 +20,6 @@ from . import triple as tr
 from .calculus import Y_SLOTS, FieldElement
 from .errors import EmptyDomain, OutsideDomain
 from .fields import ConstField, Field, as_field
-from .graded import omega_h
 from .lowering import evaluate
 
 
@@ -35,11 +34,6 @@ class GaugeData:
     def __post_init__(self):
         self.mu = tuple(as_field(m) for m in self.mu)
         self.c = as_field(self.c)
-
-    def validate(self, triple: tr.PoissonTriple, pts, tol=1e-8):
-        """The function c must be a Casimir of the vertical structure."""
-        res = tr.vertical_casimir_residual(triple.beta, self.c, pts)
-        return float(np.max(res)) <= tol, float(np.max(res))
 
 
 def _vertical_bracket_field(triple: tr.PoissonTriple, f: Field, g: Field) -> Field:
@@ -104,16 +98,6 @@ def family(triple: tr.PoissonTriple, gauge: GaugeData, epsilon, probe=None):
     return tr.PoissonTriple(new_conn, kappa_new, triple.beta, domain=denom)
 
 
-def scale(triple: tr.PoissonTriple, epsilon) -> tr.PoissonTriple:
-    """(gamma, kappa, beta) -> (gamma, eps kappa, eps beta)."""
-    return tr.PoissonTriple(
-        triple.conn,
-        triple.kappa * epsilon,
-        tr.VerticalOneForm([b * epsilon for b in triple.beta.comps]),
-        domain=triple.domain,
-    )
-
-
 def characteristic_compare(tripleA: tr.PoissonTriple, tripleB: tr.PoissonTriple, p):
     """Compare the pointwise images of the two sharp maps by rank.
 
@@ -132,13 +116,3 @@ def characteristic_compare(tripleA: tr.PoissonTriple, tripleB: tr.PoissonTriple,
         "rank_joint": rab,
         "equal": np.logical_and(ra == rb, rb == rab),
     }
-
-
-def upsilon_closedness(gauge: GaugeData, triple: tr.PoissonTriple, p):
-    """(|d Upsilon|, |vertical part of dc|) with Upsilon = -d mu + c Omega_H."""
-    mu_form = FieldElement.form({((1,), ()): gauge.mu[0], ((2,), ()): gauge.mu[1]})
-    area = FieldElement.form(omega_h().coeffs)
-    upsilon = ca.exterior_d_field(mu_form, triple.conn).scale(-1.0) + area.scale(gauge.c)
-    d_upsilon = ca.exterior_d_field(upsilon, triple.conn).at(p).norm()
-    dc_vertical = np.max(np.abs(evaluate([gauge.c], p, 1)[0].grad[2:]), axis=0)
-    return d_upsilon, float(np.max(dc_vertical))

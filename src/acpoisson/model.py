@@ -9,7 +9,7 @@ Sections:
     [gauge]       mu1, mu2, c = <expressions>; epsilon = <real>   (optional)
     [certificate] h = <expr>; K = <expr>; kappa0 = <expr>         (optional)
     [sampling]    box = lo:hi, ... (5 intervals); generator = halton|grid;
-                  n = <int>; seed = <int>; resolution = <int>
+                  n = <int>; seed = <int> (0 .. 2**62); resolution = <int>
     [tolerances]  identity, oracle, conservation, fd = <reals>    (optional)
 
 Any other section or key, and a section or key given twice, is refused.
@@ -22,6 +22,7 @@ round-trip as ordinary model files.
 from __future__ import annotations
 
 import copy
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,6 +65,8 @@ _SECTION_KEYS = {
     "tolerances": tuple(DEFAULT_TOLERANCES),
 }
 _EXPRESSION_SECTIONS = {"connection", "kappa", "beta", "gauge", "certificate"}  # all but [gauge] epsilon
+# a model name is also the stem of the files `gauge` writes, so it may not hold a path
+_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 @dataclass
@@ -126,7 +129,8 @@ class ModelFile:
         if self.gauge is None:
             raise MissingSection("gauge")
         variant = copy.deepcopy(self)
-        variant.name = f"{self.name}_eps{epsilon:g}".replace("-", "m").replace(".", "p")
+        # an identifier too: 1e+20 is written 1e20
+        variant.name = f"{self.name}_eps{epsilon:g}".replace("-", "m").replace(".", "p").replace("+", "")
         variant.gauge["epsilon"] = float(epsilon)
         return variant
 
@@ -182,6 +186,8 @@ def loads(text: str) -> ModelFile:
         return [sections[section][key] for key in keys]
 
     name = sections.get("model", {}).get("name", "unnamed")
+    if not _NAME.fullmatch(name):
+        raise ModelParseError(f"[model] name must be an identifier ([A-Za-z_][A-Za-z0-9_]*), got {name!r}")
     conn = sections.get("connection", {})
     gamma = [[conn.get(f"g{i}_{a}", "0") for a in (1, 2, 3)] for i in (1, 2)]
     (kappa,) = want("kappa", ["expr"])
@@ -220,6 +226,8 @@ def loads(text: str) -> ModelFile:
                     raise ModelParseError(f"[sampling] {key}: {err}") from err
         if sampling["seed"] < 0:
             raise ModelParseError(f"[sampling] seed must be non-negative, got {sampling['seed']}")
+        if sampling["seed"] > st.MAX_SEED:
+            raise ModelParseError(f"[sampling] seed must be at most 2**62, got {sampling['seed']}")
 
     tolerances = dict(DEFAULT_TOLERANCES)
     if "tolerances" in sections:
@@ -258,6 +266,8 @@ def _parse_box(text):
             raise BadInterval(f"interval '{part}': {err}") from err
         if not (np.isfinite(lo) and np.isfinite(hi)) or hi < lo:
             raise BadInterval(f"interval '{part}' is empty or infinite")
+        if not np.isfinite(hi - lo):
+            raise BadInterval(f"interval '{part}' is wider than the largest float")
         box.append((lo, hi))
     return box
 

@@ -22,6 +22,8 @@ MAX_GRID_POINTS = 10**5
 # largest Halton sample, checked before it is built: `check` peaks at about
 # 30 MB plus 2 KB per point, so this many points need about 1 GB
 MAX_SAMPLE_POINTS = 5 * 10**5
+# largest Halton seed: the point indices seed + 1 .. seed + n stay inside int64
+MAX_SEED = 2**62
 LABELS = ("rank0", "rank2_vertical", "rank2_horizontal", "rank4", "near_boundary")
 _NEAR = LABELS.index("near_boundary")
 
@@ -47,6 +49,8 @@ def halton_points(n, box, seed=0):
         raise EmptyBox("sample count must be positive")
     if n > MAX_SAMPLE_POINTS:
         raise BadInput(f"sample count {n} is more than {MAX_SAMPLE_POINTS}")
+    if not 0 <= seed <= MAX_SEED:
+        raise BadInput(f"seed {seed} is outside 0 .. 2**62")
     idx = np.arange(seed + 1, seed + n + 1)
     pts = np.zeros((5, n))
     for k, base in enumerate(HALTON_BASES):
@@ -75,6 +79,8 @@ def _validate_box(box):
     for lo, hi in box:
         if not (np.isfinite(lo) and np.isfinite(hi)) or hi < lo:
             raise EmptyBox(f"invalid interval [{lo}, {hi}]")
+        if not np.isfinite(hi - lo):
+            raise EmptyBox(f"interval [{lo}, {hi}] is wider than the largest float")
 
 
 @dataclass(eq=False)

@@ -17,17 +17,11 @@ from . import calculus as ca
 from . import connection as cn
 from . import strata as st
 from .calculus import Y_SLOTS, CoordVector, FieldElement
-from .errors import (
-    NotAlmostCoupling,
-    NotCasimir,
-    NotFlat,
-    NotPoissonConnection,
-    OutsideCouplingDomain,
-)
+from .errors import NotAlmostCoupling, OutsideCouplingDomain
 from .fields import ConstField, as_field, is_zero
 from .graded import GradedElement, interior
 from .lowering import evaluate
-from .reports import Block, VerificationReport, residual_block, run_table
+from .reports import VerificationReport, residual_block
 
 
 class VerticalOneForm:
@@ -50,25 +44,6 @@ class VerticalOneForm:
 
     def norm_values(self, p):
         return np.sqrt(np.sum(self.values(p) ** 2, axis=0))
-
-
-class Section:
-    """A section y = s(x): three fields depending on the base variables only."""
-
-    def __init__(self, comps):
-        self.comps = [as_field(c) for c in comps]
-        # bits 2-4 of a field's variable mask are the fiber variables
-        if any(c.mask >> 2 for c in self.comps):
-            raise ValueError("section components must depend on x1, x2 only")
-
-    def graph_points(self, xs):
-        """Lift base points (2, n) to chart points (5, n) on the graph."""
-        xs = np.asarray(xs, dtype=float)
-        pts = np.zeros((5,) + xs.shape[1:])
-        pts[0], pts[1] = xs[0], xs[1]
-        for a, jet in enumerate(evaluate(self.comps, pts)):
-            pts[2 + a] = jet.value
-        return pts
 
 
 def vertical_poisson(beta: VerticalOneForm) -> FieldElement:
@@ -325,16 +300,6 @@ def hamiltonian_parts(triple: PoissonTriple, F, p):
     return hor_part, vert
 
 
-def casimir_residual(triple: PoissonTriple, c, p):
-    """Pair (|kappa d_{1,0} c|, |d_{0,1} c ^ beta|), max-norms at p."""
-    c = as_field(c)
-    sample = st.as_sample(p)
-    kv = triple.kappa_values(sample)
-    hc = evaluate([ca.hor_apply(triple.conn, i, c) for i in (1, 2)], sample.points)
-    r1 = np.max(np.stack([np.abs(kv * j.value) for j in hc]), axis=0)
-    return r1, vertical_casimir_residual(triple.beta, c, sample)
-
-
 def vertical_casimir_residual(beta: VerticalOneForm, c, p):
     """|d_{0,1} c ^ beta|, max-norm at p: zero where c is a Casimir of the vertical structure."""
     sample = st.as_sample(p)
@@ -454,68 +419,3 @@ def coupling_form_residual(triple: PoissonTriple, p):
     pi20 = GradedElement.multivector({((1, 2), ()): kv})
     alphas = [GradedElement.form({key: np.ones_like(kv)}) for key in (((1,), ()), ((2,), ()))]
     return coefficient_max([interior(interior(alpha, pi20), sigma) + alpha for alpha in alphas], sample.points)
-
-
-# constructors and submanifold checks -------------------------------------------
-
-
-def flat_triple(conn: cn.Connection, kappa0, beta: VerticalOneForm, samples):
-    """Build a triple from a flat structure-preserving connection and a Casimir factor.
-
-    Verifies flatness, the connection-preservation property, and the Casimir
-    property of kappa0 on the sample set; raises otherwise.
-    """
-    kappa0 = as_field(kappa0)
-    beta = beta if isinstance(beta, VerticalOneForm) else VerticalOneForm(beta)
-    pts = np.asarray(samples, dtype=float)
-    _refuse(NotFlat, np.max(np.abs(cn.curvature(conn, pts)), axis=0), pts)
-    _refuse(NotPoissonConnection, _lie_residual(conn, ca.bivector_matrix_fields(vertical_poisson(beta)), pts), pts)
-    _refuse(NotCasimir, vertical_casimir_residual(beta, kappa0, pts), pts)
-    return PoissonTriple(conn, kappa0, beta)
-
-
-def _refuse(error, residual, pts):
-    """Raise ``error`` with the worst residual and its point when the residual exceeds 1e-8."""
-    if np.max(residual) > 1e-8:
-        i = int(np.argmax(residual))
-        raise error(float(np.max(residual)), pts[:, i].tolist())
-
-
-def submanifold_check(triple: PoissonTriple, section: Section, xs, tol=1e-9) -> VerificationReport:
-    """Check the graph of a section for the invariance + vertical-vanishing pair."""
-    graph = st.as_sample(section.graph_points(xs))
-
-    def horizontal_tangency(s):
-        kv = triple.kappa_values(s)
-        gv = triple.conn.gamma_values(s.points)  # (2, 3, n)
-        # tangent frame of the graph: tau_i = dx_i + ds^a/dx_i dy_a
-        slope_jets = evaluate(section.comps, s.points, 1)
-        slopes = np.stack([np.stack([j.grad[i] for j in slope_jets]) for i in range(2)])  # (2, 3, n)
-        res = np.zeros(np.shape(kv))
-        for j, sign in ((2, 1.0), (1, -1.0)):  # Pi_20-sharp dx^1 = kappa hor_2, dx^2 = -kappa hor_1
-            vec = np.zeros((5,) + np.shape(kv))
-            vec[j - 1] = sign * kv
-            vec[2:] = -sign * kv * gv[j - 1]
-            res = np.maximum(res, _distance_from_graph_tangent(vec, slopes))
-        return res
-
-    table = [
-        Block("horizontal-tangency", graph, horizontal_tangency, tol),
-        Block("vertical-vanishing", graph, lambda s: np.max(np.abs(triple.beta.values(s)), axis=0), tol),
-    ]
-    return run_table(VerificationReport(name="poisson-submanifold"), table)
-
-
-def _distance_from_graph_tangent(vec, slopes):
-    """Distance of vec (5, ...) from span{dx_i + slopes_i}, slopes of shape (2, 3, ...).
-
-    Solves the 2x2 normal equations at every point at once: their Gram matrix
-    I + S^T S is at least the identity, so it is never singular.
-    """
-    u, w = vec[:2], vec[2:]
-    identity = np.eye(2).reshape((2, 2) + (1,) * (vec.ndim - 1))
-    (a, b), (_, c) = identity + np.einsum("ia...,ja...->ij...", slopes, slopes)
-    rhs = u + np.einsum("ia...,a...->i...", slopes, w)
-    coef = np.stack([c * rhs[0] - b * rhs[1], a * rhs[1] - b * rhs[0]]) / (a * c - b * b)
-    resid = np.concatenate([u - coef, w - np.einsum("ia...,i...->a...", slopes, coef)])
-    return np.sqrt(np.einsum("k...,k...->...", resid, resid))

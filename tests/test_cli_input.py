@@ -10,8 +10,9 @@ from pathlib import Path
 import pytest
 
 from acpoisson import cli
+from acpoisson import model as md
 from acpoisson import strata as st
-from acpoisson.errors import BadInput
+from acpoisson.errors import BadInput, EmptyBox
 from acpoisson.flow import MAX_FLOW_STEPS
 from acpoisson.model import BUILTIN_MODELS
 from acpoisson.strata import MAX_GRID_POINTS, MAX_SAMPLE_POINTS
@@ -378,3 +379,64 @@ def test_a_value_that_starts_with_a_dash_is_named_in_the_option_equals_form(tmp_
     argv[2:4] = ["--hamiltonian=-y1*y2"]
     proc = _subprocess_cli(argv, tmp_path)
     assert proc.returncode == 0 and proc.stderr == ""
+
+
+@pytest.mark.parametrize("seed", [st.MAX_SEED + 1, 9223372036854775800, 99999999999999999999999])
+def test_a_model_seed_past_the_bound_exits_2(seed, tmp_path):
+    # past 2**62 the Halton indices seed + 1 .. seed + n leave int64: an overflow traceback, or all
+    # points on the box corner
+    model = _model(tmp_path, "flat_so3", "seed = 0", f"seed = {seed}")
+    _assert_one_line_exit_2(_run_in(tmp_path, ["check", model, "--samples", "10"]), "[sampling] seed must be at most 2**62")
+    with pytest.raises(BadInput, match="outside 0 .. 2\\*\\*62"):
+        st.halton_points(10, [(-1, 1)] * 5, seed=seed)
+
+
+def test_a_model_seed_at_the_bound_gives_distinct_points(tmp_path):
+    model = _model(tmp_path, "flat_so3", "seed = 0", f"seed = {st.MAX_SEED}")
+    proc = _run_in(tmp_path, ["check", model, "--samples", "10"])
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert json.loads(proc.stdout)["checks"][0]["n_samples"] == 10
+    points = st.halton_points(10, [(-1, 1)] * 5, seed=st.MAX_SEED)
+    assert len({tuple(p) for p in points.T}) == 10
+
+
+@pytest.mark.parametrize("command, generator", [("check", "halton"), ("strata", "grid"), ("modular", "halton"), ("modular", "grid")])
+def test_a_box_wider_than_the_largest_float_exits_2(command, generator, tmp_path):
+    # hi - lo = 2e308 is infinite, so no point of the box is finite
+    model = _model(tmp_path, "flat_so3", "box = -1:1,", "box = -1e308:1e308,")
+    Path(model).write_text(Path(model).read_text().replace("generator = halton", f"generator = {generator}"))
+    _assert_one_line_exit_2(_run_in(tmp_path, [command, model, "--out", "out"]), "is wider than the largest float")
+    assert not (tmp_path / "out").exists()
+    with pytest.raises(EmptyBox, match="wider than the largest float"):
+        st.sample_box([(-1e308, 1e308)] + [(-1, 1)] * 4, generator=generator)
+
+
+@pytest.mark.parametrize("name", ["../escape", "{}/escape", "br3 unimodular", "1st", ""])
+def test_a_model_name_that_is_not_an_identifier_exits_2_and_writes_nothing(name, tmp_path):
+    # the name is the stem of the files gauge writes: a path in it wrote outside --outdir
+    name = name.format(tmp_path)
+    model = _model(tmp_path, "br3_unimodular", "name = br3_unimodular", f"name = {name}")
+    proc = _run_in(tmp_path, ["gauge", model, "--epsilon", "0.01", "--outdir", "out"])
+    _assert_one_line_exit_2(proc, "[model] name must be an identifier")
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ini"]
+
+
+def test_gauge_variant_names_are_identifiers_that_reload(tmp_path, capsys):
+    proc = _run_in(tmp_path, ["gauge", "br3_unimodular", "--sweep", "1e20,-0.05,1e-05", "--outdir", "out"])
+    assert proc.returncode in (0, 1) and proc.stderr == ""
+    written = [entry["model_file"] for entry in json.loads(proc.stdout)["sweep"]]
+    stems = ["br3_unimodular_eps1e20", "br3_unimodular_epsm0p05", "br3_unimodular_eps1em05"]
+    assert written == [os.path.join("out", f"{stem}.ini") for stem in stems]
+    for path in written:
+        assert cli.main(["check", str(tmp_path / path), "--samples", "20"]) in (0, 1)
+        assert capsys.readouterr().err == ""
+
+
+def test_builtin_and_variant_names_are_unchanged():
+    for name in BUILTIN_MODELS:
+        model = md.resolve(name)
+        assert model.name == name
+        if model.gauge is not None:
+            for eps in (0.05, -0.05, 0.1, 1e-05, 0.0, -1.5):
+                old = f"{name}_eps{eps:g}".replace("-", "m").replace(".", "p")
+                assert model.with_gauge_epsilon(eps).name == old

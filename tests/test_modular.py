@@ -232,7 +232,6 @@ def test_gauge_functions_and_volume_factor_call_no_field_at(so3_coupled, pts, mo
     ga.varkappa(so3_coupled, G, pts)
     ga.varkappa_intrinsic(so3_coupled, G, pts)
     ga.family(so3_coupled, G, 0.1, probe=pts)
-    ga.upsilon_closedness(G, so3_coupled, pts)
     mo.modular_direct(so3_coupled, ExprField("1 + x1^2"), pts)
     assert calls == []
 

@@ -1,14 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as hs
-from hypothesis.extra import numpy as hnp
 
 from acpoisson import calculus as ca
 from acpoisson import connection as cn
 from acpoisson import fuzz
 from acpoisson import triple as tr
-from acpoisson.errors import NotAlmostCoupling, NotCasimir, NotFlat, OutsideCouplingDomain
+from acpoisson.errors import NotAlmostCoupling, OutsideCouplingDomain
 from acpoisson.fields import ConstField, CoordField, ExprField
 from acpoisson.strata import halton_points
 
@@ -189,12 +186,10 @@ def test_hamiltonian_bigraded_parts(rng, sec5, wide_pts):
 
 
 def test_casimir_residual_examples(so3, pts):
-    r1, r2 = tr.casimir_residual(so3, ExprField("y1^2 + y2^2 + y3^2"), pts)
-    assert np.max(r1) == 0.0 and np.max(r2) <= 1e-14
-    r1, r2 = tr.casimir_residual(so3, ExprField("x1*x2"), pts)
-    assert np.max(r2) == 0.0  # base functions are vertical Casimirs
-    r1, r2 = tr.casimir_residual(so3, CoordField("y1"), pts)
-    assert np.max(r2) > 0.1
+    assert np.max(tr.vertical_casimir_residual(so3.beta, ExprField("y1^2 + y2^2 + y3^2"), pts)) <= 1e-14
+    # base functions are vertical Casimirs
+    assert np.max(tr.vertical_casimir_residual(so3.beta, ExprField("x1*x2"), pts)) == 0.0
+    assert np.max(tr.vertical_casimir_residual(so3.beta, CoordField("y1"), pts)) > 0.1
 
 
 def test_coupling_domain_guards(sec5):
@@ -252,107 +247,6 @@ def test_coupling_form(sec5):
     pts = halton_points(100, [(-2, 2)] * 5)
     mask = sec5.coupling_mask(pts)
     assert np.max(tr.coupling_form_residual(sec5, pts[:, mask])) <= 1e-10
-
-
-def test_flat_triple_constructor(rng, pts):
-    beta = tr.VerticalOneForm(["y1", "y2", "y3"])
-    T = tr.flat_triple(cn.Connection.flat(), ExprField("cutoff(y1^2+y2^2+y3^2)"), beta, pts)
-    assert tr.equivalence_check(T, pts).passed
-    with pytest.raises(NotCasimir):
-        tr.flat_triple(cn.Connection.flat(), CoordField("y1"), beta, pts)
-    curved = cn.Connection([["x2*y1", "0", "0"], ["0", "0", "0"]])
-    with pytest.raises(NotFlat):
-        tr.flat_triple(curved, ConstField(1.0), beta, pts)
-    from acpoisson.errors import NotPoissonConnection
-
-    with pytest.raises(NotPoissonConnection):
-        tr.flat_triple(
-            cn.Connection.flat(), ConstField(1.0), tr.VerticalOneForm(["x1*y1", "0", "0"]), pts
-        )
-
-
-def test_submanifold_checks(so3, sec5):
-    xs = np.stack([np.linspace(-1, 1, 7), np.linspace(-0.5, 0.5, 7)])
-    # constant section through the singular point of the cyclic structure
-    origin = tr.Section(["0", "0", "0"])
-    rep = tr.submanifold_check(so3, origin, xs)
-    assert rep.passed
-    # a section with beta nonzero on it fails the vertical condition
-    shifted = tr.Section(["1", "0", "0"])
-    rep = tr.submanifold_check(so3, shifted, xs)
-    assert not rep.block("vertical-vanishing").passed
-    assert rep.block("horizontal-tangency").passed  # flat lifts stay tangent
-
-
-def test_submanifold_check_on_one_point(so3_coupled):
-    # the graph of y1 = x1 tilts tau_1 = dx1 + dy1, so Pi_20-sharp dx^2 = -kappa dx1
-    # lies 1/sqrt(2) kappa from the tangent plane; Pi_20-sharp dx^1 = kappa dx2 is on it
-    section = tr.Section(["x1", "0", "0"])
-    one = tr.submanifold_check(so3_coupled, section, np.array([0.3, -0.2]))
-    batch = tr.submanifold_check(so3_coupled, section, np.array([[0.3], [-0.2]]))
-    tangency = one.block("horizontal-tangency")
-    assert not tangency.passed
-    assert tangency.max_residual == pytest.approx(1.09 / np.sqrt(2), rel=1e-15)
-    for a, b in zip(one.blocks, batch.blocks):
-        assert (a.check_id, a.passed, a.max_residual) == (b.check_id, b.passed, b.max_residual)
-
-
-def _lstsq_distance(vec, slopes):
-    """The per-point least-squares loop that the batched distance replaced, kept as its oracle."""
-    vecs = np.atleast_2d(vec.T).reshape(-1, 5)
-    out = np.zeros(len(vecs))
-    for k in range(len(vecs)):
-        basis = np.zeros((5, 2))
-        basis[0, 0] = basis[1, 1] = 1.0
-        basis[2:] = (slopes[..., k] if slopes.ndim == 3 else slopes).T
-        coef, *_ = np.linalg.lstsq(basis, vecs[k], rcond=None)
-        out[k] = np.linalg.norm(vecs[k] - basis @ coef)
-    return out if vec.ndim == 2 else out[0]
-
-
-@settings(max_examples=200, deadline=None)
-@given(points=hs.sampled_from([(), (1,), (6,)]), exponent=hs.floats(-3, 3), data=hs.data())
-def test_graph_tangent_distance_matches_lstsq(points, exponent, data):
-    # integer entries make equal and parallel slope columns common draws
-    def draw(shape):
-        return data.draw(hnp.arrays(np.int64, shape, elements=hs.integers(-1000, 1000))) / 1000.0
-
-    vec = draw((5,) + points)
-    slopes = 10.0**exponent * draw((2, 3) + points)
-    got = tr._distance_from_graph_tangent(vec, slopes)
-    want = _lstsq_distance(vec, slopes)
-    assert np.shape(got) == np.shape(want)
-    assert np.all(np.abs(got - want) <= 1e-12 * np.linalg.norm(vec, axis=0))
-
-
-def test_submanifold_deformed_family(so3_coupled, pts):
-    # the deformed structure vanishes on the zero section together with beta
-    from acpoisson import gauge as ga
-
-    base = tr.PoissonTriple(
-        cn.Connection.flat(),
-        ExprField("1 + y1^2"),
-        tr.VerticalOneForm(["y1", "y2", "y3"]),
-    )
-    G = ga.GaugeData(mu=(ExprField("y3*x1"), ExprField("y2")), c=ConstField(0.0))
-    Tg = ga.family(base, G, 0.05, probe=pts)
-    xs = np.stack([np.linspace(-1, 1, 7), np.linspace(-1, 1, 7)])
-    rep = tr.submanifold_check(Tg, tr.Section(["0", "0", "0"]), xs)
-    assert rep.passed
-
-
-def test_section_rejects_fiber_dependence():
-    with pytest.raises(ValueError):
-        tr.Section(["y1", "0", "0"])
-
-
-def test_section_rejects_fiber_dependence_that_vanishes_on_the_base_axes():
-    # x1*y1 is zero wherever x1 = 0, so probing points on the fiber over the
-    # origin cannot see its dependence on y1
-    for comps in (["x1*y1", "0", "0"], ["0", "sin(x2*y3)", "0"], ["x1", "x2", "x1*x2*y2"]):
-        with pytest.raises(ValueError, match="depend on x1, x2 only"):
-            tr.Section(comps)
-    assert tr.Section(["x1*x2", "sin(x1)", "2 + x2^2"]).comps[0].mask == 0b11
 
 
 def test_flat_pair_three_way_agreement(rng):
