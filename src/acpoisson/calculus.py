@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DomainError, ZeroVolumeFactor
 from .fields import Field, as_field, as_points, is_zero
 from .graded import GradedElement, key_factors, wedge_keys
-from .lowering import evaluate, lower
+from .lowering import evaluate, lower, sample_points
 
 # coordinate order: x1 x2 y1 y2 y3
 X_SLOTS = (0, 1)
@@ -38,12 +38,14 @@ class FieldElement(GradedElement):
             self.coeffs[key] = f
 
     def at(self, p, order=0) -> GradedElement:
-        """Evaluate coefficients at point(s) p; order>0 is rarely needed."""
+        """Evaluate coefficients at point(s) or a sample p; order>0 is rarely needed."""
         return evaluate_elements([self], p, order)[0]
 
 
 def evaluate_elements(elements, p, order=0):
-    """Evaluate the coefficients of several elements as one group, sharing their subexpressions."""
+    """Evaluate the coefficients of several elements as one group, sharing their subexpressions.
+
+    ``p`` is points or a sample, whose held jets the group walk reads."""
     jets = iter(evaluate([f for e in elements for f in e.coeffs.values()], p, order))
     return [GradedElement(e.kind, {k: next(jets).value for k in e.coeffs}) for e in elements]
 
@@ -214,7 +216,8 @@ class CoordVector:
     first use (``lowering.lower``) and bit-identical to evaluating each
     component's jet; graphs the compiler cannot express and every domain error
     go through ``lowering.evaluate``, so an error names its failing subexpression.
-    ``jets`` evaluates the components as one group (``lowering.evaluate``).
+    ``jets`` evaluates the components as one group (``lowering.evaluate``), on
+    points or on a sample, whose held jets the walk reads.
     """
 
     __slots__ = ("comps", "_lowered")
@@ -260,9 +263,10 @@ class CoordVector:
 
 def _bivector_jets(matrix_fields, p, order):
     """A bivector's component fields run as one group: the full antisymmetric
-    value array and the component jets, keyed as ``matrix_fields``."""
+    value array and the component jets, keyed as ``matrix_fields``; ``p`` is
+    points or a sample."""
     jets = dict(zip(matrix_fields, evaluate(matrix_fields.values(), p, order)))
-    vals = np.zeros((5, 5) + np.shape(np.asarray(p)[0]))
+    vals = np.zeros((5, 5) + np.shape(np.asarray(sample_points(p))[0]))
     for (mu, nu), jet in jets.items():
         vals[mu, nu] = jet.value
         vals[nu, mu] = -jet.value
@@ -365,7 +369,7 @@ def divergence(X: CoordVector, p, density: Field | None = None):
     from .strata import as_sample
 
     sample = as_sample(p)
-    vx, gx = X.jets(sample.points)
+    vx, gx = X.jets(sample)
     div = np.einsum("mm...->...", gx)
     if density is not None:
         (jet,) = sample.jets([density], 1)

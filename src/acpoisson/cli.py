@@ -105,7 +105,7 @@ def run_check(model: md.ModelFile, n=None, tol=None) -> VerificationReport:
 
     def almost_coupling(s):
         # the mixed component of the re-bigraded tensor
-        return tr.mixed_residual(ca.coord_to_moving_bivector(triple.pi_coord(), conn), s.points)
+        return tr.mixed_residual(ca.coord_to_moving_bivector(triple.pi_coord(), conn), s)
 
     def cochain_identities(s):
         test_forms = [
@@ -114,19 +114,18 @@ def run_check(model: md.ModelFile, n=None, tol=None) -> VerificationReport:
             FieldElement.form({((1,), ()): triple.kappa}),
         ]
         forms = [r for form in test_forms for r in ca.cochain_residual_forms(conn, form)]
-        return tr.coefficient_max(ca.evaluate_elements(forms, s.points), s.points)
+        return tr.coefficient_max(ca.evaluate_elements(forms, s), s.points)
 
     def volume_structure(s):
-        return tr.coefficient_max(ca.evaluate_elements(cn.f4_residual_forms(conn), s.points), s.points)
+        return tr.coefficient_max(ca.evaluate_elements(cn.f4_residual_forms(conn), s), s.points)
 
     def dual_formulas(s):
-        pts = s.points
-        theta = cn.theta(conn).at(pts) - cn.theta_from_volume(conn, pts)
-        return tr.coefficient_max([theta, cn.rho(conn).at(pts) - cn.rho_from_volume(conn, pts)], pts)
+        theta = cn.theta(conn).at(s) - cn.theta_from_volume(conn, s)
+        return tr.coefficient_max([theta, cn.rho(conn).at(s) - cn.rho_from_volume(conn, s)], s.points)
 
     def curvature_commutator(s):
         rho = np.stack([j.value for j in s.jets(cn.rho_components(conn))])
-        return np.max(np.abs(cn.curvature(conn, s.points) - rho), axis=0)
+        return np.max(np.abs(cn.curvature(conn, s) - rho), axis=0)
 
     table = [
         Block("almost-coupling", sample, almost_coupling, identity_tol),
@@ -188,7 +187,7 @@ def cmd_modular(args):
     def symmetry(s):
         # the modular field must be an infinitesimal symmetry of the structure
         Z = mo.modular_direct_fields(triple)
-        return tr.component_max(ca.lie_derivative_bivector(Z, triple.pi_matrix(), s.points).values())
+        return tr.component_max(ca.lie_derivative_bivector(Z, triple.pi_matrix(), s).values())
 
     table = [
         Block("bigraded-vs-direct", sample, partial(mo.bigraded_vs_direct_residual, triple), model.tolerance("oracle")),
@@ -224,10 +223,16 @@ def cmd_gauge(args):
         raise MissingSection("gauge")
     if not eps_values:
         raise BadInput("give --epsilon or --sweep")
+    variants = [model.with_gauge_epsilon(eps) for eps in eps_values]
+    names = {}
+    for eps, variant in zip(eps_values, variants):
+        # a variant's files are named after it: two epsilons of one name would overwrite each other
+        if variant.name in names:
+            raise BadInput(f"epsilons {names[variant.name]!r} and {eps!r} give one variant name, {variant.name}")
+        names[variant.name] = eps
     os.makedirs(args.outdir, exist_ok=True)
     summary = []
-    for eps in eps_values:
-        variant = model.with_gauge_epsilon(eps)
+    for eps, variant in zip(eps_values, variants):
         path = os.path.join(args.outdir, f"{variant.name}.ini")
         md.save(variant, path)
         report = run_check(variant)

@@ -17,7 +17,12 @@ symbolic with the full 2-jet budget, and a domain error names its
 subexpression.  Any other operand gives a plain ``BinOp``; ``partial`` reads a
 slot of the parent's jet and spends one order.  A node computes its budget,
 expression flag and variable bitmask once, and keeps its derivatives and
-source text once asked.
+source text once asked.  It also tells whether a ``cutoff`` call lies below
+it (``nudges``): evaluating such a node may nudge a point off the cutoff's
+branch point, which a command counts per evaluation.  A binary operation and
+a negation keep that flag in a slot; a call, a power and a partial read it
+from their child, because one more slot would move each of them into the
+next allocation size.
 
 A node's jet is one ``combine`` step applied to the jets of its ``operands``;
 the step holds the node's jet rule and tags its domain errors.  ``Field.at``
@@ -73,6 +78,7 @@ class Field:
     budget = 2
     expression = False  # expression-backed: folded, differentiated symbolically
     mask = (1 << NVARS) - 1  # bit k: the field may depend on variable k
+    nudges = True  # evaluating the field may count a cutoff nudge
 
     def eval_jet(self, points, order):
         raise NotImplementedError
@@ -251,6 +257,7 @@ class _Leaf(_Node):  # a number or a named constant
     budget = 2
     expression = True
     mask = 0
+    nudges = False
 
     def combine(self, points, order):
         return Jet.constant(self.value, points.shape[1:], order)
@@ -280,6 +287,7 @@ class Var(_Node):
     __slots__ = ("name", "k")
     budget = 2
     expression = True
+    nudges = False
 
     @classmethod
     def _key(cls, name):
@@ -296,10 +304,11 @@ class Var(_Node):
 
 
 class Neg(_Node):
-    __slots__ = ("arg",)
+    __slots__ = ("arg", "nudges")
 
     def __init__(self, arg):
         _derive(self, arg, arg)
+        self.nudges = arg.nudges
         self.arg = arg
 
     def operands(self, order):
@@ -317,6 +326,10 @@ class Pow(_Node):
         self.base = base
         self.exponent = exponent
 
+    @property
+    def nudges(self):
+        return self.base.nudges
+
     def operands(self, order):
         return ((self.base, order),)
 
@@ -327,7 +340,7 @@ class Pow(_Node):
 class BinOp(_Node):
     """``left op right`` for op in ``+ - * /``."""
 
-    __slots__ = ("op", "left", "right")
+    __slots__ = ("op", "left", "right", "nudges")
 
     @classmethod
     def _key(cls, op, left, right):
@@ -335,6 +348,7 @@ class BinOp(_Node):
 
     def __init__(self, op, left, right):
         _derive(self, left, right)
+        self.nudges = left.nudges or right.nudges
         self.op = op
         self.left = left
         self.right = right
@@ -365,6 +379,10 @@ class Call(_Node):
         self.func = func  # a key of BUILTIN_JET_RULES
         self.arg = arg
 
+    @property
+    def nudges(self):
+        return self.func == "cutoff" or self.arg.nudges
+
     def operands(self, order):
         return ((self.arg, order),)
 
@@ -393,6 +411,10 @@ class PartialField(_Node):
         self.mask = parent.mask
         self.parent = parent
         self.k = k
+
+    @property
+    def nudges(self):
+        return self.parent.nudges
 
     def operands(self, order):
         if order > self.budget:

@@ -7,7 +7,16 @@
   a shared graph (Griewank & Walther, *Evaluating Derivatives*, 2nd ed., SIAM
   2008, ch. 6).  Its results are bit-identical to ``f.at(p, order)``, which
   walks the tree without a memo and stays the oracle, and a domain error
-  names its failing subexpression.
+  names its failing subexpression.  Given a sample
+  (:class:`~acpoisson.strata.SampleSet`) instead of bare points, the walk
+  stops at the jets the sample already holds: a field held at the order
+  needed, or higher, is a leaf whose jet is the held value, or value and
+  gradient, since every rule computes those alike at every order.  A held
+  field with a ``cutoff`` below it is walked again all the same, because a
+  command counts the cutoff's nudges per evaluation.  The walk is a module
+  function, not a closure that calls itself: such a closure is a reference
+  cycle, which would keep the held jets, and with them the sample's memory,
+  alive until the cyclic collector runs.
 * :func:`lower` compiles the components of a vector field into one
   straight-line Python function, which ``CoordVector.values`` keeps because
   the RK4 right-hand side calls it hundreds of times.  ``PartialField(parent,
@@ -492,45 +501,78 @@ def _call(point, batch, points):
 def evaluate(fields, points, order=0):
     """The jets of ``fields`` at ``points``, as ``[f.at(points, order) for f in fields]``.
 
-    Each (node, order) pair is combined once, in the order the jets first reach
-    it, and its jet is dropped after its last consumer.  Every output owns its
+    ``points`` is a point (5,), a batch (5, ...), or a sample
+    (:class:`~acpoisson.strata.SampleSet`), evaluated at its points.  Each (node,
+    order) pair is combined once, in the order the jets first reach it, and its
+    jet is dropped after its last consumer.  On a sample, a field the sample
+    holds at ``order`` or higher is a leaf: its held value, or value and
+    gradient, is the jet, unless a ``cutoff`` lies below it (``nudges``),
+    because each evaluation counts its own nudges.  Every output owns its
     arrays, also when a field repeats.
     """
     fields = list(fields)
     if not fields:
         return []
-    points = as_points(points)
+    held = getattr(points, "_jets", None) or None  # the jets a sample holds; None on bare points
+    points = as_points(sample_points(points))
     for f in fields:
         f.check_budget(order)
-    steps, users = [], {}  # (pair, its operand pairs) in post-order; pair -> consumer count
-
-    def visit(pair):
-        ops = pair[0].operands(pair[1])
-        for op in ops:
-            if op in users:
-                users[op] += 1
-            else:
-                users[op] = 1
-                visit(op)
-        steps.append((pair, ops))
-
+    steps, users = [], {}  # (pair, its operand pairs, or None for a held leaf) in post-order; pair -> consumer count
     wanted = {}  # output pair -> its positions in the result
     for i, f in enumerate(fields):
         pair = (f, order)
         if pair not in users:
             users[pair] = 0
-            visit(pair)
+            _visit(pair, users, steps, held)
         wanted.setdefault(pair, []).append(i)
-    held, result = {}, [None] * len(fields)
+    live, result = {}, [None] * len(fields)
     for pair, ops in steps:
-        jet = pair[0].combine(points, pair[1], *map(held.__getitem__, ops))
-        for op in ops:
-            users[op] -= 1
-            if not users[op]:
-                del held[op]
+        if ops is None:
+            jet = _truncated(held[pair[0]], pair[1])
+        else:
+            jet = pair[0].combine(points, pair[1], *map(live.__getitem__, ops))
+            for op in ops:
+                users[op] -= 1
+                if not users[op]:
+                    del live[op]
         if users[pair]:
-            held[pair] = jet
+            live[pair] = jet
         for i in wanted.get(pair, ()):
             g, h = jet.grad, jet.hess
             result[i] = Jet(jet.value.copy(), None if g is None else g.copy(), None if h is None else h.copy())
     return result
+
+
+def sample_points(p):
+    """The points of a sample, or ``p`` itself when it is bare points."""
+    return getattr(p, "points", p)
+
+
+def _visit(pair, users, steps, held):
+    """Append the steps of ``pair`` to ``steps`` after those of the operands it reaches first.
+
+    A module function, not a closure: a closure that calls itself is a
+    reference cycle, which would keep ``held``, and so a sample's jets, alive
+    until the cyclic collector runs.
+    """
+    field, order = pair
+    if held is not None:
+        jet = held.get(field)
+        if jet is not None and jet.order >= order and not field.nudges:
+            steps.append((pair, None))
+            return
+    ops = field.operands(order)
+    for op in ops:
+        if op in users:
+            users[op] += 1
+        else:
+            users[op] = 1
+            _visit(op, users, steps, held)
+    steps.append((pair, ops))
+
+
+def _truncated(jet, order):
+    """A held jet cut to ``order``, sharing its arrays: every rule computes value and gradient alike at every order."""
+    if jet.order == order:
+        return jet
+    return Jet(jet.value, jet.grad if order >= 1 else None, None)

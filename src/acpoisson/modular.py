@@ -67,7 +67,7 @@ def modular_direct(triple: tr.PoissonTriple, a, p):
     if a is not None and np.any(_values(sample, [a])[0] == 0.0):
         raise ZeroVolumeFactor("volume factor vanishes at a requested point")
     # evaluated once: one group walk, nothing compiled
-    return np.stack([jet.value for jet in evaluate(modular_direct_fields(triple, a).comps, sample.points, 0)])
+    return np.stack([jet.value for jet in evaluate(modular_direct_fields(triple, a).comps, sample, 0)])
 
 
 def _values(sample, fields):
@@ -123,7 +123,7 @@ def renormalization_check(triple: tr.PoissonTriple, a, p):
     za = modular_direct(triple, a, sample)  # raises where a vanishes
     (av,) = _values(sample, [a])
     z1 = modular_direct(triple, None, sample)
-    xa = np.stack([jet.value for jet in evaluate(tr.hamiltonian_field(triple, a).comps, sample.points, 0)])
+    xa = np.stack([jet.value for jet in evaluate(tr.hamiltonian_field(triple, a).comps, sample, 0)])
     return np.max(np.abs(za - (z1 - xa / av)), axis=0)
 
 

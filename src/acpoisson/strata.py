@@ -91,7 +91,12 @@ class SampleSet:
     ``reason`` it was taken.  ``jets`` evaluates fields on the points through
     ``lowering.evaluate`` and keeps their jets, keyed by field identity, for
     as long as the sample lives, so every block of a command that reads the
-    same field on the same sample shares one evaluation.
+    same field on the same sample shares one evaluation.  A kernel given the
+    sample, not its points, passes it on to ``lowering.evaluate``, whose walk
+    takes each held jet as a leaf: a field the sample holds is not combined
+    again below any derived field, unless a ``cutoff`` lies below it, whose
+    nudges are counted per evaluation.  Nothing else refers to the held jets,
+    so they go with the sample, without waiting for the cyclic collector.
     """
 
     points: np.ndarray  # (5, n), or (5,) for one point
@@ -116,12 +121,13 @@ class SampleSet:
         """The jets of ``fields`` on the points, as ``lowering.evaluate`` gives them.
 
         Fields not yet held at ``order`` are evaluated in one walk over the
-        group, and their jets are kept read-only.  A jet held at a higher order
-        serves a lower one: its value is the same.
+        group, which reads the jets already held, and their jets are kept
+        read-only.  A jet held at a higher order serves a lower one: its value
+        is the same.
         """
         held = self._jets
         missing = [f for f in dict.fromkeys(fields) if f not in held or held[f].order < order]
-        for f, jet in zip(missing, evaluate(missing, self.points, order)):
+        for f, jet in zip(missing, evaluate(missing, self, order)):
             for array in (jet.value, jet.grad, jet.hess):
                 if array is not None:
                     array.flags.writeable = False
@@ -187,11 +193,11 @@ def bivector_rank(mats):
     return np.where(scale > 0, 2 + 2 * rank4, 0)
 
 
-def pi_matrix_values(triple: tr.PoissonTriple, pts):
-    """Assembled bivector as stacked antisymmetric matrices, shape (n, 5, 5)."""
+def pi_matrix_values(triple: tr.PoissonTriple, p):
+    """Assembled bivector as stacked antisymmetric matrices, shape (n, 5, 5), at points or a sample."""
     from .calculus import matrix_values
 
-    vals = matrix_values(triple.pi_matrix(), pts, order=0)
+    vals = matrix_values(triple.pi_matrix(), p, order=0)
     return np.moveaxis(vals, (0, 1), (-2, -1))
 
 
@@ -212,7 +218,7 @@ def strata_columns(triple: tr.PoissonTriple, samples: SampleSet):
     kv = np.atleast_1d(triple.kappa_values(samples))
     bn = np.atleast_1d(triple.beta.norm_values(samples))
     kappa_tol = triple.kappa_tol(samples)
-    rank = bivector_rank(pi_matrix_values(triple, pts))
+    rank = bivector_rank(pi_matrix_values(triple, samples))
     coupled = np.abs(kv) > kappa_tol
     code = 2 * coupled + (bn > 1e-9)  # indices into LABELS
     code[coupled & (np.abs(kv) <= 10 * kappa_tol)] = _NEAR

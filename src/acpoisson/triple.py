@@ -20,7 +20,7 @@ from .calculus import Y_SLOTS, CoordVector, FieldElement
 from .errors import NotAlmostCoupling, OutsideCouplingDomain
 from .fields import ConstField, as_field, is_zero
 from .graded import GradedElement, interior
-from .lowering import evaluate
+from .lowering import evaluate, sample_points
 from .reports import VerificationReport, residual_block
 
 
@@ -119,8 +119,8 @@ def _scaled_tol(kappa_values):
 
 
 def mixed_residual(mov: FieldElement, p):
-    """Pointwise max |coefficient| of the mixed (1,1) component of a moving-frame bivector."""
-    return coefficient_max([mov.project(1, 1).at(p)], p)
+    """Pointwise max |coefficient| of the mixed (1,1) component of a moving-frame bivector, at points or a sample."""
+    return coefficient_max([mov.project(1, 1).at(p)], sample_points(p))
 
 
 def recover_triple(pi: FieldElement, conn: cn.Connection, probe=None):
@@ -228,7 +228,7 @@ def equivalence_check(triple: PoissonTriple, samples, tol=1e-9) -> VerificationR
         sample = sample.subset(triple.domain_mask(sample), "domain")
     pts = sample.points
     ic = ic_norm(triple, sample)
-    jac = jacobiator_norm(triple, pts)
+    jac = jacobiator_norm(triple, sample)  # its walk takes the inputs' held 1-jets as leaves
     scale = verdict_scale(triple, sample)
     ic_pass = ic <= tol
     jac_pass = jac <= tol * scale
@@ -320,12 +320,12 @@ def poisson_connection_residual(triple: PoissonTriple, p):
     """Max over u in {dx1, dx2} of |L_{hor u} P_beta| at p."""
     sample = st.as_sample(p)
     _require_coupling(triple, sample)
-    return _lie_residual(triple.conn, triple.p_beta_matrix(), sample.points)
+    return _lie_residual(triple.conn, triple.p_beta_matrix(), sample)
 
 
-def _lie_residual(conn, pb, points):
-    """Max over i in {1, 2} of |L_{hor_i} P_beta| at points, for any kappa."""
-    lies = (ca.lie_derivative_bivector(cn.horizontal_lift(i, conn), pb, points) for i in (1, 2))
+def _lie_residual(conn, pb, p):
+    """Max over i in {1, 2} of |L_{hor_i} P_beta| at points or a sample, for any kappa."""
+    lies = (ca.lie_derivative_bivector(cn.horizontal_lift(i, conn), pb, p) for i in (1, 2))
     return component_max(v for comps in lies for v in comps.values())
 
 
@@ -336,7 +336,7 @@ def cocycle_residual(triple: PoissonTriple, p):
     qh = ca.moving_to_coord_bivector(
         FieldElement.multivector({((1, 2), ()): -1.0}), triple.conn
     )
-    return component_max(ca.schouten_bivectors(qh, triple.p_beta_matrix(), sample.points).values())
+    return component_max(ca.schouten_bivectors(qh, triple.p_beta_matrix(), sample).values())
 
 
 def curvature_identity_residual(triple: PoissonTriple, p):
@@ -348,7 +348,7 @@ def curvature_identity_residual(triple: PoissonTriple, p):
     """
     sample = st.as_sample(p)
     _require_coupling(triple, sample)
-    curv = cn.curvature(triple.conn, sample.points)
+    curv = cn.curvature(triple.conn, sample)
     (kj,) = sample.jets([triple.kappa], 1)
     bv = triple.beta.values(sample)
     k2 = kj.value**2
@@ -373,8 +373,8 @@ def c2_residual(triple: PoissonTriple, p):
     """|d_{1,0} beta + beta ^ theta|, max over components at each point of p."""
     beta_form = triple.beta.as_form()
     residual = ca.d_component(beta_form, triple.conn, (1, 0)) + beta_form.wedge(cn.theta(triple.conn))
-    pts = st.as_sample(p).points
-    return coefficient_max([residual.at(pts)], pts)
+    sample = st.as_sample(p)
+    return coefficient_max([residual.at(sample)], sample.points)
 
 
 def c3_residual(triple: PoissonTriple, p):

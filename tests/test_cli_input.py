@@ -96,6 +96,24 @@ def test_gauge_rejects_a_non_finite_model_epsilon(capsys, tmp_path):
     assert not outdir.exists()
 
 
+@pytest.mark.parametrize(
+    "sweep, first, second, name",
+    [
+        ("0.1,0.1000001", "0.1", "0.1000001", "eps0p1"),
+        ("0.1,0.1", "0.1", "0.1", "eps0p1"),
+        ("0.05,1e-5,-0.5,0.00001", "1e-05", "1e-05", "eps1em05"),
+    ],
+)
+def test_gauge_refuses_two_epsilons_of_one_variant_name(sweep, first, second, name, capsys, tmp_path):
+    # both would write the same .ini and .report.json, the second over the first
+    outdir = tmp_path / "out"
+    outdir.mkdir()
+    code, lines = _exit_and_message(["gauge", "br3_unimodular", "--sweep", sweep, "--outdir", str(outdir)], capsys)
+    assert code == 2
+    assert lines == [f"error: epsilons {first} and {second} give one variant name, br3_unimodular_{name}"]
+    assert list(outdir.iterdir()) == []
+
+
 def test_grid_bound_is_checked_before_allocation():
     # 10^6 points per axis would need 8e30 bytes if it were built
     with pytest.raises(BadInput):

@@ -4,14 +4,18 @@ The 7^5 = 16 807-point grid is the one the ``verify_batch`` benchmark runs on
 ``sec5_example``.  Each case runs ``cli.main`` in-process; its stdout and the
 SHA-256 of its CSV were captured from the row-by-row writer that the columnar
 one replaced; the ``br3_unimodular`` summary also counts the cutoff guard's
-nudges, whatever warning filters the test runs under.
+nudges, whatever warning filters the test runs under.  A ``check`` of
+``br3_unimodular`` on the 7-point grid of [-1, 1]^5 pins the nudge count of a
+whole verification, one count per evaluation.
 """
 
 import hashlib
+import json
 
 import pytest
 
 from acpoisson import cli
+from acpoisson import model as md
 
 # model -> (stdout, SHA-256 of the CSV)
 EXPECTED = {
@@ -91,3 +95,15 @@ def test_strata_grid7_matches_the_row_writer(model, tmp_path, capsys, monkeypatc
     assert cli.main(["strata", model, "--grid", "7", "--out", "out.csv"]) == 0
     assert capsys.readouterr().out == stdout
     assert hashlib.sha256((tmp_path / "out.csv").read_bytes()).hexdigest() == digest
+
+
+def test_check_counts_nudges_per_evaluation(tmp_path, capsys, monkeypatch):
+    """``check`` of ``br3_unimodular`` on the 7-point grid of [-1, 1]^5, whose points meet
+    the cutoff's branch point: every evaluation that runs the cutoff counts its nudges,
+    also where the sample already holds kappa's jets."""
+    model = md.resolve("br3_unimodular")
+    model.sampling.update(generator="grid", resolution=7, box=[(-1.0, 1.0)] * 5)
+    md.save(model, tmp_path / "grid7.ini")
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["check", "grid7.ini"]) == 0
+    assert json.loads(capsys.readouterr().out)["meta"]["cutoff_nudges"] == 5882

@@ -55,3 +55,20 @@ def test_report_matches_golden(case, tmp_path, capsys, monkeypatch):
     assert out == (GOLDEN / f"{case}.out").read_text(encoding="utf-8")
     digests = json.loads((GOLDEN / "csv_sha256.json").read_text(encoding="utf-8"))
     assert digest == digests.get(case)
+
+
+# model -> SHA-256 of the stdout of `check <model> --samples 10000`, the
+# benchmark's size, captured before the group walk read a sample's held jets
+CHECK_10K_SHA256 = {
+    "br3_unimodular": "18d6936626e535db8c84bec9c5f0e32867f3843985f2d5613485fe5541050e54",
+    "flat_pair_flatness": "e6693f91036343ccc62f289ce3d5e7ec2003e5295712e1f26ae219890c0e5270",
+    "flat_so3": "0eb1f2ef825ea5c6466b140db053301ff6dc1edbb3626dea91d35e22e78c983a",
+    "sec5_example": "cb6885e655eee645c4710d6b6dbb9698e86b2300c79d308e32392f4e4dd9715e",
+}
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_check_at_the_benchmark_size_matches_golden(model, tmp_path, capsys, monkeypatch):
+    code, out, digest = run_case(["check", model, "--samples", "10000"], tmp_path, capsys, monkeypatch)
+    assert code == 0 and digest is None
+    assert hashlib.sha256(out.encode()).hexdigest() == CHECK_10K_SHA256[model]
