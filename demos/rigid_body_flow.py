@@ -15,8 +15,7 @@ from acpoisson.fields import ConstField
 so3 = PoissonTriple(Connection.flat(), ConstField(0.0), VerticalOneForm(["y1", "y2", "y3"]))
 radius2 = ExprField("y1^2 + y2^2 + y3^2")
 
-traj = fl.integrate(so3, ExprField("y3"), [0, 0, 1, 0, 0], dt=1e-3, n=10000,
-                    halving_check=False)
+traj = fl.integrate(so3, ExprField("y3"), [0, 0, 1, 0, 0], dt=1e-3, n=10000)
 cv = radius2.at(traj.states, 0).value
 print(f"rotation flow, 10^4 steps at dt = 1e-3")
 print(f"  radius^2 drift      : {np.max(np.abs(cv - cv[0])):.3e}")
@@ -28,7 +27,7 @@ F = ExprField("y1^2/2 + y2^2/3 + y3^2/4")
 p0 = [0, 0, 1.0, 0.7, -0.4]
 drifts = {}
 for dt, n in ((0.02, 200), (0.01, 400), (0.005, 800)):
-    t = fl.integrate(so3, F, p0, dt=dt, n=n, halving_check=False)
+    t = fl.integrate(so3, F, p0, dt=dt, n=n)
     fv = F.at(t.states, 0).value
     drifts[dt] = np.max(np.abs(fv - fv[0]))
 print("\nenergy drift under step halving (expect ratio ~ 16):")

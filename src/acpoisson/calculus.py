@@ -226,22 +226,23 @@ class CoordVector:
         self.comps = [as_field(c) for c in comps]
         self._lowered = None  # the compiled function; False when the graph cannot be lowered
 
-    def values(self, p, floats=False):
-        """The components at ``p``, a point (5,) or a batch (5, ...), as an array.
+    def values(self, p):
+        """The components at ``p``, the same doubles whichever form ``p`` takes.
 
-        With ``floats``, ``p`` is one point as a sequence of five Python floats
-        and the values come back as a tuple of Python floats, the same doubles.
+        ``p`` is one point as a sequence of five Python floats, whose values
+        come back as a tuple of Python floats, or an array, a point (5,) or a
+        batch (5, ...), whose values come back as an array.
         """
         if self._lowered is None:
             self._lowered = lower(self.comps) or False
-        if floats:
+        if type(p) is not np.ndarray:
             return self._at_point(p)
-        p = np.asarray(p, dtype=float)
+        p = as_points(p)
         if p.shape == (5,):
             return np.array(self._at_point(p.tolist()))
         if self._lowered:
             try:
-                return self._lowered(as_points(p))
+                return self._lowered(p)
             except DomainError:
                 pass  # the jet path raises it again, tagged
         return np.stack([jet.value for jet in evaluate(self.comps, p)])
@@ -315,16 +316,11 @@ TRIPLES = [(m, n, l) for m in range(5) for n in range(m + 1, 5) for l in range(n
 def schouten_bivectors(A, B, p):
     """Schouten bracket of two coordinate bivectors at p.
 
-    Inputs are ``{(mu, nu): Field}`` maps (or FieldElements, converted).
+    Inputs are ``{(mu, nu): Field}`` maps (``bivector_matrix_fields``).
     Returns ``{(mu, nu, lam): value}`` for the 10 increasing triples.
     """
-    same = B is A
-    if isinstance(A, FieldElement):
-        A = bivector_matrix_fields(A)
-    if isinstance(B, FieldElement):
-        B = A if same else bivector_matrix_fields(B)
     va, ga = _bivector_gradients(A, p)
-    vb, gb = (va, ga) if same else _bivector_gradients(B, p)
+    vb, gb = (va, ga) if B is A else _bivector_gradients(B, p)
     out = {}
     for (m, n, l) in TRIPLES:
         total = 0.0
@@ -337,9 +333,7 @@ def schouten_bivectors(A, B, p):
 
 
 def lie_derivative_bivector(X: CoordVector, P, p):
-    """L_X P for a vector and a bivector, both in the coordinate frame."""
-    if isinstance(P, FieldElement):
-        P = bivector_matrix_fields(P)
+    """L_X P for a vector and a ``{(mu, nu): Field}`` bivector, both in the coordinate frame."""
     vx, gx = X.jets(p)
     vp, gp = _bivector_gradients(P, p)
     out = {}

@@ -64,17 +64,21 @@ def _take_nudges(recorded):
     return points
 
 
-def _emit(doc, out, recorded):
-    """Write a document as JSON, to ``out`` or stdout; one with a non-finite number is refused
-    before anything is written.  ``recorded`` is the list of warnings ``main`` records for the
-    command: the points its cutoff nudges moved are counted in ``meta.cutoff_nudges``."""
+def _emit(doc, recorded):
+    """A document as JSON text, refused with :class:`DomainError` if it holds a non-finite number;
+    a command emits every document before it writes any file.  ``recorded`` is the list of warnings
+    ``main`` records: the points moved by the cutoff nudges so far are counted in ``meta.cutoff_nudges``."""
     nudges = _take_nudges(recorded)
     if nudges:
         doc = {**doc, "meta": {**doc.get("meta", {}), "cutoff_nudges": nudges}}
     try:
-        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
     except ValueError:
         raise DomainError("the report holds a non-finite number, which JSON cannot carry") from None
+
+
+def _write(out, text):
+    """Write emitted JSON text to the file ``out``, or to stdout."""
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -153,7 +157,7 @@ def cmd_check(args):
         raise BadInput(f"--tol must be a non-negative number, got {args.tol}")
     model = md.resolve(args.model)
     report = run_check(model, n=args.samples, tol=args.tol)
-    _emit(_document(model, report), args.out, args.recorded)
+    _write(args.out, _emit(_document(model, report), args.recorded))
     return EXIT_OK if report.passed else EXIT_FAIL
 
 
@@ -163,7 +167,6 @@ def cmd_strata(args):
     box = model.sampling["box"]
     samples = st.sample_box(box, generator="grid", resolution=args.grid)
     columns, counts, flagged = st.strata_columns(triple, samples)
-    write_csv(args.out, st.CSV_HEADER, columns)
     summary = {
         "model": model.name,
         "tool_version": __version__,
@@ -171,7 +174,9 @@ def cmd_strata(args):
         "rank_disagreements": flagged.size,
         "csv": args.out,
     }
-    _emit(summary, None, args.recorded)
+    text = _emit(summary, args.recorded)
+    write_csv(args.out, st.CSV_HEADER, columns)
+    print(text)
     return EXIT_OK if not flagged.size else EXIT_FAIL
 
 
@@ -200,10 +205,11 @@ def cmd_modular(args):
     if args.certificate:
         # built after the table above has run: the coupling cut then reads kappa's held 1-jets
         run_table(report, mo.certificate_table(triple, cert, sample, identity_tol, model.tolerance("conservation")))
+    columns = [*sample.points, *mo.modular_direct(triple, None, sample)] if args.csv else None
+    text = _emit(_document(model, report), args.recorded)
     if args.csv:
-        header = ["x1", "x2", "y1", "y2", "y3", "Z_x1", "Z_x2", "Z_y1", "Z_y2", "Z_y3"]
-        write_csv(args.csv, header, [*sample.points, *mo.modular_direct(triple, None, sample)])
-    _emit(_document(model, report), args.out, args.recorded)
+        write_csv(args.csv, ["x1", "x2", "y1", "y2", "y3", "Z_x1", "Z_x2", "Z_y1", "Z_y2", "Z_y3"], columns)
+    _write(args.out, text)
     return EXIT_OK if report.passed else EXIT_FAIL
 
 
@@ -230,16 +236,19 @@ def cmd_gauge(args):
         if variant.name in names:
             raise BadInput(f"epsilons {names[variant.name]!r} and {eps!r} give one variant name, {variant.name}")
         names[variant.name] = eps
-    os.makedirs(args.outdir, exist_ok=True)
-    summary = []
+    summary, texts = [], []
     for eps, variant in zip(eps_values, variants):
-        path = os.path.join(args.outdir, f"{variant.name}.ini")
-        md.save(variant, path)
         report = run_check(variant)
-        rpath = os.path.join(args.outdir, f"{variant.name}.report.json")
-        _emit(_document(variant, report), rpath, args.recorded)
-        summary.append({"epsilon": eps, "model_file": path, "report": rpath, "verdict": "pass" if report.passed else "fail"})
-    _emit({"model": model.name, "sweep": summary}, None, args.recorded)
+        texts.append(_emit(_document(variant, report), args.recorded))  # each report counts its own nudges
+        stem = os.path.join(args.outdir, variant.name)
+        summary.append({"epsilon": eps, "model_file": stem + ".ini", "report": stem + ".report.json",
+                        "verdict": "pass" if report.passed else "fail"})
+    text = _emit({"model": model.name, "sweep": summary}, args.recorded)
+    os.makedirs(args.outdir, exist_ok=True)
+    for variant, entry, report_text in zip(variants, summary, texts):
+        md.save(variant, entry["model_file"])
+        _write(entry["report"], report_text)
+    print(text)
     return EXIT_OK if all(s["verdict"] == "pass" for s in summary) else EXIT_FAIL
 
 
@@ -263,9 +272,10 @@ def cmd_flow(args):
     volume = ExprField(args.volume_factor) if args.volume_factor else None
     tol = model.tolerance("conservation")
     report = fl.conservation_report(triple, traj, casimirs, volume, f_tol=tol, casimir_tol=tol, div_tol=tol)
+    text = _emit(_document(model, report), args.recorded)
     if args.csv:
-        fl.trajectory_to_csv(traj, casimirs, args.csv)
-    _emit(_document(model, report), args.out, args.recorded)
+        fl.trajectory_to_csv(traj, casimirs, args.csv)  # evaluates nothing: the report holds its jets
+    _write(args.out, text)
     return EXIT_OK if report.passed else EXIT_FAIL
 
 

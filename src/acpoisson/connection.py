@@ -64,13 +64,13 @@ class ConnectionShift:
         return cls([[0.0] * 3, [0.0] * 3])
 
     @classmethod
-    def gauge(cls, mu, beta, epsilon=1.0):
-        """Shift induced by a horizontal 1-form mu against a vertical structure.
+    def gauge(cls, mu, beta, epsilon):
+        """Shift induced by a horizontal 1-form mu against the vertical 1-form ``beta``.
 
         Component form: Xi_i^a = -epsilon * eps^{abc} (dmu_i/dy^b) beta_c.
         """
         mu = [as_field(m) for m in mu]
-        bc = beta.comps if hasattr(beta, "comps") else [as_field(b) for b in beta]
+        bc = beta.comps
         rows = []
         for i in (0, 1):
             dm = [mu[i].derivative(Y_SLOTS[b]) for b in range(3)]

@@ -1,11 +1,11 @@
 """Scalar fields on the chart: interned expression nodes, evaluable to exact 2-jets.
 
-A field is anything with an ``eval_jet(points, order)`` method returning a
-:class:`~acpoisson.jets.Jet`.  The fields this package builds, and the trees
-:mod:`~acpoisson.expr` parses, are immutable nodes: a number (``Num``, also
-``ConstField``), a named constant, a variable (``Var``, also ``CoordField``),
-a negation, a binary operation, an integer power, a builtin call, or a
-derivative slot (``PartialField``).  One weak intern table keys each node by
+A field is an interned node, evaluable to a :class:`~acpoisson.jets.Jet`.
+The fields this package builds, and the trees :mod:`~acpoisson.expr` parses,
+are immutable nodes: a number (``Num``, also ``ConstField``), a named
+constant, a variable (``Var``, also ``CoordField``), a negation, a binary
+operation, an integer power, a builtin call, or a derivative slot
+(``PartialField``); there are no others.  One weak intern table keys each node by
 its kind, its parameters (numbers by ``float.hex``) and the identity of its
 children, so structurally equal nodes are one object while they live.
 
@@ -72,24 +72,16 @@ def _arithmetic(op, swap=False):
 
 
 class Field:
-    """Base class; subclasses implement ``eval_jet``, nodes ``operands`` and ``combine``."""
+    """Base class of the nodes, which implement ``operands`` and ``combine`` and set ``budget``
+    (the highest jet order), ``expression`` (expression-backed: folded, differentiated
+    symbolically), ``mask`` (bit k: the field may depend on variable k) and ``nudges``
+    (evaluating the field may count a cutoff nudge)."""
 
     __slots__ = ()
-    budget = 2
-    expression = False  # expression-backed: folded, differentiated symbolically
-    mask = (1 << NVARS) - 1  # bit k: the field may depend on variable k
-    nudges = True  # evaluating the field may count a cutoff nudge
-
-    def eval_jet(self, points, order):
-        raise NotImplementedError
 
     def operands(self, order):
         """The ``(field, order)`` pairs whose jets ``combine`` takes, in evaluation order."""
         return ()
-
-    def combine(self, points, order, *jets):
-        """The jet at ``points`` from the jets of ``operands(order)``."""
-        return self.eval_jet(points, order)
 
     # evaluation helpers --------------------------------------------------
 

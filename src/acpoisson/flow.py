@@ -92,8 +92,7 @@ def _rk4_path(X, p0, dt, n):
     """
     states = np.zeros(p0.shape + (n + 1,))
     states[..., 0] = p0
-    floats = p0.ndim == 1
-    p, step, slope = (p0.tolist(), _step_floats, _slope_floats) if floats else (p0, _step, _slope)
+    p, step, slope = (p0.tolist(), _step_floats, _slope_floats) if p0.ndim == 1 else (p0, _step, _slope)
     values = X.values
     half, sixth = 0.5 * dt, dt / 6.0
     calls = 0
@@ -101,7 +100,7 @@ def _rk4_path(X, p0, dt, n):
     def f(q):
         nonlocal calls
         calls += 1
-        return values(q, floats)
+        return values(q)
 
     for k in range(n):
         try:
@@ -132,8 +131,8 @@ def integrate_batch(triple: tr.PoissonTriple, F, p0s, dt, n):
     return states
 
 
-def integrate(triple: tr.PoissonTriple, F, p0, dt, n, halving_check=True) -> Trajectory:
-    """RK4 trajectory of X_F from p0; optionally estimates error by step halving."""
+def integrate(triple: tr.PoissonTriple, F, p0, dt, n) -> Trajectory:
+    """RK4 trajectory of X_F from p0, with its error estimated by a rerun at half the step."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     _check_steps(n)
@@ -142,7 +141,7 @@ def integrate(triple: tr.PoissonTriple, F, p0, dt, n, halving_check=True) -> Tra
     p0 = np.asarray(p0, dtype=float)
     states, error, calls = _rk4_path(X, p0, dt, n)
     halving = None
-    if halving_check and error is None:
+    if error is None:
         fine, fine_error, fine_calls = _rk4_path(X, p0, dt / 2.0, 2 * n)
         calls += fine_calls
         if fine_error is None:
@@ -207,7 +206,8 @@ def conservation_report(
 
 
 def trajectory_to_csv(traj: Trajectory, casimirs, path):
-    """The states with F and the Casimirs along them, read through the trajectory's sample."""
+    """The states with F and the Casimirs along them, read through the trajectory's sample:
+    after ``conservation_report`` on the same Casimirs, the jets it already holds."""
     fields = [traj.hamiltonian, *(as_field(c) for c in casimirs)]
     header = ["t", "x1", "x2", "y1", "y2", "y3", "F"] + [f"casimir_{i}" for i in range(1, len(fields))]
     columns = [traj.times, *traj.states, *(jet.value for jet in traj.sample.jets(fields))]

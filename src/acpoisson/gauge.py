@@ -82,18 +82,18 @@ def varkappa_intrinsic(triple: tr.PoissonTriple, gauge: GaugeData, p, epsilon=No
     return base + eps * bracket.value
 
 
-def family(triple: tr.PoissonTriple, gauge: GaugeData, epsilon, probe=None):
-    """The eps-member of the deformation family; eps = 0 returns the input."""
+def family(triple: tr.PoissonTriple, gauge: GaugeData, epsilon, probe):
+    """The eps-member of the deformation family; eps = 0 returns the input.  A member
+    whose domain misses every point of ``probe`` raises :class:`EmptyDomain`."""
     if epsilon == 0.0:
         return triple
     xi = cn.ConnectionShift.gauge(gauge.mu, triple.beta, epsilon)
     new_conn = cn.shift(triple.conn, xi)
     # 1 - eps kappa (vk - c): the rescaling of kappa and the domain of the eps-member
     denom = 1.0 - triple.kappa * (varkappa_field(triple, gauge, epsilon) - gauge.c) * epsilon
-    if probe is not None:
-        (jet,) = evaluate([denom], probe)
-        if np.all(np.abs(jet.value) <= 1e-9):
-            raise EmptyDomain("transformation denominator vanishes on every probe point")
+    (jet,) = evaluate([denom], probe)
+    if np.all(np.abs(jet.value) <= 1e-9):
+        raise EmptyDomain("transformation denominator vanishes on every probe point")
     kappa_new = triple.kappa / denom
     return tr.PoissonTriple(new_conn, kappa_new, triple.beta, domain=denom)
 

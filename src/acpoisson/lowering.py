@@ -74,7 +74,7 @@ import sys
 
 import numpy as np
 
-from .fields import BinOp, Call, Const, Neg, Num, PartialField, Pow, Var, as_points
+from .fields import BinOp, Const, Neg, Num, PartialField, Pow, Var, as_points
 from .jets import BUILTIN_RULES, NVARS, Jet, powi_rule, reciprocal_rule
 
 _ARITH = {"+": "add", "-": "sub", "*": "mul"}
@@ -99,10 +99,7 @@ _ABSENT = NVARS
 
 
 class NotLowerable(Exception):
-    """A field holds a node the lowering cannot express."""
-
-
-_NODES = frozenset({Num, Const, Var, Neg, Pow, BinOp, Call})
+    """A field needs a derivative slot beyond the jet budget, which the lowering cannot express."""
 
 
 def _locate(field):
@@ -115,10 +112,8 @@ def _locate(field):
             field = field.parent
         elif kind is Pow and field.exponent == 1:
             field = field.base  # the jet path returns the base's jet itself
-        elif kind in _NODES:
-            return field, prefix
         else:
-            raise NotLowerable(f"cannot lower a {kind.__name__}")
+            return field, prefix
 
 
 def _parts(node):

@@ -139,9 +139,9 @@ def closedness_check(triple: tr.PoissonTriple, p):
     return {"dbeta": dbeta, "theta_casimir": th_cas, "dtheta": dtheta}
 
 
-def test_hamiltonians(seed=7):
-    """Five coordinate functions plus three seeded random cubic polynomials."""
-    rng = np.random.default_rng(seed)
+def test_hamiltonians():
+    """Five coordinate functions plus three random cubic polynomials of seed 7."""
+    rng = np.random.default_rng(7)
     names = ["x1", "x2", "y1", "y2", "y3"]
     polys = []
     for _ in range(3):
@@ -154,11 +154,10 @@ def test_hamiltonians(seed=7):
     return [CoordField(k) for k in range(5)] + polys
 
 
-def invariant_divergence_residual(triple: tr.PoissonTriple, density, p, hamiltonians=None):
-    """Max over test Hamiltonians of |div_(density)(X_F)| at p."""
-    hams = hamiltonians if hamiltonians is not None else test_hamiltonians()
+def invariant_divergence_residual(triple: tr.PoissonTriple, density, p):
+    """Max over the test Hamiltonians of |div_(density)(X_F)| at p."""
     sample = st.as_sample(p)
-    return tr.component_max(ca.divergence(tr.hamiltonian_field(triple, F), sample, density) for F in hams)
+    return tr.component_max(ca.divergence(tr.hamiltonian_field(triple, F), sample, density) for F in test_hamiltonians())
 
 
 def coupling_table(triple: tr.PoissonTriple, cert: UnimodularityCertificate, sample, tol=1e-9, div_tol=1e-6):
@@ -198,14 +197,6 @@ def certificate_table(triple: tr.PoissonTriple, cert: UnimodularityCertificate, 
         table.append(Block("K-casimir-on-zero-set", zero_set, partial(tr.vertical_casimir_residual, triple.beta, cert.K), tol))
     density = ConstField(1.0) / cert.K
     return table + [Block("global-volume-divergence", sample, partial(invariant_divergence_residual, triple, density), div_tol)]
-
-
-def unimod_coupling_check(
-    triple: tr.PoissonTriple, cert: UnimodularityCertificate, pts, tol=1e-9, div_tol=1e-6
-) -> VerificationReport:
-    """Coupling-domain criterion: theta exact, h a Casimir, volume invariant."""
-    table = coupling_table(triple, cert, st.as_sample(pts), tol, div_tol)
-    return run_table(VerificationReport(name="unimodularity-coupling"), table)
 
 
 def unimod_global_check(

@@ -85,7 +85,7 @@ def _validate_box(box):
 
 @dataclass(eq=False)
 class SampleSet:
-    """Sample points with their provenance: the evaluation context of one command.
+    """Sample points: the evaluation context of one command.
 
     A sample made by a mask or slice of another keeps that ``parent`` and the
     ``reason`` it was taken.  ``jets`` evaluates fields on the points through
@@ -100,10 +100,6 @@ class SampleSet:
     """
 
     points: np.ndarray  # (5, n), or (5,) for one point
-    generator: str
-    box: list | None = None
-    seed: int = 0
-    resolution: int | None = None
     parent: SampleSet | None = None
     reason: str | None = None
     _jets: dict = field(default_factory=dict, init=False, repr=False)
@@ -115,7 +111,7 @@ class SampleSet:
         points = self.points[:, keep]
         if points.shape == self.points.shape:
             return self
-        return SampleSet(points, self.generator, self.box, self.seed, self.resolution, self, reason)
+        return SampleSet(points, self, reason)
 
     def jets(self, fields, order=0):
         """The jets of ``fields`` on the points, as ``lowering.evaluate`` gives them.
@@ -137,16 +133,14 @@ class SampleSet:
 
 def as_sample(p) -> SampleSet:
     """``p`` itself when it is a sample, else a sample of the bare points ``p``."""
-    return p if isinstance(p, SampleSet) else SampleSet(np.asarray(p, dtype=float), "points")
+    return p if isinstance(p, SampleSet) else SampleSet(np.asarray(p, dtype=float))
 
 
 def sample_box(box, generator="halton", n=None, resolution=None, seed=0) -> SampleSet:
     if generator == "halton":
-        pts = halton_points(200 if n is None else n, box, seed)
-        return SampleSet(pts, "halton", list(box), seed=seed)
+        return SampleSet(halton_points(200 if n is None else n, box, seed))
     if generator == "grid":
-        resolution = 3 if resolution is None else resolution
-        return SampleSet(grid_points(resolution, box), "grid", list(box), resolution=resolution)
+        return SampleSet(grid_points(3 if resolution is None else resolution, box))
     raise ValueError(f"unknown generator '{generator}'")
 
 

@@ -222,10 +222,9 @@ def verdict_scale(triple: PoissonTriple, p):
 
 
 def equivalence_check(triple: PoissonTriple, samples, tol=1e-9) -> VerificationReport:
-    """Pointwise agreement of the integrability verdict and the Jacobiator verdict."""
+    """Pointwise agreement of the integrability verdict and the Jacobiator verdict on
+    ``samples``, points or a sample already cut to the triple's domain, every one of them."""
     sample = st.as_sample(samples)
-    if sample.points.ndim == 2:
-        sample = sample.subset(triple.domain_mask(sample), "domain")
     pts = sample.points
     ic = ic_norm(triple, sample)
     jac = jacobiator_norm(triple, sample)  # its walk takes the inputs' held 1-jets as leaves
@@ -333,8 +332,8 @@ def cocycle_residual(triple: PoissonTriple, p):
     """Max-norm of the Schouten bracket of Q_H with P_beta at p."""
     sample = st.as_sample(p)
     _require_coupling(triple, sample)
-    qh = ca.moving_to_coord_bivector(
-        FieldElement.multivector({((1, 2), ()): -1.0}), triple.conn
+    qh = ca.bivector_matrix_fields(
+        ca.moving_to_coord_bivector(FieldElement.multivector({((1, 2), ()): -1.0}), triple.conn)
     )
     return component_max(ca.schouten_bivectors(qh, triple.p_beta_matrix(), sample).values())
 

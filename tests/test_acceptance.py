@@ -201,7 +201,7 @@ def test_criterion_5_structural_invariants():
         before = np.asarray(T.kappa_values(pts))
         after = np.asarray(mov.coeffs[((1, 2), ())].at(pts, 0).value)
         rank_ok &= np.array_equal(np.abs(before) > 1e-9, np.abs(after) > 1e-9)
-        samples = st.SampleSet(halton_points(60, BOX, seed=7 * k), "halton", BOX)
+        samples = st.SampleSet(halton_points(60, BOX, seed=7 * k))
         label_ok &= st.strata_columns(T, samples)[2].size == 0
     ok = worst_rt <= 1e-12 and rank_ok and label_ok
     _report(
@@ -246,7 +246,7 @@ def test_criterion_7_flow_diagnostics(so3, sec5):
     casimir = ExprField("y1^2 + y2^2 + y3^2")
     traj = fl.integrate(
         so3, ExprField("y1^2/2 + y2^2/3 + y3^2/4"), [0, 0, 1, 0.7, -0.4],
-        dt=1e-3, n=10000, halving_check=False,
+        dt=1e-3, n=10000,
     )
     cv = casimir.at(traj.states, 0).value
     drift = float(np.max(np.abs(cv - cv[0])))
@@ -254,7 +254,7 @@ def test_criterion_7_flow_diagnostics(so3, sec5):
     F = ExprField("y1^2/2 + y2^2/3 + y3^2/4")
     drifts = []
     for dt, n in ((0.02, 200), (0.01, 400)):
-        t2 = fl.integrate(so3, F, [0, 0, 1, 0.7, -0.4], dt=dt, n=n, halving_check=False)
+        t2 = fl.integrate(so3, F, [0, 0, 1, 0.7, -0.4], dt=dt, n=n)
         fv = F.at(t2.states, 0).value
         drifts.append(float(np.max(np.abs(fv - fv[0]))))
     ratio = drifts[0] / drifts[1]

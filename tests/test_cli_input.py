@@ -185,6 +185,33 @@ def test_a_non_finite_report_exits_3_with_one_line(command, tmp_path):
     assert proc.stdout == "" and not (tmp_path / "report.out").exists()
 
 
+# beta_1 overflows to inf for y1 > 0.02, so the reports hold non-finite residuals
+NON_FINITE_BETA = (
+    "[kappa]\nexpr = 1 + y1^2\n\n[beta]\nb1 = exp(exp(exp(100*y1)))\nb2 = y2\nb3 = y3\n\n"
+    "[gauge]\nmu1 = y3\nmu2 = 0\nc = 0\nepsilon = 0\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["flow", "flat_so3", "--hamiltonian", "y3", "--p0", "0,0,0.5,0.2,0.1", "--dt", "0.01", "--steps", "3",
+         "--casimir", "exp(exp(exp(100*y1)))", "--csv", "f.csv", "--out", "f.json"],
+        ["modular", "m.ini", "--csv", "m.csv"],
+        ["gauge", "m.ini", "--sweep", "0,0.01", "--outdir", "g"],
+    ],
+    ids=["flow", "modular", "gauge"],
+)
+def test_a_refused_report_writes_no_file(argv, capsys, tmp_path, monkeypatch):
+    # a command evaluates and emits every document before it writes its CSV, models or reports
+    monkeypatch.chdir(tmp_path)
+    Path("m.ini").write_text(NON_FINITE_BETA)
+    code, lines = _exit_and_message(argv, capsys)
+    assert code == 3
+    assert lines == ["numeric error: the report holds a non-finite number, which JSON cannot carry"]
+    assert [p.name for p in tmp_path.iterdir()] == ["m.ini"]
+
+
 @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "-1e-9"])
 @pytest.mark.parametrize("key", ["identity", "oracle", "conservation", "fd"])
 def test_bad_model_tolerances_are_rejected(key, value, capsys, tmp_path):

@@ -33,7 +33,7 @@ def test_so3_circle_and_conservation(so3):
 def test_casimir_drift_no_secular_growth(so3):
     traj = fl.integrate(
         so3, ExprField("y1^2/2 + y2^2/3 + y3^2/4"), [0, 0, 1, 0.7, -0.4],
-        dt=1e-3, n=10000, halving_check=False,
+        dt=1e-3, n=10000,
     )
     c = ExprField(CASIMIR).at(traj.states, 0).value
     drift = np.abs(c - c[0])
@@ -49,7 +49,7 @@ def test_energy_drift_fourth_order(so3):
     p0 = [0, 0, 1.0, 0.7, -0.4]
     drifts = []
     for dt, n in ((0.02, 200), (0.01, 400)):
-        traj = fl.integrate(so3, F, p0, dt=dt, n=n, halving_check=False)
+        traj = fl.integrate(so3, F, p0, dt=dt, n=n)
         f = F.at(traj.states, 0).value
         drifts.append(np.max(np.abs(f - f[0])))
     ratio = drifts[0] / drifts[1]
@@ -59,7 +59,7 @@ def test_energy_drift_fourth_order(so3):
 def test_sec5_horizontal_motion(sec5):
     # X_{x1} = kappa hor_2 at the start point
     p0 = np.array([0.0, 0.0, 1.5, 0.0, 0.0])
-    traj = fl.integrate(sec5, ExprField("x1"), p0, dt=1e-3, n=10, halving_check=False)
+    traj = fl.integrate(sec5, ExprField("x1"), p0, dt=1e-3, n=10)
     kv = float(sec5.kappa_values(p0))
     velocity = (traj.states[:, 1] - traj.states[:, 0]) / 1e-3
     np.testing.assert_allclose(velocity, [0.0, kv, 0.0, kv, kv], atol=1e-3)
@@ -85,14 +85,14 @@ def test_trajectory_truncated_on_domain_error():
     )
     # X_F drives y1 downward while F needs ln(y1)
     F = ExprField("0 - y3 - 0.001*ln(y1)")
-    traj = fl.integrate(T, F, [0, 0, 0.5, 0, 0], dt=0.01, n=200, halving_check=False)
+    traj = fl.integrate(T, F, [0, 0, 0.5, 0, 0], dt=0.01, n=200)
     assert traj.truncated
     assert traj.states.shape[1] < 201
     assert np.all(traj.states[2] > 0)
 
 
 def test_conservation_report_with_invariant_volume(so3):
-    traj = fl.integrate(so3, ExprField("y3"), [0, 0, 1, 0, 0], dt=1e-2, n=200, halving_check=False)
+    traj = fl.integrate(so3, ExprField("y3"), [0, 0, 1, 0, 0], dt=1e-2, n=200)
     report = fl.conservation_report(
         so3, traj, casimirs=[ExprField(CASIMIR)], volume_factor=ConstField(1.0)
     )
@@ -100,7 +100,7 @@ def test_conservation_report_with_invariant_volume(so3):
 
 
 def test_trajectory_csv(tmp_path, so3):
-    traj = fl.integrate(so3, ExprField("y3"), [0, 0, 1, 0, 0], dt=1e-2, n=5, halving_check=False)
+    traj = fl.integrate(so3, ExprField("y3"), [0, 0, 1, 0, 0], dt=1e-2, n=5)
     path = tmp_path / "traj.csv"
     fl.trajectory_to_csv(traj, [ExprField(CASIMIR)], path)
     lines = path.read_text().splitlines()
@@ -117,7 +117,6 @@ def test_divergence_accumulation_with_certificate_volume():
     T = model.effective_triple()
     traj = fl.integrate(
         T, ExprField("y3 + 0.2*x1"), [0.1, 0.0, 0.4, 0.2, 0.1], dt=1e-2, n=300,
-        halving_check=False,
     )
     report = fl.conservation_report(T, traj, volume_factor=ConstField(1.0), div_tol=1e-6)
     block = report.block("invariant-volume-divergence")
@@ -131,7 +130,7 @@ def test_divergence_accumulation_with_certificate_volume():
 def test_kappa_sign_block_marks_each_state_where_the_sign_changes():
     # kappa = y1 on a flow that moves y1 from -0.5 through its zero set at unit speed
     T = tr.PoissonTriple(cn.Connection.flat(), ExprField("y1"), tr.VerticalOneForm(["0", "0", "1"]))
-    traj = fl.integrate(T, ExprField("0 - y2"), [0, 0, -0.5, 0, 0], dt=0.1, n=10, halving_check=False)
+    traj = fl.integrate(T, ExprField("0 - y2"), [0, 0, -0.5, 0, 0], dt=0.1, n=10)
     np.testing.assert_allclose(traj.states[2], np.arange(11) * 0.1 - 0.5, atol=1e-12)
     block = fl.conservation_report(T, traj).block("kappa-sign-constancy")
     # state 5 sits in kappa's zero band, so state 6 is the one off-band state whose sign differs
@@ -174,7 +173,7 @@ def test_csv_reads_the_fields_the_report_evaluated(so3, tmp_path, monkeypatch):
 
     from acpoisson import fields, lowering
 
-    traj = fl.integrate(so3, ExprField("y3"), [0, 0, 1, 0, 0], dt=1e-2, n=5, halving_check=False)
+    traj = fl.integrate(so3, ExprField("y3"), [0, 0, 1, 0, 0], dt=1e-2, n=5)
     casimirs = [ExprField(CASIMIR), ExprField("y1 + x2")]
     fl.conservation_report(so3, traj, casimirs=casimirs)
     walks = []
@@ -218,8 +217,6 @@ def test_report_meta_counts_rhs_calls_with_the_halving_rerun(so3):
     meta = fl.conservation_report(so3, traj).meta
     assert meta["rhs_evaluations"] == 4 * 30 + 4 * 60
     assert meta["truncated"] is False and "truncated_at_step" not in meta
-    traj = fl.integrate(so3, ExprField("y3"), [0, 0, 1, 0, 0], dt=1e-2, n=30, halving_check=False)
-    assert fl.conservation_report(so3, traj).meta["rhs_evaluations"] == 4 * 30
 
 
 def test_truncated_report_names_its_step_and_subexpression():
@@ -227,7 +224,7 @@ def test_truncated_report_names_its_step_and_subexpression():
         cn.Connection.flat(), ConstField(0.0), tr.VerticalOneForm(["0", "1", "0"])
     )
     F = ExprField("0 - y3 - 0.001*ln(y1)")
-    traj = fl.integrate(T, F, [0, 0, 0.5, 0, 0], dt=0.01, n=200, halving_check=False)
+    traj = fl.integrate(T, F, [0, 0, 0.5, 0, 0], dt=0.01, n=200)
     meta = fl.conservation_report(T, traj).meta
     assert meta["truncated"] is True
     assert meta["truncated_at_step"] == traj.n_steps
@@ -278,7 +275,7 @@ def test_one_point_flow_equals_a_one_column_batch(model, kind, seed):
     triple = md.resolve(model).effective_triple()
     F = ExprField(_flow_hamiltonian(rng) if kind == "flow" else fuzz.random_smooth_expr(rng))
     p0 = rng.uniform(-0.5, 0.5, 5)
-    traj = fl.integrate(triple, F, p0, 0.01, 12, halving_check=False)
+    traj = fl.integrate(triple, F, p0, 0.01, 12)
     assert not traj.truncated
     batch = fl.integrate_batch(triple, F, p0[:, None], 0.01, 12)
     assert traj.states.tobytes() == batch[:, 0].tobytes()

@@ -34,7 +34,7 @@ def test_varkappa_routes_agree_with_bilinear_term(so3_coupled, rng, pts):
 
 def test_identity_gauge_is_identity(so3_coupled, pts):
     G = ga.GaugeData(mu=(ConstField(0.0), ConstField(0.0)), c=ConstField(0.0))
-    T = ga.family(so3_coupled, G, 1.0)
+    T = ga.family(so3_coupled, G, 1.0, probe=pts)
     assert np.max(np.abs(T.kappa_values(pts) - so3_coupled.kappa_values(pts))) == 0.0
     assert np.max(np.abs(T.conn.gamma_values(pts))) == 0.0
     assert T.beta is so3_coupled.beta
@@ -89,14 +89,14 @@ def test_scale_symmetry(sec5, wide_pts):
     assert np.max(tr.jacobiator_norm(stretched, wide_pts)) <= 1e-12
 
 
-def test_family_epsilon_zero_is_input(sec5):
+def test_family_epsilon_zero_is_input(sec5, pts):
     G = ga.GaugeData(mu=(ExprField("y3"), ConstField(0.0)), c=ConstField(0.0))
-    assert ga.family(sec5, G, 0.0) is sec5
+    assert ga.family(sec5, G, 0.0, probe=pts) is sec5
 
 
 def _domain_values(triple, gauge, epsilon, p):
     """The denominator 1 - eps kappa (vk - c) of the eps-member, which is its domain field."""
-    return evaluate([ga.family(triple, gauge, epsilon).domain], p)[0].value
+    return evaluate([ga.family(triple, gauge, epsilon, probe=p).domain], p)[0].value
 
 
 def test_domain_indicator(so3_coupled, pts):

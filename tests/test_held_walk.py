@@ -53,10 +53,10 @@ def _reads(triple, p):
 def test_reads_through_held_jets_are_bit_identical(name, shape):
     triple = md.resolve(name).effective_triple()
     points = np.random.default_rng(shape[-1]).uniform(-0.9, 0.9, shape)
-    held = st.SampleSet(points, "points")
+    held = st.SampleSet(points)
     tr.ic_norm(triple, held)  # holds the inputs' 1-jets and rho's values
     assert set(held._jets) >= set(_inputs(triple))
-    assert _reads(triple, held) == _reads(triple, st.SampleSet(points.copy(), "points"))
+    assert _reads(triple, held) == _reads(triple, st.SampleSet(points.copy()))
 
 
 def _combined(monkeypatch, run):

@@ -16,9 +16,8 @@ from acpoisson import modular as mo
 from acpoisson import triple as tr
 from acpoisson.calculus import CoordVector
 from acpoisson.errors import DomainError
-from acpoisson.fields import BinOp, ConstField, ExprField, Field, Num, Var
+from acpoisson.fields import BinOp, ConstField, ExprField, Num, Var
 from acpoisson.jets import BUILTIN_RULES, powi_rule
-from acpoisson.lowering import lower
 
 MODELS = sorted(md.BUILTIN_MODELS)
 SOURCES = MODELS + ["fuzz"]
@@ -187,21 +186,6 @@ def test_signed_zeros_of_hessian_slots():
     p = np.array([0.25, 0.0, 0.75, 0.0, 0.0])
     assert_compiled_matches_jets(X, p)
     assert np.signbit(X.values(p)[:2]).tolist() == [False, True]
-
-
-def test_unknown_field_kinds_stay_on_the_jet_path():
-    class Doubled(Field):
-        def __init__(self, f):
-            self.f = f
-
-        def eval_jet(self, points, order):
-            return self.f.eval_jet(points, order) * 2.0
-
-    comps = [ExprField("y1"), Doubled(ExprField("x1*y2")), 0.0, 0.0, ExprField("y3")]
-    assert lower(CoordVector(comps).comps) is None
-    X = CoordVector(comps)
-    np.testing.assert_array_equal(X.values([0.5, 0.0, 1.0, 3.0, 0.0]), [1.0, 3.0, 0.0, 0.0, 0.0])
-    assert X._lowered is False
 
 
 def test_compiled_path_validates_points(so3):

@@ -12,8 +12,8 @@ from acpoisson import modular as mo
 from acpoisson import triple as tr
 from acpoisson.errors import MissingCertificate, ZeroVolumeFactor
 from acpoisson.fields import ConstField, ExprField
-from acpoisson.reports import VerificationReport, residual_block
-from acpoisson.strata import halton_points
+from acpoisson.reports import VerificationReport, residual_block, run_table
+from acpoisson.strata import as_sample, halton_points
 
 
 def test_modular_flat_symplectic_zero(pts):
@@ -128,13 +128,13 @@ def test_closedness_check_cases(sec5, so3, pts):
 def test_coupling_check_sec5(sec5):
     pts = halton_points(300, [(-2, 2)] * 5)
     cert = mo.UnimodularityCertificate(h=ConstField(0.0))
-    rep = mo.unimod_coupling_check(sec5, cert, pts)
+    rep = run_table(VerificationReport(name="unimodularity-coupling"), mo.coupling_table(sec5, cert, as_sample(pts)))
     assert rep.passed
 
 
 def test_coupling_check_requires_certificate(sec5, pts):
     with pytest.raises(MissingCertificate):
-        mo.unimod_coupling_check(sec5, None, pts)
+        mo.coupling_table(sec5, None, as_sample(pts))
     with pytest.raises(MissingCertificate):
         mo.unimod_global_check(sec5, mo.UnimodularityCertificate(h=ConstField(0.0)), pts)
 
@@ -145,7 +145,8 @@ def test_coupling_check_detects_inexact_drift(pts):
     T = tr.PoissonTriple(conn, ConstField(1.0), tr.VerticalOneForm.zero())
     th = cn.theta(conn).at(pts)
     assert np.max(np.abs(th.coefficient(((1,), ())) - pts[2])) <= 1e-12
-    rep = mo.unimod_coupling_check(T, mo.UnimodularityCertificate(h=ConstField(0.0)), pts)
+    table = mo.coupling_table(T, mo.UnimodularityCertificate(h=ConstField(0.0)), as_sample(pts))
+    rep = run_table(VerificationReport(name="unimodularity-coupling"), table)
     assert not rep.block("theta-exactness").passed
 
 

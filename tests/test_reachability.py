@@ -39,8 +39,6 @@ KEEP = {
     "connection.ConnectionShift.__add__": (TEST_HELPER, "test_connection composes shifts with it"),
     "errors.NotAlmostCoupling.__init__": (REFERENCE, "raised by recover_triple, the subject of acceptance criterion 5"),
     "expr.variables_used": (REFERENCE, "the variable set test_nodes holds a node's mask to"),
-    "fields.Field.eval_jet": (MISUSE_GUARD, "a Field subclass that gives no evaluation rule"),
-    "fields.Field.combine": (TEST_HELPER, "the route of a Field subclass that defines only eval_jet, as test_tape and test_lowering do"),
     "fields.Field.value": (BENCHMARK, "benchmark/tracing.py reads it from Field.__dict__"),
     "fields.Field.gradient": (BENCHMARK, "benchmark/tracing.py reads it from Field.__dict__"),
     "fields.Field.hessian": (BENCHMARK, "benchmark/tracing.py reads it from Field.__dict__"),
@@ -63,7 +61,6 @@ KEEP = {
     "jets.Jet.__rsub__": (BENCHMARK, "benchmark/tracing.py reads it from Jet.__dict__"),
     "jets.Jet.__rtruediv__": (BENCHMARK, "benchmark/tracing.py reads it from Jet.__dict__"),
     "lowering._same": (BENCHMARK, "the batch conversions of a lowered graph, which the 64-point flow_rk4 operation runs"),
-    "modular.unimod_coupling_check": (TEST_HELPER, "a run of the coupling entries modular --certificate reports, which test_modular calls"),
     "strata.matrix_rank": (REFERENCE, "the SVD rank test_strata holds bivector_rank to"),
     "triple.VerticalOneForm.zero": (TEST_HELPER, "the zero vertical form the triple tests build"),
     "triple.recover_triple": (REFERENCE, "the subject of acceptance criterion 5"),

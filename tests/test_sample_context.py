@@ -73,15 +73,14 @@ def test_verdict_routes_meet_only_in_the_inputs(name, monkeypatch):
     inputs = _inputs(triple)
     pts = sample.points
     jacobiator_route = _evaluated(monkeypatch, lambda: tr.jacobiator_norm(triple, pts))
-    integrability_route = _evaluated(monkeypatch, lambda: tr.ic_norm(triple, st.SampleSet(pts, "points")))
+    integrability_route = _evaluated(monkeypatch, lambda: tr.ic_norm(triple, st.SampleSet(pts)))
     assert {id(f) for f in integrability_route} == {id(f) for f in [*inputs, *cn.rho_components(triple.conn)]}
     assert _ids(jacobiator_route) & _ids(integrability_route) <= _ids(inputs)
 
     report = tr.equivalence_check(triple, sample)
     assert report.passed
     held = {id(f) for f in sample._jets}
-    domain = [] if triple.domain is None else [triple.domain]  # the domain cut reads through the sample too
-    assert {id(f) for f in [*inputs, *domain]} <= held <= {id(f) for f in [*integrability_route, *domain]}
+    assert {id(f) for f in inputs} <= held <= {id(f) for f in integrability_route}
 
 
 def test_subset_keeps_the_sample_when_nothing_is_dropped():
@@ -92,7 +91,6 @@ def test_subset_keeps_the_sample_when_nothing_is_dropped():
     child = sample.subset(keep, "coupling")
     assert child is not sample
     assert child.parent is sample and child.reason == "coupling"
-    assert (child.generator, child.seed, child.box) == (sample.generator, sample.seed, sample.box)
     np.testing.assert_array_equal(child.points, sample.points[:, keep])
     assert sample.subset(slice(5), "first 5 points").points.shape == (5, 5)
 
@@ -108,7 +106,7 @@ def test_sample_reads_are_bit_identical_to_field_at(name, shape):
     triple = md.resolve(name).effective_triple()
     points = np.random.default_rng(len(shape) + shape[-1]).uniform(-1, 1, shape)
     fields_ = [*_inputs(triple), *cn.rho_components(triple.conn)]
-    sample = st.SampleSet(points, "points")
+    sample = st.SampleSet(points)
     for order in (0, 1):
         got = sample.jets(fields_, order)
         assert [_jet_bytes(j, order) for j in got] == [_jet_bytes(f.at(points, order), order) for f in fields_]

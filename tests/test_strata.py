@@ -122,7 +122,7 @@ def test_classify_deformed_cutoff_family(pts):
 
 def test_strata_report_flat_horizontal(pts):
     T = tr.PoissonTriple(cn.Connection.flat(), ConstField(1.0), tr.VerticalOneForm.zero())
-    samples = st.SampleSet(pts, "halton", [(-1, 1)] * 5)
+    samples = st.SampleSet(pts)
     _, counts, flagged = st.strata_columns(T, samples)
     assert counts == {"rank2_horizontal": pts.shape[1]}
     assert flagged.size == 0
@@ -142,7 +142,7 @@ def test_strata_report_sec5_mixture(sec5):
 def test_formula_label_matches_svd_rank_campaign(rng):
     for k in range(10):
         T = fuzz.random_flat_casimir_triple(rng)
-        samples = st.SampleSet(st.halton_points(80, [(-1, 1)] * 5, seed=k), "halton", [(-1, 1)] * 5)
+        samples = st.SampleSet(st.halton_points(80, [(-1, 1)] * 5, seed=k))
         _, _, flagged = st.strata_columns(T, samples)
         assert flagged.size == 0
 

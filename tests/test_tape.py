@@ -13,7 +13,7 @@ from acpoisson import model as md
 from acpoisson import triple as tr
 from acpoisson.calculus import CoordVector, FieldElement
 from acpoisson.errors import DomainError, OrderBudgetExceeded
-from acpoisson.fields import Call, ConstField, CoordField, ExprField, Field
+from acpoisson.fields import Call, ConstField, CoordField, ExprField
 from acpoisson.lowering import evaluate
 
 MODELS = sorted(md.BUILTIN_MODELS)
@@ -194,15 +194,6 @@ def test_budgets_orders_and_unknown_kinds_follow_the_jets():
     with pytest.raises(OrderBudgetExceeded):
         evaluate([ExprField("y1"), twice], p, 1)
     assert_tape_matches_jets([twice, ExprField("x1")], p, 0)
-
-    class Doubled(Field):
-        def __init__(self, f):
-            self.f = f
-
-        def eval_jet(self, points, order):
-            return self.f.eval_jet(points, order) * 2.0
-
-    assert_tape_matches_jets([ExprField("y1*y2"), Doubled(ExprField("x1*y2"))], p, 1)
     # order 2 is served by the jets
     hess = evaluate([ExprField("x1*y2^2")], p, 2)[0].hess
     assert hess.tobytes() == ExprField("x1*y2^2").at(p, 2).hess.tobytes()

@@ -139,6 +139,16 @@ def test_equivalence_check_flat_casimir_and_perturbed(rng):
         assert rep.meta["both_fail_fraction"] == 1.0
 
 
+def test_equivalence_check_reports_on_exactly_the_points_given(so3):
+    # the domain field y1 vanishes at four of the points: the caller cuts to the domain, not the check
+    T = tr.PoissonTriple(so3.conn, so3.kappa, so3.beta, domain=ExprField("y1"))
+    pts = halton_points(20, [(-1, 1)] * 5)
+    pts[2, ::5] = 0.0
+    assert not T.domain_mask(pts).all()
+    rep = tr.equivalence_check(T, pts)
+    assert [b.n_samples for b in rep.blocks] == [20, 20]
+
+
 def test_poisson_bracket_examples(so3, sec5):
     p = np.array([0.5, -0.3, 0.7, 0.2, -0.4])
     flat = tr.PoissonTriple(cn.Connection.flat(), ConstField(1.0), tr.VerticalOneForm.zero())
@@ -263,8 +273,8 @@ def test_flat_pair_three_way_agreement(rng):
             T = ga.family(T, G, G.epsilon, probe=pts)
         pts = halton_points(60, [(-1, 1)] * 5)
         pts = pts[:, T.domain_mask(pts) & T.coupling_mask(pts)]
-        pi20 = ca.moving_to_coord_bivector(
-            FieldElement.multivector({((1, 2), ()): T.kappa}), T.conn
+        pi20 = ca.bivector_matrix_fields(
+            ca.moving_to_coord_bivector(FieldElement.multivector({((1, 2), ()): T.kappa}), T.conn)
         )
         curv = np.max(np.abs(cn.curvature(T.conn, pts)), axis=0)
         s20 = ca.schouten_bivectors(pi20, pi20, pts)
