@@ -37,7 +37,7 @@ print(f"jacobiator max residual    : {report.block('jacobiator').max_residual:.3
 print(f"verdicts agree everywhere  : {not report.disagreements}")
 
 print("\nrank strata on a coarse grid:")
-samples = st.sample_box([(-2, 2)] * 5, generator="grid", resolution=3)
+samples = st.SampleSet(st.grid_points(3, [(-2, 2)] * 5))
 _, counts, _ = st.strata_columns(T, samples)
 for label, count in sorted(counts.items()):
     print(f"  {label:18s} {count}")

@@ -51,13 +51,7 @@ from .gauge import GaugeData, family, varkappa
 from .graded import GradedElement, interior
 from .model import ModelFile, load, loads, resolve, save
 from .modular import UnimodularityCertificate, modular_bigraded, modular_direct
-from .strata import (
-    SampleSet,
-    bivector_rank,
-    halton_points,
-    matrix_rank,
-    sample_box,
-)
+from .strata import SampleSet, bivector_rank, halton_points, matrix_rank
 from .triple import (
     PoissonTriple,
     VerticalOneForm,

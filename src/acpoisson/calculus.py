@@ -37,16 +37,16 @@ class FieldElement(GradedElement):
         elif not is_zero(f):
             self.coeffs[key] = f
 
-    def at(self, p, order=0) -> GradedElement:
-        """Evaluate coefficients at point(s) or a sample p; order>0 is rarely needed."""
-        return evaluate_elements([self], p, order)[0]
+    def at(self, p) -> GradedElement:
+        """Evaluate coefficients at point(s) or a sample p."""
+        return evaluate_elements([self], p)[0]
 
 
-def evaluate_elements(elements, p, order=0):
+def evaluate_elements(elements, p):
     """Evaluate the coefficients of several elements as one group, sharing their subexpressions.
 
     ``p`` is points or a sample, whose held jets the group walk reads."""
-    jets = iter(evaluate([f for e in elements for f in e.coeffs.values()], p, order))
+    jets = iter(evaluate([f for e in elements for f in e.coeffs.values()], p))
     return [GradedElement(e.kind, {k: next(jets).value for k in e.coeffs}) for e in elements]
 
 
@@ -214,7 +214,7 @@ class CoordVector:
 
     ``values`` runs the components as one straight-line function, compiled on
     first use (``lowering.lower``) and bit-identical to evaluating each
-    component's jet; graphs the compiler cannot express and every domain error
+    component's jet; a graph nested too deeply to compile and every domain error
     go through ``lowering.evaluate``, so an error names its failing subexpression.
     ``jets`` evaluates the components as one group (``lowering.evaluate``), on
     points or on a sample, whose held jets the walk reads.
@@ -224,7 +224,7 @@ class CoordVector:
 
     def __init__(self, comps):
         self.comps = [as_field(c) for c in comps]
-        self._lowered = None  # the compiled function; False when the graph cannot be lowered
+        self._lowered = None  # the compiled function; False when the graph is too deep to lower
 
     def values(self, p):
         """The components at ``p``, the same doubles whichever form ``p`` takes.
@@ -346,11 +346,6 @@ def lie_derivative_bivector(X: CoordVector, P, p):
     return out
 
 
-def lie_derivative_norm(X, P, p):
-    comps = lie_derivative_bivector(X, P, p)
-    return max(float(np.max(np.abs(v))) for v in comps.values())
-
-
 def vector_commutator(X: CoordVector, Y: CoordVector, p):
     """[X, Y] at p, componentwise."""
     vx, gx = X.jets(p)  # gx[m, r] = d_r X^m
@@ -358,16 +353,13 @@ def vector_commutator(X: CoordVector, Y: CoordVector, p):
     return np.einsum("r...,mr...->m...", vx, gy) - np.einsum("r...,mr...->m...", vy, gx)
 
 
-def divergence(X: CoordVector, p, density: Field | None = None):
+def divergence(X: CoordVector, p, density: Field):
     """div X with respect to the chart volume scaled by ``density``, read through the sample ``p``."""
     from .strata import as_sample
 
     sample = as_sample(p)
     vx, gx = X.jets(sample)
-    div = np.einsum("mm...->...", gx)
-    if density is not None:
-        (jet,) = sample.jets([density], 1)
-        if np.any(jet.value == 0.0):
-            raise ZeroVolumeFactor("volume density vanishes at a sampled point")
-        div = div + np.einsum("m...,m...->...", vx, jet.grad) / jet.value
-    return div
+    (jet,) = sample.jets([density], 1)
+    if np.any(jet.value == 0.0):
+        raise ZeroVolumeFactor("volume density vanishes at a sampled point")
+    return np.einsum("mm...->...", gx) + np.einsum("m...,m...->...", vx, jet.grad) / jet.value

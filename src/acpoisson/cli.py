@@ -12,7 +12,7 @@ import json
 import math
 import sys
 import warnings
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -164,8 +164,7 @@ def cmd_check(args):
 def cmd_strata(args):
     model = md.resolve(args.model)
     triple = model.effective_triple()
-    box = model.sampling["box"]
-    samples = st.sample_box(box, generator="grid", resolution=args.grid)
+    samples = st.SampleSet(st.grid_points(args.grid, model.sampling["box"]))
     columns, counts, flagged = st.strata_columns(triple, samples)
     summary = {
         "model": model.name,
@@ -369,7 +368,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"error: {self.prog}: {message}\n")
 
 
+@cache
 def build_parser():
+    """The command-line parser, built once per process: ``main`` only reads it."""
     parser = _Parser(
         prog="acpoisson",
         description="verification toolkit for fibered-chart Poisson structures",
@@ -382,13 +383,11 @@ def build_parser():
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--out", default=None, help="write the JSON report here")
-    p.set_defaults(func=cmd_check)
 
     p = subs.add_parser("strata", help="rank stratification over a grid, CSV output")
     p.add_argument("model")
     p.add_argument("--grid", type=int, default=5, help="points per axis")
     p.add_argument("--out", default="strata.csv")
-    p.set_defaults(func=cmd_strata)
 
     p = subs.add_parser("modular", help="modular-field diagnostics and certificates")
     p.add_argument("model")
@@ -396,14 +395,12 @@ def build_parser():
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--csv", default=None, help="write modular field samples here")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_modular)
 
     p = subs.add_parser("gauge", help="apply/sweep the gauge block; write models + reports")
     p.add_argument("model")
     p.add_argument("--epsilon", type=float, default=None)
     p.add_argument("--sweep", default=None, help="comma-separated epsilon list")
     p.add_argument("--outdir", default=".")
-    p.set_defaults(func=cmd_gauge)
 
     p = subs.add_parser("flow", help="integrate a Hamiltonian field, report conservation")
     p.add_argument("model")
@@ -415,17 +412,14 @@ def build_parser():
     p.add_argument("--volume-factor", default=None)
     p.add_argument("--csv", default=None)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_flow)
 
-    p = subs.add_parser("selftest", help="built-in examples plus fuzz campaigns")
-    p.set_defaults(func=cmd_selftest)
+    subs.add_parser("selftest", help="built-in examples plus fuzz campaigns")
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
     # a usage error exits 2, matching the input-error contract
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     # cutoff nudges are counted, not shown; their filter goes first, so python -W cannot change the count
     try:
         with warnings.catch_warnings(record=True) as args.recorded:  # read by _emit
@@ -442,7 +436,7 @@ def _run(args):
     try:
         # overflow and NaN surface as verdicts or as a DomainError, not as numpy warnings
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return args.func(args)
+            return globals()[f"cmd_{args.command}"](args)  # looked up per run: the parser is built once
     except (DomainError, ZeroVolumeFactor) as err:
         print(f"numeric error: {err}", file=sys.stderr)
         return EXIT_NUMERIC

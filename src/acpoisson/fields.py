@@ -9,8 +9,9 @@ operation, an integer power, a builtin call, or a derivative slot
 its kind, its parameters (numbers by ``float.hex``) and the identity of its
 children, so structurally equal nodes are one object while they live.
 
-Each operation has one node class.  A node is *expression-backed*
-(``ExprField``) exactly when no ``PartialField`` lies below it.  Arithmetic on
+Each operation has one node class.  A node is *expression-backed* (its
+``expression`` flag) exactly when no ``PartialField`` lies below it;
+``ExprField(text)`` parses text into such a node.  Arithmetic on
 expression-backed operands is folded (``0*f`` is ``0``, ``1*f`` is ``f``), so
 every spelling of zero is the same zero (:func:`is_zero`), ``derivative`` is
 symbolic with the full 2-jet budget, and a domain error names its
@@ -107,17 +108,13 @@ class Field:
         return self.at(p, order=2).hess
 
     def partial(self, k) -> "Field":
-        """First partial derivative by variable index or name."""
-        if isinstance(k, str):
-            k = VAR_INDEX[k]
+        """First partial derivative by variable index."""
         return PartialField(self, k)
 
     def derivative(self, k) -> "Field":
-        """First partial derivative, symbolic (full budget) when expression-backed."""
+        """First partial derivative by variable index, symbolic (full budget) when expression-backed."""
         if not self.expression:
             return self.partial(k)
-        if isinstance(k, str):
-            k = VAR_INDEX[k]
         cache = self._derivs
         if cache is None:
             cache = [None] * NVARS
@@ -225,16 +222,9 @@ class _Node(Field, metaclass=_Interned):
         return self._source
 
 
-class _Expressions(type):
-    def __call__(cls, source):
-        return ex.parse(source) if isinstance(source, str) else source
-
-    def __instancecheck__(cls, obj):
-        return isinstance(obj, Field) and obj.expression
-
-
-class ExprField(metaclass=_Expressions):
-    """An expression-backed field: ``ExprField(text)`` parses, ``ExprField(node)`` is the node."""
+def ExprField(source) -> Field:
+    """The expression-backed field the text ``source`` parses to."""
+    return ex.parse(source)
 
 
 def _derive(node, a, b):

@@ -41,10 +41,8 @@ def random_smooth_expr(rng):
     return f"{f1}({u}) + 0.7*{f2}({v}) + exp({w})*0.3"
 
 
-def random_connection(rng, degree=2, scale=0.7) -> cn.Connection:
-    return cn.Connection(
-        [[random_poly_expr(rng, degree=degree, terms=3, scale=scale) for _ in range(3)] for _ in range(2)]
-    )
+def random_connection(rng) -> cn.Connection:
+    return cn.Connection([[random_poly_expr(rng, degree=2, terms=3, scale=0.7) for _ in range(3)] for _ in range(2)])
 
 
 def random_flat_casimir_triple(rng, closed=None, nonvanishing=False) -> tr.PoissonTriple:

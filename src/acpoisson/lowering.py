@@ -98,10 +98,6 @@ def _name(names, prefix, i):
 _ABSENT = NVARS
 
 
-class NotLowerable(Exception):
-    """A field needs a derivative slot beyond the jet budget, which the lowering cannot express."""
-
-
 def _locate(field):
     """``(node, derivative slot prefix)`` of a field: a partial is a slot of its parent's node."""
     prefix = ()
@@ -277,13 +273,11 @@ class _Emitter:
             if len(slot) == 1:
                 if not mask >> k & 1:
                     return get((node, ()), (_ABSENT,))
-            elif len(slot) == 2:
+            else:  # two long at most: a partial spends one order of a budget of at most 2
                 j = slot[1]
                 same = (k if mask >> k & 1 else _ABSENT, j if mask >> j & 1 else _ABSENT)
                 if same != slot:
                     return get((node, ()), same)
-            else:
-                raise NotLowerable("derivative order beyond the jet budget")
         abstract = self.abstract.get
         if kind == "mul":
             a, b = children
@@ -440,7 +434,7 @@ def _source(lines, outputs, nconsts):
 
 
 def lower(comps):
-    """Compile component fields into ``f(points)``, or None.
+    """Compile component fields into ``f(points)``, or None when the graph is nested too deeply to emit.
 
     ``points`` is one point as a sequence of five finite Python floats, for
     which ``f`` gives a tuple of len(comps) Python floats, or a batch (5, ...)
@@ -451,7 +445,7 @@ def lower(comps):
     """
     try:
         lines, outputs, consts = _emit(comps)
-    except (NotLowerable, RecursionError):
+    except RecursionError:
         return None
     code = compile(_source(lines, outputs, len(consts)), "<lowered vector field>", "exec")
     # one point runs on Python floats: + - * round as on numpy scalars.  A rule

@@ -12,7 +12,11 @@ Sections:
                   n = <int>; seed = <int> (0 .. 2**62); resolution = <int>
     [tolerances]  identity, oracle, conservation, fd = <reals>    (optional)
 
-Any other section or key, and a section or key given twice, is refused.
+Any other section or key, and a section or key given twice, is refused, and
+so is ``kappa0`` without ``K``: only the global criterion kappa = e^h kappa0 K
+reads it.  A Halton model draws ``n`` points from ``seed``, and a command may
+ask it for another count; a grid model has ``resolution`` points per axis,
+and a sample count for it is refused.
 
 A model with a [gauge] block denotes the deformation-family member at the
 recorded epsilon; commands apply the gauge before checking, so sweep outputs
@@ -33,7 +37,7 @@ from . import modular as mo
 from . import strata as st
 from . import triple as tr
 from .connection import Connection
-from .errors import NESTED_TOO_DEEPLY, BadInterval, ExprSyntaxError, MissingSection, ModelParseError
+from .errors import NESTED_TOO_DEEPLY, BadInput, BadInterval, ExprSyntaxError, MissingSection, ModelParseError
 from .fields import ExprField
 
 DEFAULT_TOLERANCES = {
@@ -113,14 +117,15 @@ class ModelFile:
         )
 
     def samples(self, n=None) -> st.SampleSet:
+        """The model's sample: ``n`` Halton points (default ``[sampling] n``), or its grid."""
         s = self.sampling
-        return st.sample_box(
-            s["box"],
-            generator=s["generator"],
-            n=s["n"] if n is None else n,
-            resolution=s["resolution"],
-            seed=s["seed"],
-        )
+        if s["generator"] == "grid":
+            if n is not None:
+                raise BadInput(
+                    f"a sample count applies to Halton models; {self.name} samples a grid, set by [sampling] resolution"
+                )
+            return st.SampleSet(st.grid_points(s["resolution"], s["box"]))
+        return st.SampleSet(st.halton_points(s["n"] if n is None else n, s["box"], s["seed"]))
 
     def tolerance(self, key):
         return float(self.tolerances.get(key, DEFAULT_TOLERANCES[key]))
@@ -207,6 +212,8 @@ def loads(text: str) -> ModelFile:
     certificate = None
     if "certificate" in sections:
         certificate = {"K" if key == "k" else key: value for key, value in sections["certificate"].items()}
+        if "kappa0" in certificate and "K" not in certificate:
+            raise ModelParseError("[certificate] kappa0 needs K: only the global criterion kappa = e^h kappa0 K reads it")
 
     sampling = dict(DEFAULT_SAMPLING)
     if "sampling" in sections:

@@ -5,13 +5,13 @@ Every report block is a per-point residual on a named sample, stated as a
 :class:`CheckBlock` through :func:`residual_block`.  The one block built
 outside a table is ``triple.equivalence_check``'s ``jacobiator``: its verdict
 reads a tolerance scaled at each point by 1 + jet magnitudes, which the
-reported ``tol`` does not show.
+reported ``tol`` does not show.  :func:`write_csv` writes the float, int and
+label columns of the CSV outputs, unquoted, since every header name and
+label is bare.
 """
 
 from __future__ import annotations
 
-import csv
-import re
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
@@ -114,34 +114,26 @@ def run_table(report: VerificationReport, table) -> VerificationReport:
     return report
 
 
-_BARE = re.compile(r'[^,"\r\n]+\Z')  # a cell csv.writer leaves unquoted
-
-
 def _cells(column):
-    """A column's CSV cells (floats as ``repr``, ints as ``str``), and whether all are bare."""
+    """A column's CSV cells: floats as ``repr``, ints and labels as ``str``."""
     array = np.asarray(column)
     if array.dtype.kind == "f":
         # repr once per distinct bit pattern (-0.0 stays apart from 0.0), scattered back
         bits, inverse = np.unique(np.asarray(array, np.float64).view(np.int64), return_inverse=True)
         text = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
-        return text[inverse].tolist(), True
-    if array.dtype.kind in "iu":
-        return list(map(str, array.tolist())), True
-    cells = list(column)  # not array.tolist(): a numpy str array drops trailing NULs
-    return cells, all(type(v) is str for v in cells) and all(map(_BARE.match, set(cells)))
+        return text[inverse].tolist()
+    return list(map(str, array.tolist()))
 
 
 def write_csv(path, header, columns):
-    """Write equal-length float, int or label columns as CSV under ``header``: the
-    bytes ``csv.writer`` writes when fed ``repr(float(v))`` for each float cell."""
-    parts = [_cells(c) for c in columns]
-    cells = [c for c, _ in parts]
+    """Write equal-length float, int or label columns as CSV under ``header``, each
+    line ended by CRLF.  No cell is quoted: the header names and labels hold no
+    comma, quote or line break, so these are the bytes ``csv.writer`` writes when
+    fed ``repr(float(v))`` for each float cell."""
+    cells = [_cells(c) for c in columns]
     if len({len(c) for c in cells}) > 1:
         raise ValueError(f"CSV columns differ in length: {[len(c) for c in cells]}")
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        if not all(bare for _, bare in parts):
-            writer.writerows(zip(*cells))
-        elif cells and cells[0]:  # nothing to quote: join all rows at once
+        fh.write(",".join(header) + "\r\n")
+        if cells and cells[0]:
             fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")

@@ -1,9 +1,12 @@
 """Rank stratification and deterministic chart sampling.
 
-Halton sampling uses the radical-inverse sequences in bases 2, 3, 5, 7, 11
-(one base per chart variable) with an index offset acting as the seed, so a
-given (box, n, seed) always reproduces the same points.  A sample is also the
-evaluation context of the command that drew it (:class:`SampleSet`).
+Two generators draw points in a box: :func:`halton_points` uses the
+radical-inverse sequences in bases 2, 3, 5, 7, 11 (one base per chart
+variable) with an index offset acting as the seed, so a given (box, n, seed)
+always reproduces the same points, and :func:`grid_points` lays a tensor
+grid.  A model picks its generator (``ModelFile.samples``) and ``strata``
+always takes a grid.  A sample is also the evaluation context of the command
+that drew it (:class:`SampleSet`).
 """
 
 from __future__ import annotations
@@ -134,14 +137,6 @@ class SampleSet:
 def as_sample(p) -> SampleSet:
     """``p`` itself when it is a sample, else a sample of the bare points ``p``."""
     return p if isinstance(p, SampleSet) else SampleSet(np.asarray(p, dtype=float))
-
-
-def sample_box(box, generator="halton", n=None, resolution=None, seed=0) -> SampleSet:
-    if generator == "halton":
-        return SampleSet(halton_points(200 if n is None else n, box, seed))
-    if generator == "grid":
-        return SampleSet(grid_points(3 if resolution is None else resolution, box))
-    raise ValueError(f"unknown generator '{generator}'")
 
 
 def matrix_rank(mats):

@@ -186,7 +186,7 @@ def test_frame_conversion_roundtrip(rng, pts):
 def test_divergence_with_density():
     X = CoordVector([CoordField("x1"), 0.0, 0.0, 0.0, 0.0])
     p = np.array([0.5, 0.0, 0.0, 0.0, 0.0])
-    assert float(ca.divergence(X, p)) == 1.0
+    assert float(ca.divergence(X, p, ConstField(1.0))) == 1.0
     # density exp(x1): div = 1 + x1
     dens = ExprField("exp(x1)")
     assert np.isclose(float(ca.divergence(X, p, dens)), 1.5)

@@ -77,7 +77,7 @@ def _combined(monkeypatch, run):
 @pytest.mark.parametrize("name", MODELS)
 def test_jacobiator_after_ic_norm_combines_no_input(name, monkeypatch):
     triple = md.resolve(name).effective_triple()
-    sample = st.sample_box([(-1, 1)] * 5, n=50)
+    sample = st.SampleSet(st.halton_points(50, [(-1, 1)] * 5))
     tr.ic_norm(triple, sample)
     inputs = _closure(_inputs(triple))
     combined = _combined(monkeypatch, lambda: tr.jacobiator_norm(triple, sample))
@@ -100,7 +100,7 @@ def test_held_arrays_go_with_the_sample():
     gc.collect()
     gc.disable()
     try:
-        sample = st.sample_box([(-1, 1)] * 5, n=100)
+        sample = st.SampleSet(st.halton_points(100, [(-1, 1)] * 5))
         tr.equivalence_check(triple, sample)
         refs = [weakref.ref(jet.value) for jet in sample._jets.values()]
         assert refs and all(ref() is not None for ref in refs)

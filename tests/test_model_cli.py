@@ -303,6 +303,44 @@ def test_cli_exits_2_on_a_refused_model_line(old, new, message, tmp_path, capsys
     assert err.startswith(f"error: {message}")
 
 
+def test_a_kappa0_without_K_is_refused(tmp_path, capsys):
+    # only the global criterion kappa = e^h kappa0 K reads kappa0
+    with pytest.raises(ModelParseError, match=r"\[certificate\] kappa0 needs K"):
+        md.loads(MINIMAL + "\n[certificate]\nh = 0\nkappa0 = 1 + y1^2\n")
+    path = tmp_path / "m.ini"
+    path.write_text(MINIMAL + "\n[certificate]\nkappa0 = 1 + y1^2\n")
+    assert cli.main(["modular", str(path), "--samples", "10", "--certificate"]) == 2
+    (err,) = capsys.readouterr().err.splitlines()
+    assert err.startswith("error: [certificate] kappa0 needs K")
+
+
+@pytest.mark.parametrize("command", ["check", "modular"])
+def test_a_sample_count_for_a_grid_model_is_refused(command, tmp_path, capsys):
+    model = md.resolve("flat_so3")
+    model.sampling.update(generator="grid", resolution=3)
+    path = tmp_path / "grid.ini"
+    md.save(model, path)
+    assert cli.main([command, str(path), "--samples", "7"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (err,) = captured.err.splitlines()
+    assert err.startswith("error: ") and "[sampling] resolution" in err
+
+
+def test_two_main_calls_share_one_parser(monkeypatch, capsys):
+    parsers = []
+    parse_args = cli._Parser.parse_args
+
+    def spy(self, *args, **kwargs):
+        parsers.append(self)
+        return parse_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "parse_args", spy)
+    assert cli.main(["check", "definitely_missing_model"]) == 2
+    assert cli.main(["strata", "definitely_missing_model"]) == 2
+    assert len(parsers) == 2 and parsers[0] is parsers[1]
+
+
 def test_every_key_the_writer_emits_reads_back(tmp_path):
     # dumps writes every section and key a gauge sweep member carries
     model = md.resolve("br3_unimodular").with_gauge_epsilon(0.1)

@@ -67,7 +67,6 @@ def test_equal_structure_is_one_object():
     assert ex.BinOp("+", f, g) is f + g and (f + g).expression
     assert ex.BinOp("+", f, f.partial(0)) is f + f.partial(0) and not (f + f.partial(0)).expression
     assert ex.Call("exp", f).expression and not ex.Call("exp", f.partial(0)).expression
-    assert f.partial(0) is f.partial("x1")
     with pytest.raises(AttributeError):
         ex.Num(1.0).value = 2.0
 
@@ -81,7 +80,7 @@ def test_a_derivative_is_computed_once_and_matches_the_jets(seed):
     p = rng.uniform(-1, 1, size=(5, 6))
     for k in range(5):
         d = f.derivative(k)
-        assert ExprField(source).derivative(ex.VARIABLES[k]) is d
+        assert ExprField(source).derivative(k) is d
         a, b = d.at(p, 1), f.partial(k).at(p, 1)
         assert np.max(np.abs(a.value - b.value)) <= 1e-12 * (1.0 + np.max(np.abs(b.value)))
         assert np.max(np.abs(a.grad - b.grad)) <= 1e-12 * (1.0 + np.max(np.abs(b.grad)))

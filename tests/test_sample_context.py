@@ -84,7 +84,7 @@ def test_verdict_routes_meet_only_in_the_inputs(name, monkeypatch):
 
 
 def test_subset_keeps_the_sample_when_nothing_is_dropped():
-    sample = st.sample_box([(-1, 1)] * 5, n=20)
+    sample = st.SampleSet(st.halton_points(20, [(-1, 1)] * 5))
     assert sample.subset(np.ones(20, dtype=bool), "domain") is sample
     assert sample.subset(slice(200), "first 200 points") is sample
     keep = np.arange(20) % 3 == 0
@@ -119,7 +119,7 @@ def test_sample_reads_are_bit_identical_to_field_at(name, shape):
 
 
 def test_held_jets_are_read_only():
-    sample = st.sample_box([(-1, 1)] * 5, n=10)
+    sample = st.SampleSet(st.halton_points(10, [(-1, 1)] * 5))
     (jet,) = sample.jets([fields.ExprField("x1*y2 + 1")], 1)
     with pytest.raises(ValueError):
         jet.value[0] = 0.0

@@ -17,9 +17,9 @@ UNIT_BOX = [(0, 1)] * 5
 
 
 def test_grid_sampling():
-    s = st.sample_box(UNIT_BOX, generator="grid", resolution=2)
-    assert s.points.shape == (5, 32)
-    assert set(np.unique(s.points)) == {0.0, 1.0}
+    points = st.grid_points(2, UNIT_BOX)
+    assert points.shape == (5, 32)
+    assert set(np.unique(points)) == {0.0, 1.0}
 
 
 def _radical_inverse_digit_loop(indices, base):
@@ -48,28 +48,27 @@ def test_halton_points_match_the_digit_loop_bit_for_bit(n, seed):
 
 
 def test_halton_deterministic():
-    a = st.sample_box(UNIT_BOX, generator="halton", n=100)
-    b = st.sample_box(UNIT_BOX, generator="halton", n=100)
-    assert np.array_equal(a.points, b.points)
-    c = st.sample_box(UNIT_BOX, generator="halton", n=100, seed=5)
-    assert not np.array_equal(a.points, c.points)
-    assert a.points.shape == (5, 100)
-    assert a.points.min() >= 0.0 and a.points.max() <= 1.0
+    a = st.halton_points(100, UNIT_BOX)
+    b = st.halton_points(100, UNIT_BOX)
+    assert np.array_equal(a, b)
+    c = st.halton_points(100, UNIT_BOX, seed=5)
+    assert not np.array_equal(a, c)
+    assert a.shape == (5, 100)
+    assert a.min() >= 0.0 and a.max() <= 1.0
 
 
 def test_degenerate_interval():
     box = [(0, 1), (2, 2), (0, 1), (0, 1), (0, 1)]
-    s = st.sample_box(box, generator="halton", n=20)
-    assert np.all(s.points[1] == 2.0)
+    assert np.all(st.halton_points(20, box)[1] == 2.0)
 
 
 def test_empty_box_errors():
     with pytest.raises(EmptyBox):
-        st.sample_box([(1, 0)] + [(0, 1)] * 4, n=10)
+        st.halton_points(10, [(1, 0)] + [(0, 1)] * 4)
     with pytest.raises(EmptyBox):
         st.halton_points(0, UNIT_BOX)
     with pytest.raises(EmptyBox):
-        st.sample_box([(0, 1)] * 4, n=10)
+        st.halton_points(10, [(0, 1)] * 4)
 
 
 def test_matrix_rank_basic():
@@ -129,7 +128,7 @@ def test_strata_report_flat_horizontal(pts):
 
 
 def test_strata_report_sec5_mixture(sec5):
-    samples = st.sample_box([(-2, 2)] * 5, generator="grid", resolution=3)
+    samples = st.SampleSet(st.grid_points(3, [(-2, 2)] * 5))
     columns, counts, flagged = st.strata_columns(sec5, samples)
     assert flagged.size == 0
     labels = set(counts)
@@ -156,7 +155,7 @@ def test_coupling_indicator_matches_horizontal_rank(rng, sec5, wide_pts):
 
 
 def test_csv_roundtrip(tmp_path, sec5):
-    samples = st.sample_box([(-2, 2)] * 5, generator="grid", resolution=2)
+    samples = st.SampleSet(st.grid_points(2, [(-2, 2)] * 5))
     columns, _, _ = st.strata_columns(sec5, samples)
     path = tmp_path / "strata.csv"
     write_csv(path, st.CSV_HEADER, columns)
@@ -227,7 +226,7 @@ def test_generated_matrices_have_the_rank_asked_for():
 @pytest.mark.parametrize("name", sorted(md.BUILTIN_MODELS))
 def test_bivector_rank_matches_the_svd_rank_on_the_builtin_grids(name):
     model = md.resolve(name)
-    samples = st.sample_box(model.sampling["box"], generator="grid", resolution=5)
+    samples = st.SampleSet(st.grid_points(5, model.sampling["box"]))
     mats = st.pi_matrix_values(model.effective_triple(), samples.points)
     assert mats.shape == (5**5, 5, 5)
     assert st.bivector_rank(mats).tolist() == st.matrix_rank(mats).tolist()
@@ -246,7 +245,7 @@ def test_strata_never_calls_the_svd(monkeypatch, sec5):
         raise AssertionError("strata called np.linalg.svd")
 
     monkeypatch.setattr(np.linalg, "svd", no_svd)
-    samples = st.sample_box([(-2, 2)] * 5, generator="grid", resolution=4)
+    samples = st.SampleSet(st.grid_points(4, [(-2, 2)] * 5))
     _, _, flagged = st.strata_columns(sec5, samples)
     assert flagged.size == 0
     assert _point_row(sec5, [0, 0, 1, 0, 0])["rank"] == 4
