@@ -11,7 +11,6 @@ import argparse
 import json
 import math
 import sys
-import warnings
 from functools import cache, partial
 
 import numpy as np
@@ -30,12 +29,12 @@ from .errors import (
     NESTED_TOO_DEEPLY,
     AcPoissonError,
     BadInput,
-    CutoffNudge,
     DomainError,
     MissingSection,
     ZeroVolumeFactor,
 )
 from .fields import ExprField
+from .jets import take_nudges
 from .lowering import evaluate
 from .reports import Block, VerificationReport, residual_block, run_table, write_csv  # noqa: F401 (residual_block re-exported)
 
@@ -48,27 +47,17 @@ def _document(model: md.ModelFile, report: VerificationReport):
     doc["tool_version"] = __version__
     doc["tolerances"] = dict(model.tolerances)
     s = model.sampling
-    doc["sampling"] = {
-        "box": [list(iv) for iv in s["box"]],
-        "generator": s["generator"],
-        "n": s["n"],
-        "seed": s["seed"],
-    }
+    # a grid reads only its resolution, a Halton sample only its count and seed
+    read = ("resolution",) if s["generator"] == "grid" else ("n", "seed")
+    doc["sampling"] = {"box": [list(iv) for iv in s["box"]], "generator": s["generator"], **{k: s[k] for k in read}}
     return doc
 
 
-def _take_nudges(recorded):
-    """Remove the cutoff nudges from the warnings ``main`` records; return the points they moved."""
-    points = sum(w.message.points for w in recorded if w.category is CutoffNudge)
-    recorded[:] = [w for w in recorded if w.category is not CutoffNudge]
-    return points
-
-
-def _emit(doc, recorded):
+def _emit(doc):
     """A document as JSON text, refused with :class:`DomainError` if it holds a non-finite number;
-    a command emits every document before it writes any file.  ``recorded`` is the list of warnings
-    ``main`` records: the points moved by the cutoff nudges so far are counted in ``meta.cutoff_nudges``."""
-    nudges = _take_nudges(recorded)
+    a command emits every document before it writes any file.  The cutoff nudges since the
+    command started or since its last document are counted in ``meta.cutoff_nudges``."""
+    nudges = take_nudges()
     if nudges:
         doc = {**doc, "meta": {**doc.get("meta", {}), "cutoff_nudges": nudges}}
     try:
@@ -157,7 +146,7 @@ def cmd_check(args):
         raise BadInput(f"--tol must be a non-negative number, got {args.tol}")
     model = md.resolve(args.model)
     report = run_check(model, n=args.samples, tol=args.tol)
-    _write(args.out, _emit(_document(model, report), args.recorded))
+    _write(args.out, _emit(_document(model, report)))
     return EXIT_OK if report.passed else EXIT_FAIL
 
 
@@ -173,7 +162,7 @@ def cmd_strata(args):
         "rank_disagreements": flagged.size,
         "csv": args.out,
     }
-    text = _emit(summary, args.recorded)
+    text = _emit(summary)
     write_csv(args.out, st.CSV_HEADER, columns)
     print(text)
     return EXIT_OK if not flagged.size else EXIT_FAIL
@@ -205,7 +194,7 @@ def cmd_modular(args):
         # built after the table above has run: the coupling cut then reads kappa's held 1-jets
         run_table(report, mo.certificate_table(triple, cert, sample, identity_tol, model.tolerance("conservation")))
     columns = [*sample.points, *mo.modular_direct(triple, None, sample)] if args.csv else None
-    text = _emit(_document(model, report), args.recorded)
+    text = _emit(_document(model, report))
     if args.csv:
         write_csv(args.csv, ["x1", "x2", "y1", "y2", "y3", "Z_x1", "Z_x2", "Z_y1", "Z_y2", "Z_y3"], columns)
     _write(args.out, text)
@@ -238,11 +227,11 @@ def cmd_gauge(args):
     summary, texts = [], []
     for eps, variant in zip(eps_values, variants):
         report = run_check(variant)
-        texts.append(_emit(_document(variant, report), args.recorded))  # each report counts its own nudges
+        texts.append(_emit(_document(variant, report)))  # each report counts its own nudges
         stem = os.path.join(args.outdir, variant.name)
         summary.append({"epsilon": eps, "model_file": stem + ".ini", "report": stem + ".report.json",
                         "verdict": "pass" if report.passed else "fail"})
-    text = _emit({"model": model.name, "sweep": summary}, args.recorded)
+    text = _emit({"model": model.name, "sweep": summary})
     os.makedirs(args.outdir, exist_ok=True)
     for variant, entry, report_text in zip(variants, summary, texts):
         md.save(variant, entry["model_file"])
@@ -271,7 +260,7 @@ def cmd_flow(args):
     volume = ExprField(args.volume_factor) if args.volume_factor else None
     tol = model.tolerance("conservation")
     report = fl.conservation_report(triple, traj, casimirs, volume, f_tol=tol, casimir_tol=tol, div_tol=tol)
-    text = _emit(_document(model, report), args.recorded)
+    text = _emit(_document(model, report))
     if args.csv:
         fl.trajectory_to_csv(traj, casimirs, args.csv)  # evaluates nothing: the report holds its jets
     _write(args.out, text)
@@ -352,7 +341,7 @@ def cmd_selftest(args):
         ok &= bool(np.array_equal(np.asarray(A), np.asarray(A2)))
     item("horizontal-rank invariance under connection shifts", ok)
 
-    nudges = _take_nudges(args.recorded)
+    nudges = take_nudges()
     if nudges:
         print(f"cutoff nudges: {nudges}")
     print(("selftest passed" if not failures else f"selftest FAILED: {failures}"))
@@ -420,19 +409,8 @@ def build_parser():
 def main(argv=None):
     # a usage error exits 2, matching the input-error contract
     args = build_parser().parse_args(argv)
-    # cutoff nudges are counted, not shown; their filter goes first, so python -W cannot change the count
-    try:
-        with warnings.catch_warnings(record=True) as args.recorded:  # read by _emit
-            warnings.simplefilter("always", CutoffNudge)
-            return _run(args)
-    finally:
-        for w in args.recorded:  # any other warning is shown as it would have been, also after a crash
-            if w.category is not CutoffNudge:
-                warnings.showwarning(w.message, w.category, w.filename, w.lineno)
-
-
-def _run(args):
-    """Run a command; an error ends in one stderr line and its exit code."""
+    take_nudges()  # a command's reports count only its own nudges
+    # an error ends in one stderr line and its exit code
     try:
         # overflow and NaN surface as verdicts or as a DomainError, not as numpy warnings
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

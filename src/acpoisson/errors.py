@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package."""
+"""Exception types shared across the package."""
 
 # how a RecursionError from parsing or walking a deep expression is reported
 NESTED_TOO_DEEPLY = "an expression is nested too deeply for the recursion limit"
@@ -32,13 +32,10 @@ class NonIntegerExponent(ExprSyntaxError):
 
 class DomainError(AcPoissonError):
     """Evaluation left the domain of a builtin (log/sqrt of non-positive,
-    division by zero).  Carries the offending subexpression when known."""
+    division by zero).  ``subexpr`` names the offending subexpression once the
+    field evaluating it has tagged the error."""
 
-    def __init__(self, message, subexpr=None):
-        self.subexpr = subexpr
-        if subexpr is not None:
-            message = f"{message} in '{subexpr}'"
-        super().__init__(message)
+    subexpr = None
 
 
 class OrderBudgetExceeded(AcPoissonError):
@@ -81,11 +78,7 @@ class MissingCertificate(AcPoissonError):
     """A unimodularity check was invoked without the data it verifies."""
 
 
-class ModelError(AcPoissonError):
-    """Base class for model-file problems."""
-
-
-class ModelParseError(ModelError):
+class ModelParseError(AcPoissonError):
     def __init__(self, message, line=None):
         self.line = line
         if line is not None:
@@ -93,13 +86,13 @@ class ModelParseError(ModelError):
         super().__init__(message)
 
 
-class MissingSection(ModelError):
+class MissingSection(AcPoissonError):
     def __init__(self, section):
         self.section = section
         super().__init__(f"model file is missing required section [{section}]")
 
 
-class BadInterval(ModelError):
+class BadInterval(AcPoissonError):
     pass
 
 
@@ -109,11 +102,3 @@ class EmptyBox(AcPoissonError):
 
 class BadInput(AcPoissonError):
     """A size, step, coordinate or tolerance outside its valid range."""
-
-
-class CutoffNudge(RuntimeWarning):
-    """The cutoff guard moved ``points`` arguments off the branch point t = 1."""
-
-    def __init__(self, message, points):
-        super().__init__(message)
-        self.points = points

@@ -187,13 +187,9 @@ def conservation_report(
     table.append(Block("kappa-sign-constancy", sample, sign_changes, 0.0,
                        "1 at each state where kappa's sign differs from the previous state's off its zero band"))
     if volume_factor is not None:
-
-        def divergence(s):
-            div = ca.divergence(tr.hamiltonian_field(triple, traj.hamiltonian), s, as_field(volume_factor))
-            report.meta["divergence_integral"] = float(np.abs(np.sum(div) * traj.dt))
-            return np.abs(div)
-
-        table.append(Block("invariant-volume-divergence", sample, divergence, div_tol))
+        div = ca.divergence(tr.hamiltonian_field(triple, traj.hamiltonian), sample, as_field(volume_factor))
+        report.meta["divergence_integral"] = float(np.abs(np.sum(div) * traj.dt))
+        table.append(Block("invariant-volume-divergence", sample, lambda s: np.abs(div), div_tol))
     run_table(report, table)
     if traj.halving_error is not None:
         report.meta["halving_error"] = traj.halving_error

@@ -31,9 +31,6 @@ import numpy as np
 
 from .errors import DegreeOverflow, DegreeUnderflow
 
-H_INDICES = (1, 2)
-V_INDICES = (1, 2, 3)
-
 
 def mono_degree(key):
     h, v = key

@@ -13,11 +13,9 @@ not request them.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
-from .errors import CutoffNudge, DomainError
+from .errors import DomainError
 
 NVARS = 5
 
@@ -236,14 +234,22 @@ def _tanh(v, order):
     return t, sech2, -2.0 * t * sech2 if order >= 2 else None
 
 
-_NUDGE_MESSAGE = "cutoff evaluated within 1e-9 of the branch point t=1; argument perturbed by 1e-6"
+_nudges = 0
+
+
+def take_nudges():
+    """The number of cutoff arguments nudged off the branch point since the last call; resets it to 0."""
+    global _nudges
+    taken, _nudges = _nudges, 0
+    return taken
 
 
 def _cutoff(v, order):
     """Smooth bump factor: exp(-t/(1-t)) for t < 1, identically 0 for t >= 1.
 
     cutoff(0) == 1 and every derivative tends to 0 from both sides at t = 1.
-    Points inside the guard band around t = 1 are nudged off the branch point.
+    Points inside the guard band around t = 1 are nudged off the branch point
+    and counted, one per point, for :func:`take_nudges`.
     A single value takes the guard and the branch on a Python float and then
     the numpy scalar operations a 0-d batch takes, so it gives the same bits.
     A one-point batch of shape (1,) runs the array operations instead: its
@@ -252,18 +258,19 @@ def _cutoff(v, order):
     (numpy's scalar and array powers round differently), so an order-2 jet at
     a point of shape (5,) and at the same point of shape (5, 1) may differ.
     """
+    global _nudges
     t = np.array(v, dtype=float)
     if t.ndim == 0:
         t = float(t)
         if abs(t - 1.0) <= CUTOFF_GUARD:
-            warnings.warn(CutoffNudge(_NUDGE_MESSAGE, 1), stacklevel=4)
+            _nudges += 1
             t = 1.0 - CUTOFF_NUDGE if t < 1.0 else 1.0 + CUTOFF_NUDGE
         if not t < 1.0:
             return 0.0, 0.0 if order >= 1 else None, 0.0 if order >= 2 else None
         return _cutoff_inside(np.float64(t), order)
     near = np.abs(t - 1.0) <= CUTOFF_GUARD
     if near.any():
-        warnings.warn(CutoffNudge(_NUDGE_MESSAGE, int(near.sum())), stacklevel=4)
+        _nudges += int(near.sum())
         below = t < 1.0
         t = np.where(near & below, 1.0 - CUTOFF_NUDGE, t)
         t = np.where(near & ~below, 1.0 + CUTOFF_NUDGE, t)

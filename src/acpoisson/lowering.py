@@ -388,7 +388,7 @@ def _source(lines, outputs, nconsts):
     operand reads the same values where it lands.  It is parenthesized only
     where Python's precedence would group it otherwise, and one longer than
     MAX_INLINE is named instead.  A rule line is always written, because it
-    may raise a domain error or warn of a cutoff nudge.  The function reads
+    may raise a domain error or count a cutoff nudge.  The function reads
     its ``nconsts`` constants ``k0``, ``k1``, ..., and A, V and the rules, as
     globals.
     """

@@ -7,12 +7,14 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from acpoisson import cli
 from acpoisson import model as md
 from acpoisson import strata as st
 from acpoisson.errors import BadInput, EmptyBox
+from acpoisson.fields import ExprField
 from acpoisson.flow import MAX_FLOW_STEPS
 from acpoisson.model import BUILTIN_MODELS
 from acpoisson.strata import MAX_GRID_POINTS, MAX_SAMPLE_POINTS
@@ -396,6 +398,12 @@ def test_a_cutoff_nudge_before_a_domain_error_leaves_one_stderr_line(tmp_path):
 
 
 def test_a_report_without_cutoff_nudges_has_no_count(tmp_path, capsys):
+    assert cli.main(["check", "flat_so3", "--samples", "20"]) == 0
+    assert "cutoff_nudges" not in capsys.readouterr().out
+
+
+def test_a_nudge_before_a_command_is_not_counted_in_its_report(capsys):
+    ExprField("cutoff(y1)").at(np.array([0, 0, 1.0, 0, 0]), 0)  # a nudge in library use
     assert cli.main(["check", "flat_so3", "--samples", "20"]) == 0
     assert "cutoff_nudges" not in capsys.readouterr().out
 

@@ -327,6 +327,19 @@ def test_a_sample_count_for_a_grid_model_is_refused(command, tmp_path, capsys):
     assert err.startswith("error: ") and "[sampling] resolution" in err
 
 
+def test_a_grid_report_names_the_sample_it_read(tmp_path, capsys):
+    # a grid reads its resolution, not [sampling] n or seed
+    model = md.resolve("flat_so3")
+    model.sampling.update(generator="grid", resolution=3)
+    path = tmp_path / "grid.ini"
+    md.save(model, path)
+    assert cli.main(["check", str(path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    box = [list(iv) for iv in model.sampling["box"]]
+    assert doc["sampling"] == {"box": box, "generator": "grid", "resolution": 3}
+    assert doc["checks"][0]["n_samples"] == 3**5
+
+
 def test_two_main_calls_share_one_parser(monkeypatch, capsys):
     parsers = []
     parse_args = cli._Parser.parse_args

@@ -1,7 +1,5 @@
 """The tape evaluator of field groups against the jet path, byte for byte."""
 
-import warnings
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +12,7 @@ from acpoisson import triple as tr
 from acpoisson.calculus import CoordVector, FieldElement
 from acpoisson.errors import DomainError, OrderBudgetExceeded
 from acpoisson.fields import Call, ConstField, CoordField, ExprField
+from acpoisson.jets import take_nudges
 from acpoisson.lowering import evaluate
 
 MODELS = sorted(md.BUILTIN_MODELS)
@@ -151,14 +150,16 @@ def test_domain_errors_keep_their_subexpression(source, y1, message, shape, orde
 def test_cutoff_guard_band_gives_same_values_and_warning(shape):
     fields = [ExprField("cutoff(y1) + y2*y3"), ExprField("y1*cutoff(y3)"), Call("cutoff", CoordField(4))]
     p = np.broadcast_to(np.array([0.1, 0.2, 1 + 1e-12, -0.3, 1 - 1e-11]).reshape((5,) + (1,) * (len(shape) - 1)), shape)
+    take_nudges()
     caught = {}
     for path, fn in (("tape", evaluate), ("jets", lambda fs, q, o: [f.at(q, o) for f in fs])):
-        with warnings.catch_warnings(record=True) as record:
-            warnings.simplefilter("always")
-            out = [_jet_bytes(j) for j in fn(fields, p, 1)]
-        caught[path] = (out, {(w.category, str(w.message)) for w in record})
-    assert caught["tape"] == caught["jets"]
-    assert any("branch point" in message for _, message in caught["jets"][1])
+        out = [_jet_bytes(j) for j in fn(fields, p, 1)]
+        caught[path] = (out, take_nudges())
+    assert caught["tape"][0] == caught["jets"][0]
+    # per point: the tape runs cutoff(y1) and the shared cutoff(y3) once each; the
+    # fields evaluated one by one run cutoff(y3) once for each of its two readers
+    points = int(np.prod(shape[1:]))
+    assert (caught["tape"][1], caught["jets"][1]) == (2 * points, 3 * points)
 
 
 @pytest.mark.parametrize("shape", SHAPES)

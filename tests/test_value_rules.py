@@ -1,7 +1,5 @@
 """The value rules at each order, and the compiled one-point path against the jets."""
 
-import warnings
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,9 +8,9 @@ from hypothesis import strategies as st
 from acpoisson import model as md
 from acpoisson import triple as tr
 from acpoisson.calculus import CoordVector
-from acpoisson.errors import CutoffNudge, DomainError
+from acpoisson.errors import DomainError
 from acpoisson.fields import ExprField
-from acpoisson.jets import BUILTIN_RULES, CUTOFF_GUARD, CUTOFF_NUDGE, powi_rule, reciprocal_rule
+from acpoisson.jets import BUILTIN_RULES, CUTOFF_GUARD, CUTOFF_NUDGE, powi_rule, reciprocal_rule, take_nudges
 
 RULES = {
     **BUILTIN_RULES,
@@ -31,16 +29,15 @@ SHAPES = {"0-d": (), "(1,)": (1,), "(64,)": (64,)}
 
 def _run(rule, v, order):
     """The rule's results as bytes (None above ``order``) or its DomainError, with the nudged point count."""
-    with warnings.catch_warnings(record=True) as record, np.errstate(all="ignore"):
-        warnings.simplefilter("always")
+    take_nudges()
+    with np.errstate(all="ignore"):
         try:
             out = rule(v, order)
         except DomainError as err:
             out = ("error", str(err))
         else:
             out = tuple(None if r is None else (np.shape(r), np.asarray(r).tobytes()) for r in out)
-    nudges = sum(w.message.points for w in record if w.category is CutoffNudge)
-    return out, nudges
+    return out, take_nudges()
 
 
 @settings(max_examples=150, deadline=None)
