@@ -274,16 +274,9 @@ def _bivector_jets(matrix_fields, p, order):
     return vals, jets
 
 
-def matrix_values(matrix_fields, p, order=1):
-    """Evaluate a bivector's component fields, as one group, to a full antisymmetric array."""
-    vals, jets = _bivector_jets(matrix_fields, p, order)
-    if order < 1:
-        return vals
-    grads = np.zeros((5,) + vals.shape)
-    for (mu, nu), jet in jets.items():
-        grads[mu, nu] = jet.grad
-        grads[nu, mu] = -jet.grad
-    return vals, grads
+def matrix_values(matrix_fields, p):
+    """Evaluate a bivector's component fields, as one group, to a full antisymmetric value array."""
+    return _bivector_jets(matrix_fields, p, 0)[0]
 
 
 class _Gradients:

@@ -170,26 +170,25 @@ def conservation_report(
     sample = traj.sample
     fields = [traj.hamiltonian, *(as_field(c) for c in casimirs)]
     values = [jet.value for jet in sample.jets(fields)]  # one walk for all of them
-    table = [
-        Block("hamiltonian-drift" if i == 0 else f"casimir-{i}-drift", sample,
-              lambda s, v=v: np.abs(v - v[0]), f_tol if i == 0 else casimir_tol)
-        for i, v in enumerate(values)
-    ]
-
-    def sign_changes(s):
-        # kappa must not change sign along a flow started off its zero set
-        off = np.flatnonzero(triple.coupling_mask(s))
-        signs = np.sign(triple.kappa_values(s)[off])
-        changes = np.zeros(s.points.shape[1])
-        changes[off[1:][signs[1:] != signs[:-1]]] = 1.0
-        return changes
-
-    table.append(Block("kappa-sign-constancy", sample, sign_changes, 0.0,
-                       "1 at each state where kappa's sign differs from the previous state's off its zero band"))
+    # each residual reads across states: all are computed on the whole trajectory, before the table
+    div = None
     if volume_factor is not None:
         div = ca.divergence(tr.hamiltonian_field(triple, traj.hamiltonian), sample, as_field(volume_factor))
+    # kappa must not change sign along a flow started off its zero set
+    off = np.flatnonzero(triple.coupling_mask(sample))
+    signs = np.sign(triple.kappa_values(sample)[off])
+    changes = np.zeros(sample.points.shape[1])
+    changes[off[1:][signs[1:] != signs[:-1]]] = 1.0
+    table = [
+        Block("hamiltonian-drift" if i == 0 else f"casimir-{i}-drift", sample, np.abs(v - v[0]),
+              f_tol if i == 0 else casimir_tol)
+        for i, v in enumerate(values)
+    ]
+    table.append(Block("kappa-sign-constancy", sample, changes, 0.0,
+                       "1 at each state where kappa's sign differs from the previous state's off its zero band"))
+    if div is not None:
         report.meta["divergence_integral"] = float(np.abs(np.sum(div) * traj.dt))
-        table.append(Block("invariant-volume-divergence", sample, lambda s: np.abs(div), div_tol))
+        table.append(Block("invariant-volume-divergence", sample, np.abs(div), div_tol))
     run_table(report, table)
     if traj.halving_error is not None:
         report.meta["halving_error"] = traj.halving_error

@@ -177,21 +177,23 @@ def coupling_table(triple: tr.PoissonTriple, cert: UnimodularityCertificate, sam
 
 def certificate_table(triple: tr.PoissonTriple, cert: UnimodularityCertificate, sample, tol=1e-9, div_tol=1e-6):
     """The coupling-domain blocks, then, for a certificate with a factor K, those of the
-    global criterion: kappa factorization, K Casimir on the zero set, invariance."""
+    global criterion: kappa factorization, K Casimir on the zero set, invariance.
+
+    K must not vanish on the sample: that is decided on the whole sample when
+    the table is built, before any block runs."""
     table = coupling_table(triple, cert, sample, tol, div_tol)
     if cert.K is None:
         return table
+    if np.any(_values(sample, [cert.K])[0] == 0.0):
+        raise ZeroVolumeFactor("certificate factor K vanishes on the sample set")
     mask = triple.coupling_mask(sample)
     kappa0 = cert.kappa0 if cert.kappa0 is not None else ConstField(1.0)
     factor = Call("exp", cert.h) * kappa0 * cert.K
 
     def factorization(s):
-        # read on the whole sample, where K must not vanish, and cut to the coupling domain
-        if np.any(_values(sample, [cert.K])[0] == 0.0):
-            raise ZeroVolumeFactor("certificate factor K vanishes on the sample set")
-        return np.abs(triple.kappa_values(sample) - _values(sample, [factor])[0])[mask]
+        return np.abs(triple.kappa_values(s) - _values(s, [factor])[0])
 
-    table.append(Block("kappa-factorization", sample.subset(mask, "coupling"), factorization, tol))
+    table.append(Block("kappa-factorization", table[0].subset, factorization, tol))
     if np.any(~mask):
         zero_set = sample.subset(~mask, "kappa zero set")
         table.append(Block("K-casimir-on-zero-set", zero_set, partial(tr.vertical_casimir_residual, triple.beta, cert.K), tol))

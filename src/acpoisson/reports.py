@@ -2,12 +2,13 @@
 
 Every report block is a per-point residual on a named sample, stated as a
 :class:`Block` table entry; :func:`run_table` turns each into a
-:class:`CheckBlock` through :func:`residual_block`.  The one block built
-outside a table is ``triple.equivalence_check``'s ``jacobiator``: its verdict
+:class:`CheckBlock` through :func:`residual_block`, or through the entry's own
+``enter`` (``triple.equivalence_check``'s pair, whose ``jacobiator`` verdict
 reads a tolerance scaled at each point by 1 + jet magnitudes, which the
-reported ``tol`` does not show.  :func:`write_csv` writes the float, int and
-label columns of the CSV outputs, unquoted, since every header name and
-label is bare.
+reported ``tol`` does not show).  A table runs chunk by chunk
+(:func:`chunked`), so its working set is bounded by CHUNK points, whatever the
+sample's size.  :func:`write_csv` writes the float, int and label columns of
+the CSV outputs, unquoted, since every header name and label is bare.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
+
+from .errors import AcPoissonError
 
 if TYPE_CHECKING:
     from .strata import SampleSet
@@ -98,16 +101,111 @@ class Block(NamedTuple):
 
     check_id: str
     subset: SampleSet
-    residual: Callable  # SampleSet -> one residual per point, or a dict of them
+    # SampleSet -> one residual per point, or a dict of them; or the residuals
+    # themselves, when they were computed on the whole subset before the table
+    residual: Callable | np.ndarray
     tol: float
     note: str = ""
     informational: bool = False  # reported, but not part of the verdict
+    enter: Callable | None = None  # (report, block, residual) -> None, in place of residual_block
+
+
+# The points of a chunk: a table, the strata columns and a CSV are worked in
+# runs of at most this many consecutive points.  Chosen from the curve of
+# peak memory and wall time against the chunk size in README's performance notes.
+CHUNK = 2500
+
+
+def chunked(fn, samples):
+    """``fn(share)`` run chunk by chunk over ``samples``, its results joined.
+
+    Chunk k of a sample is its points k * CHUNK .. (k + 1) * CHUNK - 1.  Step k
+    runs ``fn`` once, and there ``share(s)``, for ``s`` one of ``samples``, is
+    chunk k of ``s``: a ``SampleSet.piece`` of it, which starts with views of
+    the jets ``s`` holds, made once per step, so every read of ``s`` in the
+    step shares its jets; or None where ``s`` has no points left.  A sample of
+    at most CHUNK points is its own chunk 0.  The pieces of a step and their
+    jets go before the next step starts.  ``fn`` returns an array with one
+    entry per point along its last axis, or a list or dict of them (None for a
+    share it did not read), and each is joined over the steps.
+
+    With one step, or when a step raises an error, ``fn`` runs once, with
+    ``share(s)`` the sample ``s`` itself: run whole, the samples raise the
+    error they meet first, which need not be that of the first chunk that fails.
+    """
+    sizes = [s.points.shape[1] if s.points.ndim == 2 else 0 for s in samples]
+    steps = -(-max(sizes, default=0) // CHUNK)
+    if steps > 1:
+        try:
+            return _join([fn(_Step(k)) for k in range(steps)])
+        except AcPoissonError:
+            pass
+    return fn(_whole)
+
+
+def _whole(s):
+    return s
+
+
+class _Step:
+    """``share`` for step ``k`` of :func:`chunked`."""
+
+    __slots__ = ("k", "shares")
+
+    def __init__(self, k):
+        self.k, self.shares = k, {}
+
+    def __call__(self, s):
+        if s not in self.shares:
+            start, n = self.k * CHUNK, s.points.shape[1]
+            if n <= CHUNK:
+                self.shares[s] = s if not start else None
+            else:
+                self.shares[s] = s.piece(start, start + CHUNK) if start < n else None
+        return self.shares[s]
+
+
+def _join(parts):
+    """Per-step results joined: arrays along their last axis, lists and dicts entry by entry;
+    None parts skipped.  An entry's parts are let go once joined, so the joined results and
+    the parts not yet joined are never held twice."""
+    parts = [p for p in parts if p is not None]
+    first = parts[0]
+    if not isinstance(first, (list, dict)):
+        return np.concatenate(parts, axis=-1)
+    keys = list(first) if isinstance(first, dict) else range(len(first))
+    joined = {}
+    for k in keys:
+        joined[k] = _join([p[k] for p in parts])
+        for p in parts:
+            p[k] = None
+    return joined if isinstance(first, dict) else list(joined.values())
 
 
 def run_table(report: VerificationReport, table) -> VerificationReport:
-    """Evaluate each block's residual on its subset, in table order, into the report."""
+    """Evaluate each block's residual on its subset into the report, in table order.
+
+    The residuals run chunk by chunk (:func:`chunked`): step k runs every
+    block on chunk k of its subset, so the blocks of one subset share that
+    chunk's jets, and each block's per-point residuals are joined before they
+    are summarized, so ``max``, ``mean``, the worst point and ``n_samples`` are
+    those of the whole subset.
+    """
+    runs = [b for b in table if callable(b.residual)]
+
+    def residuals(share):
+        out = []
+        for b in runs:
+            s = share(b.subset)
+            out.append(None if s is None else b.residual(s))
+        return out
+
+    joined = iter(chunked(residuals, [b.subset for b in runs]))
     for b in table:
-        r = b.residual(b.subset)
+        r = next(joined) if callable(b.residual) else b.residual
+        if b.enter is not None:
+            b.enter(report, b, r)
+            continue
         parts = {f"{b.check_id}-{k}": v for k, v in r.items()} if isinstance(r, dict) else {b.check_id: r}
         for check_id, res in parts.items():
             report.add(residual_block(check_id, res, b.subset.points, b.tol, b.note, b.informational))
@@ -127,13 +225,15 @@ def _cells(column):
 
 def write_csv(path, header, columns):
     """Write equal-length float, int or label columns as CSV under ``header``, each
-    line ended by CRLF.  No cell is quoted: the header names and labels hold no
-    comma, quote or line break, so these are the bytes ``csv.writer`` writes when
-    fed ``repr(float(v))`` for each float cell."""
-    cells = [_cells(c) for c in columns]
-    if len({len(c) for c in cells}) > 1:
-        raise ValueError(f"CSV columns differ in length: {[len(c) for c in cells]}")
+    line ended by CRLF, CHUNK rows at a time.  No cell is quoted: the header names
+    and labels hold no comma, quote or line break, so these are the bytes
+    ``csv.writer`` writes when fed ``repr(float(v))`` for each float cell."""
+    columns = [np.asarray(c) for c in columns]
+    lengths = [len(c) for c in columns]
+    if len(set(lengths)) > 1:
+        raise ValueError(f"CSV columns differ in length: {lengths}")
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        if cells and cells[0]:
+        for i in range(0, lengths[0] if columns else 0, CHUNK):
+            cells = [_cells(c[i : i + CHUNK]) for c in columns]
             fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")

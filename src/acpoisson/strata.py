@@ -17,13 +17,16 @@ import numpy as np
 
 from . import triple as tr
 from .errors import BadInput, DomainError, EmptyBox
+from .jets import Jet
 from .lowering import evaluate
+from .reports import chunked
 
 HALTON_BASES = (2, 3, 5, 7, 11)
 # largest tensor grid (points in all), checked before the grid is built
 MAX_GRID_POINTS = 10**5
 # largest Halton sample, checked before it is built: `check` peaks at about
-# 30 MB plus 2 KB per point, so this many points need about 1 GB
+# 32 MB plus 0.27 KB per point (its tables run chunk by chunk), so this many
+# points need about 170 MB
 MAX_SAMPLE_POINTS = 5 * 10**5
 # largest Halton seed: the point indices seed + 1 .. seed + n stay inside int64
 MAX_SEED = 2**62
@@ -98,8 +101,11 @@ class SampleSet:
     sample, not its points, passes it on to ``lowering.evaluate``, whose walk
     takes each held jet as a leaf: a field the sample holds is not combined
     again below any derived field, unless a ``cutoff`` lies below it, whose
-    nudges are counted per evaluation.  Nothing else refers to the held jets,
-    so they go with the sample, without waiting for the cyclic collector.
+    nudges are counted per evaluation.  A ``piece`` of consecutive points
+    starts with views of the held jets, so what the sample holds is not
+    evaluated again on it.  Nothing else refers to the held jets, and a piece
+    refers to its sample but not the other way, so they go with the sample,
+    without waiting for the cyclic collector.
     """
 
     points: np.ndarray  # (5, n), or (5,) for one point
@@ -116,22 +122,35 @@ class SampleSet:
             return self
         return SampleSet(points, self, reason)
 
+    def piece(self, start, stop) -> SampleSet:
+        """Points ``start`` .. ``stop`` - 1, holding views of the jets this sample holds (no copy)."""
+        piece = SampleSet(self.points[:, start:stop], self, "chunk")
+        for f, jet in self._jets.items():
+            piece._jets[f] = Jet(*(a if a is None else a[..., start:stop] for a in (jet.value, jet.grad, jet.hess)))
+        return piece
+
     def jets(self, fields, order=0):
         """The jets of ``fields`` on the points, as ``lowering.evaluate`` gives them.
 
         Fields not yet held at ``order`` are evaluated in one walk over the
-        group, which reads the jets already held, and their jets are kept
-        read-only.  A jet held at a higher order serves a lower one: its value
-        is the same.
+        group, which reads the jets already held, chunk by chunk
+        (``reports.chunked``), and their jets are joined and kept read-only.  A
+        jet held at a higher order serves a lower one: its value is the same.
         """
         held = self._jets
         missing = [f for f in dict.fromkeys(fields) if f not in held or held[f].order < order]
-        for f, jet in zip(missing, evaluate(missing, self, order)):
-            for array in (jet.value, jet.grad, jet.hess):
-                if array is not None:
+        if missing:
+            walk = chunked(lambda share: [_arrays(jet) for jet in evaluate(missing, share(self), order)], [self])
+            for f, arrays in zip(missing, walk):
+                for array in arrays:
                     array.flags.writeable = False
-            held[f] = jet
+                held[f] = Jet(*arrays)
         return [held[f] for f in fields]
+
+
+def _arrays(jet):
+    """A jet's value, and its gradient and Hessian where it has them."""
+    return [a for a in (jet.value, jet.grad, jet.hess) if a is not None]
 
 
 def as_sample(p) -> SampleSet:
@@ -186,7 +205,7 @@ def pi_matrix_values(triple: tr.PoissonTriple, p):
     """Assembled bivector as stacked antisymmetric matrices, shape (n, 5, 5), at points or a sample."""
     from .calculus import matrix_values
 
-    vals = matrix_values(triple.pi_matrix(), p, order=0)
+    vals = matrix_values(triple.pi_matrix(), p)
     return np.moveaxis(vals, (0, 1), (-2, -1))
 
 
@@ -200,20 +219,28 @@ def strata_columns(triple: tr.PoissonTriple, samples: SampleSet):
     Returns ``(columns, counts, flagged)``: one array per CSV_HEADER field, the
     number of points of each label present, and the indices of the points
     whose formula label disagrees with the rank of the assembled matrix; away
-    from the tolerance bands ``flagged`` must stay empty.
+    from the tolerance bands ``flagged`` must stay empty.  The columns are
+    computed chunk by chunk (``reports.chunked``); the kappa tolerance, scaled
+    by the largest |kappa| of the whole sample, is set before the first chunk,
+    from the 1-jets of kappa that ``ic_residuals`` reads in every chunk.
     """
-    pts = samples.points
-    ic = tr.ic_residuals(triple, samples)
-    kv = np.atleast_1d(triple.kappa_values(samples))
-    bn = np.atleast_1d(triple.beta.norm_values(samples))
+    samples.jets([triple.kappa], 1)
     kappa_tol = triple.kappa_tol(samples)
-    rank = bivector_rank(pi_matrix_values(triple, samples))
+
+    def columns(share):
+        s = share(samples)
+        ic = tr.ic_residuals(triple, s)
+        kv = np.atleast_1d(triple.kappa_values(s))
+        bn = np.atleast_1d(triple.beta.norm_values(s))
+        rank = bivector_rank(pi_matrix_values(triple, s))
+        return [kv, bn, rank, ic["ic1"], ic["ic2"].max(axis=(0, 1)), ic["ic3"].max(axis=0)]
+
+    kv, bn, rank, *ic = chunked(columns, [samples])
     coupled = np.abs(kv) > kappa_tol
     code = 2 * coupled + (bn > 1e-9)  # indices into LABELS
     code[coupled & (np.abs(kv) <= 10 * kappa_tol)] = _NEAR
     labels = np.array(LABELS, dtype=object)[code]
-    columns = [*pts, kv, bn, rank, labels, ic["ic1"], ic["ic2"].max(axis=(0, 1)), ic["ic3"].max(axis=0)]
+    columns = [*samples.points, kv, bn, rank, labels, *ic]
     found, sizes = np.unique(code, return_counts=True)
     counts = {LABELS[c]: k for c, k in zip(found.tolist(), sizes.tolist())}
     return columns, counts, np.flatnonzero((code != _NEAR) & (_EXPECTED_RANK[code] != rank))
-

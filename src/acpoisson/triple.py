@@ -9,7 +9,7 @@ the verification suite.
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import partial, reduce
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from .errors import NotAlmostCoupling, OutsideCouplingDomain
 from .fields import ConstField, as_field, is_zero
 from .graded import GradedElement, interior
 from .lowering import evaluate, sample_points
-from .reports import VerificationReport, residual_block
+from .reports import Block, VerificationReport, residual_block, run_table
 
 
 class VerticalOneForm:
@@ -120,7 +120,12 @@ def _scaled_tol(kappa_values):
 
 def mixed_residual(mov: FieldElement, p):
     """Pointwise max |coefficient| of the mixed (1,1) component of a moving-frame bivector, at points or a sample."""
-    return coefficient_max([mov.project(1, 1).at(p)], sample_points(p))
+    return form_max(mov.project(1, 1), p)
+
+
+def form_max(form: FieldElement, p):
+    """Pointwise max |coefficient| of a field element, at points or a sample."""
+    return coefficient_max([form.at(p)], sample_points(p))
 
 
 def recover_triple(pi: FieldElement, conn: cn.Connection, probe=None):
@@ -221,33 +226,40 @@ def verdict_scale(triple: PoissonTriple, p):
     return 1.0 + component_max(v for jet in [kj, *bj, *gv[0], *gv[1]] for v in [jet.value, *jet.grad])
 
 
+def verdict_arrays(triple: PoissonTriple, p):
+    """The integrability norm, the Jacobiator norm and the verdict scale at each point of p."""
+    ic = ic_norm(triple, p)
+    jac = jacobiator_norm(triple, p)  # on a sample, its walk takes the inputs' held 1-jets as leaves
+    return {"ic": ic, "jacobiator": jac, "scale": verdict_scale(triple, p)}
+
+
+def equivalence_block(triple: PoissonTriple, sample, tol=1e-9) -> Block:
+    """The table entry of the verdict agreement on a sample: its blocks ``integrability``
+    and ``jacobiator``, the disagreements and ``meta.both_fail_fraction``."""
+    return Block("equivalence", sample, partial(verdict_arrays, triple), tol, enter=enter_equivalence)
+
+
+def enter_equivalence(report: VerificationReport, block: Block, arrays):
+    """Report the verdict agreement from the joined per-point arrays of ``equivalence_block``."""
+    ic, jac, tol, pts = arrays["ic"], arrays["jacobiator"], block.tol, block.subset.points
+    ic_pass = ic <= tol
+    jac_pass = jac <= tol * arrays["scale"]
+    report.add(residual_block("integrability", ic, pts, tol))
+    jacobiator = report.add(residual_block("jacobiator", jac, pts, tol, note="tolerance scaled by 1 + jet magnitudes"))
+    jacobiator.passed = bool(np.all(jac_pass))
+    disagree = ic_pass != jac_pass
+    if np.any(disagree):
+        report.disagreements = [
+            {"point": pts[:, i].tolist(), "ic": float(ic[i]), "jacobiator": float(jac[i])}
+            for i in np.nonzero(disagree)[0][:32]
+        ]
+    report.meta["both_fail_fraction"] = float(np.mean(~ic_pass & ~jac_pass))
+
+
 def equivalence_check(triple: PoissonTriple, samples, tol=1e-9) -> VerificationReport:
     """Pointwise agreement of the integrability verdict and the Jacobiator verdict on
     ``samples``, points or a sample already cut to the triple's domain, every one of them."""
-    sample = st.as_sample(samples)
-    pts = sample.points
-    ic = ic_norm(triple, sample)
-    jac = jacobiator_norm(triple, sample)  # its walk takes the inputs' held 1-jets as leaves
-    scale = verdict_scale(triple, sample)
-    ic_pass = ic <= tol
-    jac_pass = jac <= tol * scale
-    disagree = ic_pass != jac_pass
-    report = VerificationReport(name="equivalence")
-    report.add(residual_block("integrability", ic, pts, tol))
-    block = report.add(residual_block("jacobiator", jac, pts, tol, note="tolerance scaled by 1 + jet magnitudes"))
-    block.passed = bool(np.all(jac_pass))
-    if np.any(disagree):
-        idx = np.nonzero(disagree)[0]
-        report.disagreements = [
-            {
-                "point": pts[:, i].tolist(),
-                "ic": float(ic[i]),
-                "jacobiator": float(jac[i]),
-            }
-            for i in idx[:32]
-        ]
-    report.meta["both_fail_fraction"] = float(np.mean(~ic_pass & ~jac_pass))
-    return report
+    return run_table(VerificationReport(name="equivalence"), [equivalence_block(triple, st.as_sample(samples), tol)])
 
 
 # brackets and Hamiltonian fields ---------------------------------------------
@@ -272,7 +284,7 @@ def poisson_bracket(triple: PoissonTriple, f, g, p):
 def poisson_bracket_direct(triple: PoissonTriple, f, g, p):
     """{f, g} = Pi(df, dg) from the assembled coordinate bivector."""
     gf, gg = (j.grad for j in evaluate([as_field(f), as_field(g)], p, 1))
-    vals = ca.matrix_values(triple.pi_matrix(), p, order=0)
+    vals = ca.matrix_values(triple.pi_matrix(), p)
     return np.einsum("mn...,m...,n...->...", vals, gf, gg)
 
 
@@ -368,12 +380,10 @@ def _cross_magnitude(u, v):
     )
 
 
-def c2_residual(triple: PoissonTriple, p):
-    """|d_{1,0} beta + beta ^ theta|, max over components at each point of p."""
+def c2_form(triple: PoissonTriple) -> FieldElement:
+    """d_{1,0} beta + beta ^ theta, which vanishes where C2 holds: its residual is ``form_max`` of it."""
     beta_form = triple.beta.as_form()
-    residual = ca.d_component(beta_form, triple.conn, (1, 0)) + beta_form.wedge(cn.theta(triple.conn))
-    sample = st.as_sample(p)
-    return coefficient_max([residual.at(sample)], sample.points)
+    return ca.d_component(beta_form, triple.conn, (1, 0)) + beta_form.wedge(cn.theta(triple.conn))
 
 
 def c3_residual(triple: PoissonTriple, p):

@@ -1,7 +1,8 @@
 """Every report block takes one path: a table entry, ``reports.run_table``, ``reports.residual_block``.
 
-The one builder outside a table is ``triple.equivalence_check``, whose
-``jacobiator`` verdict reads a per-point scaled tolerance.  These tests read
+The equivalence entry of a table enters its two blocks itself
+(``triple.enter_equivalence``), because its ``jacobiator`` verdict reads a
+per-point scaled tolerance; it is still run by ``run_table``.  These tests read
 the package's source with ``ast``, so a new block built another way fails here.
 """
 
@@ -64,7 +65,7 @@ def test_only_residual_block_builds_a_check_block():
 def test_only_the_runner_and_equivalence_check_call_residual_block():
     calls, _ = _sites()
     callers = {where for name, _, where in calls if name == "residual_block"}
-    assert callers == {("reports", "run_table"), ("triple", "equivalence_check")}
+    assert callers == {("reports", "run_table"), ("triple", "enter_equivalence")}
 
 
 def test_no_report_extends_its_blocks_and_only_the_jacobiator_verdict_is_assigned():
@@ -72,4 +73,4 @@ def test_no_report_extends_its_blocks_and_only_the_jacobiator_verdict_is_assigne
     growers = {where for name, owner, where in calls if owner == "blocks" and name in ("append", "extend", "insert")}
     assert growers == {("reports", "add")}  # VerificationReport.add, which the runner calls
     assert not [where for attr, where in stores if attr == "blocks"]
-    assert {where for attr, where in stores if attr == "passed"} == {("triple", "equivalence_check")}
+    assert {where for attr, where in stores if attr == "passed"} == {("triple", "enter_equivalence")}

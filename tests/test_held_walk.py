@@ -40,7 +40,7 @@ def _reads(triple, p):
     out = [jet.value for jet in evaluate(pi.values(), p, 0)]
     out += [array for jet in evaluate(pi.values(), p, 1) for array in (jet.value, jet.grad)]
     out += [*tr.jacobiator(triple, p).values(), tr.jacobiator_norm(triple, p)]
-    out += [tr._lie_residual(conn, triple.p_beta_matrix(), p), cn.curvature(conn, p), tr.c2_residual(triple, p)]
+    out += [tr._lie_residual(conn, triple.p_beta_matrix(), p), cn.curvature(conn, p), tr.form_max(tr.c2_form(triple), p)]
     out.append(tr.mixed_residual(ca.coord_to_moving_bivector(triple.pi_coord(), conn), p))
     out += [c for e in ca.evaluate_elements(cn.f4_residual_forms(conn), p) for c in e.coeffs.values()]
     out += list(cn.horizontal_lift(1, conn).jets(p))

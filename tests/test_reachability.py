@@ -3,7 +3,8 @@
 The probe runs in a fresh interpreter: it starts a profiler (``cProfile``,
 the C form of ``sys.setprofile``) before ``import acpoisson``, runs the
 battery (every command on the four built-ins at small sizes, ``selftest``,
-the three demos, and the inputs that reach the error and rare paths), and
+the three demos, a ``check`` of two chunks, and the inputs that reach the
+error and rare paths, a chunk's error among them), and
 prints the qualified name of each function of the package that was never
 called.  A function is named by where ``ast`` finds it,
 ``module.Class.method`` or ``module.function.nested``.  See the list with
@@ -85,6 +86,8 @@ MODEL_FILES = {
     "functions.ini": FUNCTIONS,
     "kappa0.ini": BASE + "\n[certificate]\nkappa0 = 1\n",
     "grid.ini": BASE + "\n[sampling]\ngenerator = grid\nresolution = 2\n",
+    # poles at x1 = -1, in the first chunk, and at x1 = 0, which the whole sample meets first
+    "poles.ini": BASE.replace("b1 = y1", "b1 = 1/x1 + 1/(x1 + 1)") + "\n[sampling]\ngenerator = grid\nresolution = 7\n",
 }
 P0 = "0.1,0.2,1,0,0"  # y1^2 + y2^2 + y3^2 = 1: br3's cutoff is nudged off its branch point
 
@@ -103,6 +106,10 @@ def battery():
              "--casimir", "y1^2 + y2^2 + y3^2", "--volume-factor", "1", "--csv", "flow.csv"],
         ]
     runs += [["selftest"], [], ["check", "flat_so3", "--samples"]]
+    from acpoisson.reports import CHUNK
+
+    runs.append(["check", "flat_so3", "--samples", str(CHUNK + 1)])  # a table of two chunks
+    runs.append(["check", "poles.ini"])  # a chunk's error, raised again by the whole sample
     runs += [["check", name, "--samples", "20"] for name in MODEL_FILES]
     runs.append(["check", "grid.ini"])  # the run above gives the grid model a sample count, which it refuses
     # a flow truncated at a stage that leaves the finite range

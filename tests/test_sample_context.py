@@ -154,10 +154,20 @@ def test_check_reads_no_field_at_from_the_verdict_modules(name, tmp_path, capsys
     assert not {"cli.py", "triple.py", "connection.py"} & set(callers)
 
 
+def _dense(P, p):
+    """A bivector's full antisymmetric value array and its full (5, 5, 5, ...) gradient array."""
+    vals, jets = ca._bivector_jets(P, p, 1)
+    grads = np.zeros((5,) + vals.shape)
+    for (mu, nu), jet in jets.items():
+        grads[mu, nu] = jet.grad
+        grads[nu, mu] = -jet.grad
+    return vals, grads
+
+
 def _dense_schouten(A, B, p):
     """The Schouten bracket from full (5, 5, 5, ...) gradient arrays."""
-    va, ga = ca.matrix_values(A, p)
-    vb, gb = ca.matrix_values(B, p)
+    va, ga = _dense(A, p)
+    vb, gb = _dense(B, p)
     out = {}
     for (m, n, l) in ca.TRIPLES:
         total = 0.0
@@ -170,7 +180,7 @@ def _dense_schouten(A, B, p):
 
 def _dense_lie(X, P, p):
     vx, gx = X.jets(p)
-    vp, gp = ca.matrix_values(P, p)
+    vp, gp = _dense(P, p)
     out = {}
     for mu in range(5):
         for nu in range(mu + 1, 5):

@@ -110,15 +110,16 @@ def test_routed_sites_match_jets(shape, rng):
     assert list(got.coeffs) == list(element.coeffs)
     for key, f in element.coeffs.items():
         assert got.coeffs[key].tobytes() == f.at(p, 0).value.tobytes()
-    # matrix_values
+    # matrix_values, and the component jets the bivector kernels read
     m = triple.pi_matrix()
-    vals, grads = ca.matrix_values(m, p)
+    vals = ca.matrix_values(m, p)
+    _, jets = ca._bivector_jets(m, p, 1)
     assert vals.shape == (5, 5) + shape[1:]
     for (mu, nu), f in m.items():
         jet = f.at(p, 1)
         assert vals[mu, nu].tobytes() == jet.value.tobytes()
         assert vals[nu, mu].tobytes() == (-jet.value).tobytes()
-        assert grads[mu, nu].tobytes() == jet.grad.tobytes()
+        assert jets[mu, nu].grad.tobytes() == jet.grad.tobytes()
     # CoordVector.jets
     X = tr.hamiltonian_field(triple, ExprField("y1*y2 + sin(x1)*y3"))
     vx, gx = X.jets(p)

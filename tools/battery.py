@@ -22,7 +22,15 @@ nudges and the error contract: a ``flow`` of ``br3_unimodular`` whose compiled
 right-hand side nudges points off the branch point, a ``strata --grid 3`` of a
 model with ``kappa = cutoff(x1 + 1) / x1`` that nudges and then stops on a
 division by zero (exit 3, one stderr line), a usage error and an unknown
-model (both exit 2, one stderr line).
+model (both exit 2, one stderr line).  The last five runs take samples of
+several chunks (``reports.CHUNK`` points each): ``check flat_pair_flatness``
+at 30000 samples, ``modular br3_unimodular --certificate`` at 20000 samples
+with its CSV, the same cutoff model's ``strata --grid 7``, which stops on the
+division by zero at the grid's middle points (exit 3), and a ``check`` on the
+7-point grid of [-1, 1]^5 of two models with two poles each, at x1 = 0 and
+x1 = -1: in kappa, which the cuts read on the whole sample, and in beta, read
+chunk by chunk, where the first chunk meets only the pole at x1 = -1 (both
+exit 3 and name the pole at x1 = 0, the one the whole sample meets first).
 """
 
 from __future__ import annotations
@@ -43,6 +51,14 @@ FLOW = [
 GRID_MODEL = "grid7.ini"
 CUTOFF_MODEL = "cut.ini"
 CUTOFF_TEXT = "[model]\nname = cut\n\n[kappa]\nexpr = cutoff(x1 + 1) / x1\n\n[beta]\nb1 = 0\nb2 = 0\nb3 = 0\n"
+GRID7 = "\n[sampling]\nbox = -1:1, -1:1, -1:1, -1:1, -1:1\ngenerator = grid\nresolution = 7\n"
+POLES = "1/x1 + 1/(x1 + 1)"
+# name -> model text: two poles in kappa, then in beta
+POLE_MODELS = {
+    "kpoles.ini": f"[model]\nname = kpoles\n\n[kappa]\nexpr = {POLES}\n\n[beta]\nb1 = y1\nb2 = y2\nb3 = y3\n" + GRID7,
+    "bpoles.ini": f"[model]\nname = bpoles\n\n[kappa]\nexpr = 1\n\n[beta]\nb1 = {POLES}\nb2 = 0\nb3 = 0\n" + GRID7,
+}
+MODEL_TEXTS = {CUTOFF_MODEL: CUTOFF_TEXT, **POLE_MODELS}
 
 
 def runs():
@@ -62,6 +78,11 @@ def runs():
     yield ["strata", CUTOFF_MODEL, "--grid", "3", "--out", "out.csv"]
     yield ["check", "flat_so3", "--samples"]
     yield ["check", "no_such_model"]
+    yield ["check", "flat_pair_flatness", "--samples", "30000"]
+    yield ["modular", "br3_unimodular", "--certificate", "--samples", "20000", "--csv", "out.csv"]
+    yield ["strata", CUTOFF_MODEL, "--grid", "7", "--out", "out.csv"]
+    for name in POLE_MODELS:
+        yield ["check", name]
 
 
 def _grid_model(src, workdir):
@@ -81,7 +102,7 @@ def _env(src):
 
 def _files_digest(workdir):
     digest, found = hashlib.sha256(), False
-    for path in sorted(p for p in Path(workdir).rglob("*") if p.is_file() and p.name not in (GRID_MODEL, CUTOFF_MODEL)):
+    for path in sorted(p for p in Path(workdir).rglob("*") if p.is_file() and p.name not in (GRID_MODEL, *MODEL_TEXTS)):
         found = True
         digest.update(str(path.relative_to(workdir)).encode() + b"\0" + path.read_bytes() + b"\0")
     return digest.hexdigest() if found else "-"
@@ -92,8 +113,9 @@ def run(src, argv):
     with tempfile.TemporaryDirectory() as workdir:
         if GRID_MODEL in argv:
             _grid_model(src, workdir)
-        if CUTOFF_MODEL in argv:
-            Path(workdir, CUTOFF_MODEL).write_text(CUTOFF_TEXT)
+        for name, text in MODEL_TEXTS.items():
+            if name in argv:
+                Path(workdir, name).write_text(text)
         proc = subprocess.run(
             [sys.executable, "-m", "acpoisson", *argv], cwd=workdir, env=_env(src), capture_output=True
         )

@@ -1,8 +1,9 @@
 """List the statements of ``src/acpoisson`` that the package's own traffic never executes.
 
 The traffic is the reachability battery of ``tests/test_reachability.py``
-(every command on the four built-ins at small sizes, ``selftest``, and the
-inputs that reach the error and rare paths), the three demos, and one
+(every command on the four built-ins at small sizes, ``selftest``, a
+``check`` of two chunks, and the inputs that reach the error and rare paths),
+the three demos, and one
 operation of each benchmark workload (``benchmark/workloads.py``: set-up, one
 run and its check).  A line tracer (``sys.settrace``) is installed before
 ``import acpoisson``, so module-level statements count too.  Run it from the
